@@ -5,9 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,8 +201,7 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
             entry["m3_seq"] = baselines.top_m_selection(weights, budget)
         cache[k] = entry
 
-    def run_point(task):
-        gi, (k, snr), trial = task
+    def run_point(gi, k, snr, trial):
         entry = cache[k]
         budget = entry["budget"]
         coeffs, noise = trial_inputs(cfg, gi, k, budget, trial)
@@ -249,18 +246,12 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
             )
         return out
 
-    tasks = [
-        (gi, point, trial)
-        for gi, point in enumerate(grid)
+    return [
+        rec
+        for gi, (k, snr) in enumerate(grid)
         for trial in range(cfg.trials)
+        for rec in run_point(gi, k, snr, trial)
     ]
-    threads = int(os.environ.get("GSAMPLE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            grouped = list(pool.map(run_point, tasks))
-    else:
-        grouped = [run_point(t) for t in tasks]
-    return [rec for group in grouped for rec in group]
 
 
 @dataclass

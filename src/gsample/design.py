@@ -13,6 +13,9 @@ from .exceptions import FallbackExhausted, SingularInformationMatrix
 from .spectral import SpectralBasis, design_rows
 
 _SINGULARITY_RTOL = 1e-12
+_SOLVER_RTOL = 1e-6  # A/D duality-gap stop and E improvement threshold, relative
+_FW_MAX_ITER = 50_000
+_E_MAX_ITER = 20_000
 
 
 class Criterion(enum.Enum):
@@ -227,7 +230,7 @@ def _solve_fw(rows, criterion, max_iter, tol):
     return p
 
 
-def _solve_e_subgradient(rows, max_iter, tol):
+def _solve_e_subgradient(rows):
     """Projected subgradient with diminishing steps for the E criterion.
 
     Returns the best iterate seen; the subgradient has no gap certificate.
@@ -237,7 +240,7 @@ def _solve_e_subgradient(rows, max_iter, tol):
     best_p = p.copy()
     best_val = criterion_value(information_matrix(rows, DesignWeights(p)), Criterion.E_OPT)
     stall = 0
-    for t in range(max_iter):
+    for t in range(_E_MAX_ITER):
         A = rows.T @ (p[:, None] * rows)
         w, V = np.linalg.eigh(A)
         if w[0] <= _SINGULARITY_RTOL * w[-1]:
@@ -250,7 +253,7 @@ def _solve_e_subgradient(rows, max_iter, tol):
         if w_new[0] <= 0:
             continue
         val = 1.0 / w_new[0]
-        if val < best_val - tol * max(1.0, best_val):
+        if val < best_val - _SOLVER_RTOL * max(1.0, best_val):
             best_val, best_p = float(val), p.copy()
             stall = 0
         else:
@@ -260,30 +263,38 @@ def _solve_e_subgradient(rows, max_iter, tol):
     return best_p
 
 
-def solve_relaxed(
-    rows: np.ndarray,
-    criterion: Criterion,
-    max_iter: int = 50000,
-    tol: float = 1e-6,
-    seed=None,
-) -> DesignWeights:
+def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     """Solve the relaxed design problem min f(A(p)^-1) over the simplex.
 
-    D/A: pairwise Frank-Wolfe, terminating on the relative duality gap.
-    E: projected subgradient with diminishing steps, best iterate returned.
-    Deterministic; `seed` is accepted for interface uniformity but unused.
+    D/A: pairwise Frank-Wolfe, stopping once the duality gap is at most 1e-6
+    times max(1, |objective|), or after 50,000 iterations.
+    E: projected subgradient with diminishing steps, at most 20,000 of them;
+    the best iterate is returned. Deterministic.
     """
     rows = np.asarray(rows, dtype=float)
     n, k = rows.shape
     if n < k:
         raise ValueError(f"need at least K={k} rows, got {n}")
     if criterion is Criterion.E_OPT:
-        p = _solve_e_subgradient(rows, min(max_iter, 20000), tol)
+        p = _solve_e_subgradient(rows)
     else:
-        p = _solve_fw(rows, criterion, max_iter, tol)
+        p = _solve_fw(rows, criterion, _FW_MAX_ITER, _SOLVER_RTOL)
     p = np.maximum(p, 0.0)
     p /= p.sum()
     return DesignWeights(p)
+
+
+def _grid_split(weights: DesignWeights, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split p * budget into its grid floor and the offset above it, with
+    float noise at grid points snapped so exact multiples stay deterministic."""
+    x = weights.p * budget
+    floor = np.floor(x)
+    frac = x - floor
+    snap_up = frac > 1.0 - 1e-9
+    floor[snap_up] += 1.0
+    frac[snap_up] = 0.0
+    frac[frac < 1e-9] = 0.0
+    return floor, frac
 
 
 def quantize_raw(weights: DesignWeights, budget: int, rng) -> np.ndarray:
@@ -293,15 +304,8 @@ def quantize_raw(weights: DesignWeights, budget: int, rng) -> np.ndarray:
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(rng)
-    x = weights.p * budget
-    k = np.floor(x)
-    frac = x - k
-    # snap float noise at grid points so exact multiples stay deterministic
-    snap_up = frac > 1.0 - 1e-9
-    k[snap_up] += 1.0
-    frac[snap_up] = 0.0
-    frac[frac < 1e-9] = 0.0
-    return (k + (rng.random(len(x)) < frac)).astype(int)
+    floor, frac = _grid_split(weights, budget)
+    return (floor + (rng.random(len(frac)) < frac)).astype(int)
 
 
 def budget_repair(raw: np.ndarray, weights: DesignWeights, budget: int) -> SampleAllocation:
@@ -363,12 +367,8 @@ def empirical_residual_variance(
     the analytic value assumes p_i uniform within its grid cell.
     """
     rng = np.random.default_rng(seed)
-    x = weights.p * budget
-    k = np.floor(x)
-    frac = x - k
-    frac[frac > 1.0 - 1e-9] = 0.0
-    frac[frac < 1e-9] = 0.0
-    up = rng.random((draws, len(x))) < frac[None, :]
+    _, frac = _grid_split(weights, budget)
+    up = rng.random((draws, len(frac))) < frac[None, :]
     delta = (up - frac[None, :]) / budget
     return delta.var(axis=0)
 
@@ -404,8 +404,11 @@ def perturbation_norm(
 ) -> tuple[float, float]:
     """Spectral norm of the information-matrix perturbation and its bound.
 
-    The perturbation sum_i dp_i u_i u_i^T has spectral norm at most
-    max |dp_i| because the rows have norm <= 1.
+    The perturbation sum_i dp_i u_i u_i^T = R^T diag(dp) R has spectral norm
+    at most max |dp_i| when R has orthonormal columns (R^T R = I), as the
+    rows from `design_rows` do. Row norms <= 1 alone are not enough.
+    Raises ValueError when the norm exceeds the bound, which means the rows
+    break that precondition.
     """
     rows = np.asarray(rows, dtype=float)
     dp = np.asarray(residual.delta_p, dtype=float)
@@ -414,7 +417,11 @@ def perturbation_norm(
     dA = rows.T @ (dp[:, None] * rows)
     norm = float(np.max(np.abs(np.linalg.eigvalsh(dA)))) if dA.size else 0.0
     bound = float(np.max(np.abs(dp))) if dp.size else 0.0
-    assert norm <= bound + 1e-10, (norm, bound)
+    if norm > bound + 1e-10:
+        raise ValueError(
+            f"perturbation norm {norm:.3e} exceeds max |dp_i| = {bound:.3e}; "
+            "the bound needs rows with orthonormal columns (rows^T rows = I)"
+        )
     return norm, bound
 
 
@@ -423,17 +430,15 @@ def allocate_from_weights(
     weights: DesignWeights,
     budget: int,
     seed=None,
-    max_shifts: int | None = None,
 ) -> tuple[SampleAllocation, int]:
     """Quantize a relaxed design to quotas, repairing the budget and, when the
     quantized matrix comes out singular, shifting one budget unit at a time
-    from the most-sampled node to the unsampled node with largest weight.
+    from the most-sampled node to the unsampled node with largest weight, at
+    most K times for K = rows.shape[1].
 
     Returns the allocation and the number of shifts applied.
     """
     rows = np.asarray(rows, dtype=float)
-    if max_shifts is None:
-        max_shifts = rows.shape[1]
     alloc, _ = probabilistic_quantize(weights, budget, seed=seed)
     m = alloc.m.copy()
     shifts = 0
@@ -442,7 +447,7 @@ def allocate_from_weights(
             quantized_information_matrix(rows, SampleAllocation(m=m, budget=budget))
             return SampleAllocation(m=m, budget=budget), shifts
         except SingularInformationMatrix:
-            if shifts >= max_shifts:
+            if shifts >= rows.shape[1]:
                 raise FallbackExhausted(
                     f"quantized design still singular after {shifts} budget shifts"
                 )
@@ -470,11 +475,10 @@ def design_pipeline(
     budget: int,
     criterion: Criterion = Criterion.A_OPT,
     seed=None,
-    max_iter: int = 50000,
-    tol: float = 1e-6,
 ) -> PipelineResult:
     """End-to-end design: rows -> relaxed solve -> quantize -> repair.
 
+    `seed` drives the randomized rounding; the relaxed solve is deterministic.
     When the quantized design is singular, shifts one unit of budget at a
     time from the most-sampled node to the unsampled node with the largest
     relaxed weight, at most `bandwidth` times.
@@ -484,10 +488,8 @@ def design_pipeline(
             f"budget {budget} below bandwidth {bandwidth}; design cannot be full rank"
         )
     rows = design_rows(basis, bandwidth)
-    weights = solve_relaxed(rows, criterion, max_iter=max_iter, tol=tol, seed=seed)
-    alloc, fallback_moves = allocate_from_weights(
-        rows, weights, budget, seed=seed, max_shifts=bandwidth
-    )
+    weights = solve_relaxed(rows, criterion)
+    alloc, fallback_moves = allocate_from_weights(rows, weights, budget, seed=seed)
     A_hat = quantized_information_matrix(rows, alloc)
     A = information_matrix(rows, weights)
     sigma_min = float(np.linalg.eigvalsh(A)[0])

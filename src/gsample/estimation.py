@@ -97,16 +97,15 @@ def _sampled_rows(basis: SpectralBasis, bandwidth: int, seq: SamplingSequence):
     return basis.eigenvectors[:, :bandwidth][seq.indices, :]
 
 
-def _solve_normal_equations(V_mk: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares through the Gram matrix with a rank check."""
-    G = V_mk.T @ V_mk
-    w, Q = np.linalg.eigh(G)
+def _checked_gram_eigh(V_mk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, Q) of the Gram matrix V^T V, or raise
+    RankDeficientSampling when the sampled rows have numerical rank below K."""
+    w, Q = np.linalg.eigh(V_mk.T @ V_mk)
     if len(V_mk) < V_mk.shape[1] or w[0] <= _RANK_RTOL * max(w[-1], 1e-300):
         raise RankDeficientSampling(
             f"sampled rows have numerical rank below {V_mk.shape[1]}"
         )
-    rhs = V_mk.T @ y
-    return Q @ ((Q.T @ rhs) / w)
+    return w, Q
 
 
 def blue_estimate(
@@ -121,7 +120,9 @@ def blue_estimate(
     if y.shape != seq.indices.shape:
         raise ValueError("observation length does not match sequence")
     V_mk = _sampled_rows(basis, bandwidth, seq)
-    coeffs = _solve_normal_equations(V_mk, y)
+    # least squares through the normal equations
+    w, Q = _checked_gram_eigh(V_mk)
+    coeffs = Q @ ((Q.T @ (V_mk.T @ y)) / w)
     signal = basis.eigenvectors[:, :bandwidth] @ coeffs
     err = None
     if f_true is not None:
@@ -138,11 +139,7 @@ def error_covariance_scalars(
         seq = sequence_from_allocation(seq_or_alloc)
     else:
         seq = seq_or_alloc
-    V_mk = _sampled_rows(basis, bandwidth, seq)
-    G = V_mk.T @ V_mk
-    w = np.linalg.eigvalsh(G)
-    if len(V_mk) < bandwidth or w[0] <= _RANK_RTOL * max(w[-1], 1e-300):
-        raise RankDeficientSampling("sampled rows do not determine the coefficients")
+    w, _ = _checked_gram_eigh(_sampled_rows(basis, bandwidth, seq))
     return (
         float(np.sum(1.0 / w)),
         float(1.0 / w[0]),

@@ -41,26 +41,8 @@ class WeightedGraph:
             seen.add((a, b))
             canonical.append((a, b, float(w)))
         object.__setattr__(self, "edges", tuple(canonical))
-        if not self._connected():
+        if not _connected(self.n, ((i, j) for i, j, _ in canonical)):
             raise ValueError("graph is not connected")
-
-    def _connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = [[] for _ in range(self.n)]
-        for i, j, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return bool(seen.all())
 
     def adjacency(self) -> np.ndarray:
         W = np.zeros((self.n, self.n))
@@ -76,9 +58,10 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     return np.diag(W.sum(axis=1)) - W
 
 
-def _edges_connected(n, edge_set) -> bool:
+def _connected(n: int, pairs) -> bool:
+    """Whether the undirected edges (i, j) in `pairs` connect nodes 0..n-1."""
     adj = [[] for _ in range(n)]
-    for i, j in edge_set:
+    for i, j in pairs:
         adj[i].append(j)
         adj[j].append(i)
     seen = [False] * n
@@ -135,7 +118,7 @@ def watts_strogatz(n: int, k: int, beta: float, seed) -> WeightedGraph:
                 edge_set.discard((a, b))
                 key = (u, w) if u < w else (w, u)
                 edge_set.add(key)
-        if _edges_connected(n, edge_set):
+        if _connected(n, edge_set):
             edges = [(i, j, 1.0) for i, j in sorted(edge_set)]
             return WeightedGraph(n, tuple(edges))
     raise GraphConnectivityError(
@@ -159,7 +142,7 @@ def random_geometric(n: int, radius: float, kernel_width: float, seed) -> Weight
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
         ii, jj = np.where(np.triu(dist <= radius, k=1))
-        if not _edges_connected(n, list(zip(ii.tolist(), jj.tolist()))):
+        if not _connected(n, zip(ii.tolist(), jj.tolist())):
             continue
         w = np.exp(-dist[ii, jj] ** 2 / (2.0 * kernel_width**2))
         edges = [(int(i), int(j), float(wij)) for i, j, wij in zip(ii, jj, w)]

@@ -97,16 +97,6 @@ class TestRunScenario:
         assert all(r.status.startswith("failed:") for r in records)
         assert all(math.isnan(r.error_l2) for r in records)
 
-    def test_parallel_matches_serial(self, monkeypatch, tmp_path):
-        cfg = tiny_config(trials=4)
-        serial = bench.run_scenario(cfg, measure_time=False)
-        monkeypatch.setenv("GSAMPLE_THREADS", "4")
-        parallel = bench.run_scenario(cfg, measure_time=False)
-        p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        bench.write_records_csv(serial, p1)
-        bench.write_records_csv(parallel, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
 
 class TestSummarize:
     def test_single_record(self):

@@ -101,6 +101,14 @@ class TestPerturbationNorm:
         norm, bound = design.perturbation_norm(rows, QuantizationResidual(dp))
         assert norm <= bound + 1e-10
 
+    def test_non_orthonormal_rows_rejected(self):
+        # unit-norm rows, but rows^T rows != I: the norm 0.2 exceeds
+        # max |dp_i| = 0.1, so the bound does not hold
+        rows = np.array([[1.0, 0.0], [1.0, 0.0]])
+        dp = np.array([0.1, 0.1])
+        with pytest.raises(ValueError, match="orthonormal"):
+            design.perturbation_norm(rows, QuantizationResidual(dp))
+
 
 class TestResidualVariance:
     def test_empirical_variance_disagrees_with_analytic_cubic(self):
@@ -120,3 +128,20 @@ class TestResidualVariance:
         truth = frac * (1 - frac) / budget**2
         assert np.allclose(emp, truth, rtol=0.02, atol=1e-6)
         assert emp.max() > 10 * analytic
+
+    @pytest.mark.parametrize(
+        "p, budget, quotas",
+        [
+            ([0.3, 0.7], 10, [3, 7]),
+            ([15 / 22, 7 / 22], 22, [15, 7]),  # 15/22 * 22 lands 2e-15 below 15
+            ([7 / 25, 18 / 25], 25, [7, 18]),  # 7/25 * 25 lands 9e-16 above 7
+            ([0.5 - 1e-13, 0.5 + 1e-13], 10, [5, 5]),  # 1e-12 off the grid point
+        ],
+    )
+    def test_grid_point_weights_round_deterministically(self, p, budget, quotas):
+        w = DesignWeights(np.array(p))
+        emp = design.empirical_residual_variance(w, budget, draws=1000, seed=0)
+        assert np.array_equal(emp, np.zeros(len(p)))
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            assert design.quantize_raw(w, budget, rng).tolist() == quotas
