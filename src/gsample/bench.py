@@ -65,7 +65,9 @@ class ScenarioConfig:
             raise ValueError("bandwidth_min exceeds bandwidth_max")
         object.__setattr__(self, "signal", sig)
         object.__setattr__(self, "methods", tuple(self.methods))
-        design.Criterion.parse(self.criterion)
+        object.__setattr__(
+            self, "criterion", design.Criterion.parse(self.criterion).value
+        )
 
 
 @dataclass

@@ -56,9 +56,7 @@ def _cmd_estimate(args):
     _, basis = _load_basis(args.graph)
     with open(args.design, encoding="utf-8") as fh:
         dpayload = json.load(fh)
-    alloc = design.SampleAllocation(
-        m=np.asarray(dpayload["m"], dtype=int), budget=int(dpayload["budget"])
-    )
+    alloc = design.SampleAllocation(m=dpayload["m"], budget=int(dpayload["budget"]))
     seq = estimation.sequence_from_allocation(alloc)
     f = np.loadtxt(args.signal, ndmin=1)
     snr = math.inf if args.snr_db is None else args.snr_db

@@ -26,9 +26,9 @@ class Criterion(enum.Enum):
     @classmethod
     def parse(cls, text: str) -> "Criterion":
         try:
-            return cls(text.strip().lower()[0])
-        except (ValueError, IndexError):
-            raise ValueError(f"unknown criterion {text!r}; expected a, d or e")
+            return cls(text.strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown criterion {text!r}; expected a, d or e") from None
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,8 @@ class DesignWeights:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1:
             raise ValueError("design weights must be a vector")
+        if not np.isfinite(p).all():
+            raise ValueError("design weights must be finite")
         if (p < -1e-12).any():
             raise ValueError("design weights must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-10:
@@ -58,7 +60,12 @@ class SampleAllocation:
     budget: int
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=int)
+        m = np.asarray(self.m)
+        if m.dtype.kind not in "iu":
+            m = np.asarray(m, dtype=float)
+            if not (np.isfinite(m) & (m == np.round(m))).all():
+                raise ValueError(f"quotas must be integers, got {m.tolist()}")
+        m = m.astype(int)
         if (m < 0).any():
             raise ValueError("quotas must be nonnegative")
         if int(m.sum()) != self.budget:
@@ -143,54 +150,50 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _crit_of_A(A: np.ndarray, criterion: Criterion) -> float:
-    w = np.linalg.eigvalsh(A)
-    if w[0] <= 0:
-        return np.inf
-    if criterion is Criterion.D_OPT:
-        return float(-np.sum(np.log(w)))
-    return float(np.sum(1.0 / w))
+def _pairwise_step(Ainv, u_j, u_a, hi, criterion):
+    """Exact minimizer on [0, hi] of gamma -> crit(A + gamma (u_j u_j^T - u_a u_a^T)).
 
-
-def _ternary_step(A, D, hi, criterion, iters=50):
-    """Minimize gamma -> crit(A + gamma*D) on [0, hi] by ternary search."""
-    lo = 0.0
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if _crit_of_A(A + m1 * D, criterion) < _crit_of_A(A + m2 * D, criterion):
-            hi = m2
-        else:
-            lo = m1
-    return 0.5 * (lo + hi)
-
-
-def _forward_step(A, u_j, f, slope, criterion, k):
-    """Step size toward vertex j: closed form for D, backtracking for A."""
-    if criterion is Criterion.D_OPT:
-        d = float(u_j @ np.linalg.solve(A, u_j))
-        if d <= 1.0 + 1e-14:
-            return 0.0
-        return float(np.clip((d - k) / (k * (d - 1.0)), 0.0, 1.0 - 1e-12))
-    gamma = 0.999
-    D = np.outer(u_j, u_j) - A
-    for _ in range(60):
-        if _crit_of_A(A + gamma * D, criterion) <= f + 1e-4 * gamma * slope:
-            return gamma
-        gamma *= 0.5
-    return 0.0
-
-
-def _solve_fw(rows, criterion, max_iter, tol):
-    """Frank-Wolfe with pairwise (swap) steps for the A/D criteria.
-
-    Stops when the duality gap drops below tol * max(1, |objective|).
-    Ties in the vertex argmin resolve to the lowest index via np.argmin.
+    The swap is a rank-2 update. With x = A^-1 u_j, y = A^-1 u_a and the 2x2
+    Gram entries g11 = u_j.x, g22 = u_a.y, g12 = u_j.y, Sylvester's identity
+    gives det ratio q(gamma) = 1 + e gamma - d gamma^2 (e = g11 - g22,
+    d = g11 g22 - g12^2). D: -log q is minimized at e / (2d). A: by Woodbury
+    tr((A + ...)^-1) = tr(A^-1) + (b gamma + c gamma^2) / q(gamma), stationary
+    at the positive root of (bd + ce) gamma^2 + 2c gamma + b = 0. The
+    criterion is convex along the segment, so returns 0 when the swap does not
+    descend at gamma = 0, and hi when it descends all the way.
     """
-    n, k = rows.shape
+    x, y = Ainv @ u_j, Ainv @ u_a
+    g11, g22, g12 = u_j @ x, u_a @ y, u_j @ y
+    e = g11 - g22
+    d = g11 * g22 - g12 * g12
+    if criterion is Criterion.D_OPT:
+        if e <= 0:
+            return 0.0
+        return float(hi if e >= 2.0 * d * hi else e / (2.0 * d))
+    h11, h22, h12 = x @ x, y @ y, x @ y
+    b = h22 - h11
+    if b >= 0:
+        return 0.0
+    c = g22 * h11 + g11 * h22 - 2.0 * g12 * h12
+    disc = c * c - (b * d + c * e) * b
+    denom = c + math.sqrt(disc) if disc >= 0 else 0.0
+    return float(hi if -b >= denom * hi else -b / denom)
+
+
+def _solve_fw(rows, criterion):
+    """Pairwise Frank-Wolfe with exact line search for the A/D criteria.
+
+    Starts from the uniform design. Each iteration moves the exact
+    `_pairwise_step` weight from the support node with the largest gradient
+    to the node with the smallest (lowest index on ties); a step that takes
+    all of a node's weight drops it from the support. Stops when the duality
+    gap is at most _SOLVER_RTOL * max(1, |objective|), when the step is 0, or
+    after _FW_MAX_ITER iterations. Pairwise moves conserve sum(p).
+    """
+    n, _ = rows.shape
     p = np.full(n, 1.0 / n)
     A = rows.T @ (p[:, None] * rows)
-    for _ in range(max_iter):
+    for _ in range(_FW_MAX_ITER):
         Ainv = np.linalg.inv(A)
         if criterion is Criterion.D_OPT:
             g = -np.einsum("ij,jk,ik->i", rows, Ainv, rows)
@@ -201,32 +204,17 @@ def _solve_fw(rows, criterion, max_iter, tol):
             f = float(np.trace(Ainv))
         j = int(np.argmin(g))
         gap = float(p @ g - g[j])
-        if gap <= tol * max(1.0, abs(f)):
+        if gap <= _SOLVER_RTOL * max(1.0, abs(f)):
             break
         support = np.nonzero(p > 1e-15)[0]
         a = int(support[np.argmax(g[support])])
         u_j, u_a = rows[j], rows[a]
-        moved = False
-        if a != j:
-            D = np.outer(u_j, u_j) - np.outer(u_a, u_a)
-            gamma = _ternary_step(A, D, p[a], criterion)
-            if gamma > 0 and _crit_of_A(A + gamma * D, criterion) < f:
-                p[j] += gamma
-                p[a] -= gamma
-                if p[a] < 1e-15:
-                    p[a] = 0.0
-                A = A + gamma * D
-                moved = True
-        if not moved:
-            gamma = _forward_step(A, u_j, f, -gap, criterion, k)
-            if gamma <= 0:
-                break
-            p *= 1.0 - gamma
-            p[j] += gamma
-            A = (1.0 - gamma) * A + gamma * np.outer(u_j, u_j)
-        total = p.sum()
-        if abs(total - 1.0) > 1e-13:
-            p /= total
+        gamma = _pairwise_step(Ainv, u_j, u_a, p[a], criterion)
+        if gamma <= 0:
+            break
+        p[j] += gamma
+        p[a] -= gamma  # exactly 0 when gamma == p[a]
+        A = A + gamma * (np.outer(u_j, u_j) - np.outer(u_a, u_a))
     return p
 
 
@@ -266,8 +254,9 @@ def _solve_e_subgradient(rows):
 def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     """Solve the relaxed design problem min f(A(p)^-1) over the simplex.
 
-    D/A: pairwise Frank-Wolfe, stopping once the duality gap is at most 1e-6
-    times max(1, |objective|), or after 50,000 iterations.
+    D/A: pairwise Frank-Wolfe with exact (closed-form) line search from the
+    uniform design, stopping once the duality gap is at most 1e-6 times
+    max(1, |objective|), or after 50,000 iterations.
     E: projected subgradient with diminishing steps, at most 20,000 of them;
     the best iterate is returned. Deterministic.
     """
@@ -278,7 +267,7 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     if criterion is Criterion.E_OPT:
         p = _solve_e_subgradient(rows)
     else:
-        p = _solve_fw(rows, criterion, _FW_MAX_ITER, _SOLVER_RTOL)
+        p = _solve_fw(rows, criterion)
     p = np.maximum(p, 0.0)
     p /= p.sum()
     return DesignWeights(p)

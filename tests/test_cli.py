@@ -81,6 +81,23 @@ class TestGraphAndDesign:
         assert code == 1 and "error" in err
 
 
+    def test_fractional_quotas_rejected(self, capsys, tmp_path):
+        gpath = tmp_path / "g.edges"
+        graphs.save_edge_list(graphs.watts_strogatz(6, 2, 0.0, seed=0), gpath)
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps(
+            {"m": [1.5, 1.5, 0, 0, 0, 0], "budget": 2, "bandwidth": 2}
+        ))
+        spath = tmp_path / "signal.txt"
+        np.savetxt(spath, np.ones(6))
+        code, _, err = run(
+            capsys, "estimate", "--graph", str(gpath), "--design", str(dpath),
+            "--signal", str(spath),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "integers" in err
+
+
 class TestBench:
     def test_config_run_writes_csv(self, capsys, tmp_path):
         cfg = {

@@ -3,12 +3,48 @@ import pytest
 
 from conftest import random_orthonormal_rows
 from gsample import design
-from gsample.design import Criterion, DesignWeights
+from gsample.design import Criterion, DesignWeights, SampleAllocation
 from gsample.exceptions import SingularInformationMatrix
 
 
 def uniform(n):
     return DesignWeights(np.full(n, 1.0 / n))
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [np.nan, 1.0],
+            [np.inf, 1.0],
+            [-0.5, 1.5],
+            [0.5, 0.6],
+            [[0.5, 0.5]],
+        ],
+    )
+    def test_invalid_weights_rejected(self, p):
+        with pytest.raises(ValueError):
+            DesignWeights(np.array(p))
+
+    @pytest.mark.parametrize("m", [[1.5, 1.5], [np.nan, 2.0], [-1, 3]])
+    def test_invalid_quotas_rejected(self, m):
+        with pytest.raises(ValueError):
+            SampleAllocation(m=m, budget=2)
+
+    def test_integral_float_quotas_accepted(self):
+        alloc = SampleAllocation(m=[1.0, 2.0], budget=3)
+        assert alloc.m.tolist() == [1, 2] and alloc.m.dtype.kind == "i"
+
+    @pytest.mark.parametrize("text", ["dog", "apple", "exp", "", "ad", "x"])
+    def test_unknown_criterion_rejected(self, text):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            Criterion.parse(text)
+
+    @pytest.mark.parametrize(
+        "text, crit", [("a", Criterion.A_OPT), (" D ", Criterion.D_OPT), ("E", Criterion.E_OPT)]
+    )
+    def test_criterion_letters_parsed(self, text, crit):
+        assert Criterion.parse(text) is crit
 
 
 class TestInformationMatrix:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,53 @@ class TestSolveRelaxed:
     def test_underdetermined_rejected(self, rng):
         with pytest.raises(ValueError):
             design.solve_relaxed(rng.standard_normal((2, 3)), Criterion.A_OPT)
+
+
+def grid_objective(A, D, gammas, crit):
+    """Criterion of A + gamma D at each gamma, by plain eigvalsh; inf if singular."""
+    w = np.linalg.eigvalsh(A[None] + gammas[:, None, None] * D[None])
+    out = np.full(len(gammas), np.inf)
+    ok = w[:, 0] > 0
+    w = w[ok]
+    out[ok] = -np.log(w).sum(axis=1) if crit is Criterion.D_OPT else (1.0 / w).sum(axis=1)
+    return out
+
+
+class TestPairwiseStep:
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("scaled_copy", [False, True])
+    def test_exact_step_beats_dense_grid(self, crit, k, scaled_copy):
+        rng = np.random.default_rng([k, scaled_copy])
+        for _ in range(10):
+            n = k + int(rng.integers(2, 6))
+            rows = random_orthonormal_rows(n, k, rng)
+            if scaled_copy:
+                rows[1] = rng.uniform(0.2, 0.9) * rows[0]
+            p = rng.dirichlet(np.ones(n))
+            A = design.information_matrix(rows, DesignWeights(p))
+            Ainv = np.linalg.inv(A)
+            g = design.criterion_gradient(rows, DesignWeights(p), crit)
+            # the solver's swap, the scaled-copy pair, and random pairs
+            pairs = [(int(np.argmin(g)), int(np.argmax(g))), (0, 1), (1, 0)]
+            pairs += [tuple(int(i) for i in rng.choice(n, 2, replace=False)) for _ in range(3)]
+            for j, a in pairs:
+                u_j, u_a = rows[j], rows[a]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    gamma = design._pairwise_step(Ainv, u_j, u_a, p[a], crit)
+                assert 0.0 <= gamma <= p[a]
+                D = np.outer(u_j, u_j) - np.outer(u_a, u_a)
+                at_gamma = grid_objective(A, D, np.array([gamma]), crit)[0]
+                best = grid_objective(A, D, np.linspace(0.0, p[a], 2001), crit).min()
+                assert at_gamma <= best + 1e-9 * abs(best)
+
+    def test_same_node_is_a_zero_step(self, rng):
+        rows = random_orthonormal_rows(6, 3, rng)
+        A = design.information_matrix(rows, DesignWeights(np.full(6, 1 / 6)))
+        for crit in (Criterion.A_OPT, Criterion.D_OPT):
+            step = design._pairwise_step(np.linalg.inv(A), rows[2], rows[2], 1 / 6, crit)
+            assert step == 0.0
 
 
 class TestDualityGap:
