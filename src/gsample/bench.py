@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +35,24 @@ _ROLE_SIGNAL = 1
 _ROLE_NOISE = 2
 _ROLE_METHOD = 3
 
+# graph kind -> (required keys, optional keys) that build_graph reads
+_GRAPH_KEYS = {
+    "watts_strogatz": ({"n"}, {"k", "beta"}),
+    "random_geometric": ({"n"}, {"radius", "kernel_width"}),
+    "file": ({"path"}, set()),
+}
+_SIGNAL_REQUIRED = {"bandwidth_min", "bandwidth_max", "snr_db_grid"}
+_SIGNAL_DEFAULTS = {"coeff_mean": 1.0, "coeff_std": 0.5, "bandwidth_step": 1}
+
+
+def _check_keys(section: str, data: dict, required: set, optional) -> None:
+    missing = required - set(data)
+    unknown = set(data) - required - set(optional)
+    if missing:
+        raise ValueError(f"missing {section} keys: {sorted(missing)}")
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -55,11 +73,16 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        sig = dict(self.signal)
-        sig.setdefault("coeff_mean", 1.0)
-        sig.setdefault("coeff_std", 0.5)
-        sig.setdefault("bandwidth_step", 1)
-        if not sig.get("snr_db_grid"):
+        kind = self.graph.get("kind")
+        if kind not in _GRAPH_KEYS:
+            raise ValueError(
+                f"unknown graph kind {kind!r}; choose from {sorted(_GRAPH_KEYS)}"
+            )
+        required, optional = _GRAPH_KEYS[kind]
+        _check_keys(f"{kind} graph", self.graph, {"kind", *required}, optional)
+        _check_keys("signal", self.signal, _SIGNAL_REQUIRED, _SIGNAL_DEFAULTS)
+        sig = {**_SIGNAL_DEFAULTS, **self.signal}
+        if not sig["snr_db_grid"]:
             raise ValueError("snr_db_grid must be nonempty")
         if sig["bandwidth_min"] > sig["bandwidth_max"]:
             raise ValueError("bandwidth_min exceeds bandwidth_max")
@@ -106,34 +129,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-_CONFIG_KEYS = {
-    "schema",
-    "scenario",
-    "graph",
-    "signal",
-    "budget_rule",
-    "trials",
-    "methods",
-    "criterion",
-    "master_seed",
-}
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in data.items() if k not in ("schema",)}
-    if "signal" in kwargs:
-        sig = dict(kwargs["signal"])
-        if "snr_db_grid" in sig:
-            sig["snr_db_grid"] = [
-                math.inf if s in ("inf", "Infinity") else float(s)
-                for s in sig["snr_db_grid"]
-            ]
-        kwargs["signal"] = sig
-    if "methods" in kwargs:
-        kwargs["methods"] = tuple(kwargs["methods"])
+    optional = {"schema", *(f.name for f in fields(ScenarioConfig))}
+    _check_keys("config", data, {"graph", "signal"}, optional)
+    kwargs = {k: v for k, v in data.items() if k != "schema"}
+    sig = dict(kwargs["signal"])
+    if "snr_db_grid" in sig:
+        sig["snr_db_grid"] = [
+            math.inf if s in ("inf", "Infinity") else float(s)
+            for s in sig["snr_db_grid"]
+        ]
+    kwargs["signal"] = sig
     return ScenarioConfig(**kwargs)
 
 
@@ -155,9 +161,7 @@ def build_graph(cfg: ScenarioConfig) -> graphs.WeightedGraph:
         return graphs.random_geometric(
             spec["n"], radius, spec.get("kernel_width", radius / 2.0), seed
         )
-    if kind == "file":
-        return graphs.load_edge_list(spec["path"])
-    raise ValueError(f"unknown graph kind {kind!r}")
+    return graphs.load_edge_list(spec["path"])
 
 
 def trial_inputs(cfg: ScenarioConfig, grid_index: int, bandwidth: int,

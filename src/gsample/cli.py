@@ -18,7 +18,7 @@ def _cmd_generate_graph(args):
     if args.kind == "watts_strogatz":
         g = graphs.watts_strogatz(args.n, args.k, args.beta, args.seed)
     else:
-        kernel = args.kernel_width if args.kernel_width else args.radius / 2.0
+        kernel = args.radius / 2.0 if args.kernel_width is None else args.kernel_width
         g = graphs.random_geometric(args.n, args.radius, kernel, args.seed)
     graphs.save_edge_list(g, args.out)
     print(f"wrote {args.out}: n={g.n}, edges={len(g.edges)}")

@@ -13,9 +13,8 @@ from .exceptions import FallbackExhausted, SingularInformationMatrix
 from .spectral import SpectralBasis, design_rows
 
 _SINGULARITY_RTOL = 1e-12
-_SOLVER_RTOL = 1e-6  # A/D duality-gap stop and E improvement threshold, relative
+_SOLVER_RTOL = 1e-6  # relative duality gap: A/D stopping rule, E certificate
 _FW_MAX_ITER = 50_000
-_E_MAX_ITER = 20_000
 
 
 class Criterion(enum.Enum):
@@ -118,36 +117,36 @@ def criterion_value(A: np.ndarray, criterion: Criterion) -> float:
 def criterion_gradient(
     rows: np.ndarray, weights: DesignWeights, criterion: Criterion
 ) -> np.ndarray:
-    """Gradient (subgradient for E) of the criterion with respect to p."""
+    """Gradient of the A or D criterion with respect to p; E has none."""
+    if criterion is Criterion.E_OPT:
+        raise ValueError("the E criterion has no gradient")
     rows = np.asarray(rows, dtype=float)
     A = information_matrix(rows, weights)
     _checked_eigvalsh(A)
-    if criterion is Criterion.E_OPT:
-        w, V = np.linalg.eigh(A)
-        v_min = V[:, 0]
-        return -((rows @ v_min) ** 2)
     Ainv = np.linalg.inv(A)
     B = Ainv if criterion is Criterion.D_OPT else Ainv @ Ainv
     return -np.einsum("ij,jk,ik->i", rows, B, rows)
 
 
+def _e_bound(rows: np.ndarray) -> float:
+    """Upper bound on max_p lambda_min(A(p)): lambda_min(A) <= tr(Z A) for any
+    Z >= 0 with tr Z = 1, and max_p tr(Z A(p)) = max_i u_i^T Z u_i. Returns the
+    smaller of those values for Z = e_c e_c^T (best column c) and Z = I / K."""
+    sq = np.asarray(rows, dtype=float) ** 2
+    return float(min(sq.max(axis=0).min(), sq.sum(axis=1).max() / rows.shape[1]))
+
+
 def duality_gap(
     rows: np.ndarray, weights: DesignWeights, criterion: Criterion
 ) -> float:
-    """Linear-minimization gap over the simplex; zero iff p is stationary."""
+    """An upper bound on f(p) - f*. A/D: the Frank-Wolfe linear-minimization
+    gap over the simplex. E: 1/lambda_min(A(p)) - 1/_e_bound(rows) (Kiefer's
+    equivalence theorem), 0 at the uniform design of a constant-column basis."""
+    if criterion is Criterion.E_OPT:
+        f = criterion_value(information_matrix(rows, weights), criterion)
+        return f - 1.0 / _e_bound(rows)
     g = criterion_gradient(rows, weights, criterion)
     return float(weights.p @ g - g.min())
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort & threshold)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = np.max(np.nonzero(u - css / idx > 0)[0]) + 1
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
 
 
 def _pairwise_step(Ainv, u_j, u_a, hi, criterion):
@@ -218,59 +217,36 @@ def _solve_fw(rows, criterion):
     return p
 
 
-def _solve_e_subgradient(rows):
-    """Projected subgradient with diminishing steps for the E criterion.
-
-    Returns the best iterate seen; the subgradient has no gap certificate.
-    """
-    n, _ = rows.shape
-    p = np.full(n, 1.0 / n)
-    best_p = p.copy()
-    best_val = criterion_value(information_matrix(rows, DesignWeights(p)), Criterion.E_OPT)
-    stall = 0
-    for t in range(_E_MAX_ITER):
-        A = rows.T @ (p[:, None] * rows)
-        w, V = np.linalg.eigh(A)
-        if w[0] <= _SINGULARITY_RTOL * w[-1]:
-            p = 0.5 * (p + 1.0 / n)
-            continue
-        g = -((rows @ V[:, 0]) ** 2)
-        step = 0.5 / math.sqrt(t + 1.0)
-        p = project_simplex(p - step * g)
-        w_new = np.linalg.eigvalsh(rows.T @ (p[:, None] * rows))
-        if w_new[0] <= 0:
-            continue
-        val = 1.0 / w_new[0]
-        if val < best_val - _SOLVER_RTOL * max(1.0, best_val):
-            best_val, best_p = float(val), p.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 500:
-                break
-    return best_p
-
-
 def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     """Solve the relaxed design problem min f(A(p)^-1) over the simplex.
 
     D/A: pairwise Frank-Wolfe with exact (closed-form) line search from the
     uniform design, stopping once the duality gap is at most 1e-6 times
     max(1, |objective|), or after 50,000 iterations.
-    E: projected subgradient with diminishing steps, at most 20,000 of them;
-    the best iterate is returned. Deterministic.
+    E: the uniform design, once `duality_gap` certifies it to 1e-6 times
+    max(1, objective), as a constant column (the `design_rows` of a connected
+    graph) always does; other rows raise ValueError. Deterministic.
     """
     rows = np.asarray(rows, dtype=float)
     n, k = rows.shape
     if n < k:
         raise ValueError(f"need at least K={k} rows, got {n}")
     if criterion is Criterion.E_OPT:
-        p = _solve_e_subgradient(rows)
+        p = np.full(n, 1.0 / n)
     else:
         p = _solve_fw(rows, criterion)
     p = np.maximum(p, 0.0)
     p /= p.sum()
-    return DesignWeights(p)
+    weights = DesignWeights(p)
+    if criterion is Criterion.E_OPT:
+        f = criterion_value(information_matrix(rows, weights), criterion)
+        gap = duality_gap(rows, weights, criterion)
+        if gap > _SOLVER_RTOL * max(1.0, f):
+            raise ValueError(
+                "E-optimal design needs rows whose uniform design is certified "
+                f"optimal, such as rows with a constant column; gap is {gap:.3e}"
+            )
+    return weights
 
 
 def _grid_split(weights: DesignWeights, budget: int) -> tuple[np.ndarray, np.ndarray]:

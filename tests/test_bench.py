@@ -54,6 +54,48 @@ class TestConfig:
             cfg = bench.preset_config(name, trials=1)
             assert cfg.trials == 1
 
+    def test_file_graph_with_bandwidth_step_parses(self):
+        cfg = tiny_config(
+            graph={"kind": "file", "path": "graph.edges"},
+            signal={"bandwidth_min": 10, "bandwidth_max": 20, "bandwidth_step": 5,
+                    "snr_db_grid": [10.0]},
+        )
+        assert cfg.signal["bandwidth_step"] == 5 and cfg.signal["coeff_std"] == 0.5
+
+    @pytest.mark.parametrize("section, key", [
+        ("signal", "bandwith_step"),
+        ("graph", "kernal_width"),
+        ("graph", "path"),
+    ])
+    def test_unknown_section_keys_rejected(self, section, key):
+        data = json.loads(json.dumps(TINY))
+        data[section][key] = 4
+        with pytest.raises(ValueError, match=f"unknown .*{section} keys: .*{key}"):
+            bench.config_from_dict(data)
+
+    @pytest.mark.parametrize("section, key", [
+        ("signal", "bandwidth_min"),
+        ("signal", "snr_db_grid"),
+        ("graph", "n"),
+    ])
+    def test_missing_section_keys_rejected(self, section, key):
+        data = json.loads(json.dumps(TINY))
+        del data[section][key]
+        with pytest.raises(ValueError, match=f"missing .*{section} keys: .*{key}"):
+            bench.config_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["graph", "signal"])
+    def test_missing_section_rejected(self, key):
+        data = json.loads(json.dumps(TINY))
+        del data[key]
+        with pytest.raises(ValueError, match=f"missing config keys: .*{key}"):
+            bench.config_from_dict(data)
+
+    @pytest.mark.parametrize("graph", [{"n": 40}, {"kind": "grid", "n": 40}])
+    def test_unknown_graph_kind_rejected(self, graph):
+        with pytest.raises(ValueError, match="unknown graph kind"):
+            tiny_config(graph=graph)
+
 
 class TestRunScenario:
     def test_noiseless_exact_for_all_methods(self):

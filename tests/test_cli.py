@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -71,6 +72,16 @@ class TestGraphAndDesign:
         est = json.loads(epath.read_text())
         assert est["error_l2"] <= 1e-8
 
+    def test_zero_kernel_width_rejected(self, capsys, tmp_path):
+        gpath = tmp_path / "g.edges"
+        code, _, err = run(
+            capsys, "generate-graph", "--kind", "random_geometric", "--n", "30",
+            "--radius", "0.5", "--kernel-width", "0", "--out", str(gpath),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "kernel_width" in err
+        assert not gpath.exists()
+
     def test_bad_graph_file_fails_cleanly(self, capsys, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 1 1.0\n")
@@ -126,6 +137,42 @@ class TestBench:
         assert lines[1] == ",".join(bench_columns())
         assert len(lines) == 2 + 2 * 2  # header rows + methods x trials
         assert summary_csv.exists()
+
+    def test_e_criterion_gaps_are_certificates(self, capsys, tmp_path):
+        cfg = {
+            "scenario": "cli-e",
+            "graph": {"kind": "watts_strogatz", "n": 30, "k": 3, "beta": 0.2},
+            "signal": {"bandwidth_min": 2, "bandwidth_max": 4,
+                       "snr_db_grid": [10.0]},
+            "trials": 2,
+            "criterion": "e",
+        }
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(cfg))
+        out_csv = tmp_path / "records.csv"
+        code, _, _ = run(
+            capsys, "bench", "--config", str(cpath), "--out", str(out_csv),
+            "--no-timing",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()[1:]))
+        gaps = [float(r["solver_gap"]) for r in rows if r["method"] != "m1"]
+        assert len(gaps) == 3 * 2 * 2  # bandwidths x trials x (proposed, m3)
+        assert all(0.0 <= gap <= 1e-9 * 30 for gap in gaps)
+        assert all(r["status"] == "ok" for r in rows)
+
+    def test_config_missing_key_fails_cleanly(self, capsys, tmp_path):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps({
+            "graph": {"kind": "watts_strogatz", "n": 30},
+            "signal": {"bandwidth_max": 3, "snr_db_grid": [10.0]},
+        }))
+        code, _, err = run(
+            capsys, "bench", "--config", str(cpath),
+            "--out", str(tmp_path / "records.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "bandwidth_min" in err
 
     def test_preset_with_overrides(self, capsys, tmp_path):
         out_csv = tmp_path / "records.csv"

@@ -112,9 +112,14 @@ class TestCriterionGradient:
     def test_bandwidth_one_gradient_constant(self):
         # K=1 rows of a connected graph are all 1/sqrt(n)
         rows = np.full((7, 1), 1 / np.sqrt(7))
-        for crit in Criterion:
+        for crit in (Criterion.A_OPT, Criterion.D_OPT):
             g = design.criterion_gradient(rows, uniform(7), crit)
             assert np.ptp(g) <= 1e-9 * max(1.0, np.abs(g).max())
+
+    def test_e_criterion_has_no_gradient(self):
+        rows = np.full((7, 1), 1 / np.sqrt(7))
+        with pytest.raises(ValueError, match="no gradient"):
+            design.criterion_gradient(rows, uniform(7), Criterion.E_OPT)
 
     def test_standard_basis_a_criterion(self):
         rows = np.eye(2)

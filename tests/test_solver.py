@@ -2,11 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import random_orthonormal_rows
-from gsample import design
+from gsample import design, graphs, spectral
 from gsample.design import Criterion, DesignWeights
 
 
@@ -36,14 +34,11 @@ class TestSolveRelaxed:
         gap = design.duality_gap(rows, w, crit)
         assert gap <= 1e-6 * max(1.0, abs(val))
 
-    def test_never_exceeds_uniform_start_e_criterion(self, rng):
+    def test_e_criterion_without_certificate_rejected(self, rng):
+        # generic rows: the uniform design is not certified E-optimal
         rows = random_orthonormal_rows(10, 3, rng)
-        w = design.solve_relaxed(rows, Criterion.E_OPT)
-        val = objective(rows, w, Criterion.E_OPT)
-        start = objective(rows, DesignWeights(np.full(10, 0.1)), Criterion.E_OPT)
-        assert val <= start + 1e-9
-        assert (w.p >= 0).all()
-        assert w.p.sum() == pytest.approx(1.0, abs=1e-10)
+        with pytest.raises(ValueError, match="certified"):
+            design.solve_relaxed(rows, Criterion.E_OPT)
 
     def test_e_criterion_standard_basis(self):
         # balanced weights maximize the smallest eigenvalue of diag(p)
@@ -133,33 +128,54 @@ class TestDualityGap:
                 assert design.duality_gap(rows, DesignWeights(p), crit) >= -1e-12
 
 
-class TestProjectSimplex:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.floats(min_value=-50, max_value=50, allow_nan=False),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    def test_output_on_simplex(self, values):
-        out = design.project_simplex(np.array(values))
-        assert (out >= 0).all()
-        assert out.sum() == pytest.approx(1.0, abs=1e-9)
+def graph_rows(kind, n, k, seed):
+    if kind == "rgg":
+        g = graphs.random_geometric(n, 0.5, 0.25, seed)
+    else:
+        g = graphs.watts_strogatz(n, 3, 0.2, seed)
+    return spectral.design_rows(spectral.eigendecompose(graphs.laplacian(g)), k)
 
-    def test_fixed_point_on_simplex(self, rng):
-        p = rng.dirichlet(np.ones(8))
-        assert np.allclose(design.project_simplex(p), p, atol=1e-12)
 
-    def test_matches_brute_force_qp(self, rng):
-        # tiny instance: dense grid search over the 2-simplex
-        v = rng.standard_normal(3)
-        out = design.project_simplex(v)
-        best, best_d = None, np.inf
-        for a in np.linspace(0, 1, 201):
-            for b in np.linspace(0, 1 - a, max(2, int(201 * (1 - a)) + 1)):
-                q = np.array([a, b, 1 - a - b])
-                d = np.sum((q - v) ** 2)
-                if d < best_d:
-                    best, best_d = q, d
-        assert np.sum((out - v) ** 2) <= best_d + 1e-4
+def lambda_min(rows, P):
+    """Smallest eigenvalue of A(p) for each design p (a row of P), by eigvalsh."""
+    return np.linalg.eigvalsh(np.einsum("si,ij,ik->sjk", P, rows, rows))[:, 0]
+
+
+class TestECertificate:
+    """On a connected graph's basis the first column is constant, so
+    lambda_min(A(p)) <= 1/N for every p and the uniform design is E-optimal."""
+
+    @pytest.mark.parametrize("kind", ["rgg", "ws"])
+    @pytest.mark.parametrize("n", [20, 60])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_uniform_is_certified(self, kind, n, k):
+        for seed in range(3):
+            rows = graph_rows(kind, n, k, seed)
+            w = design.solve_relaxed(rows, Criterion.E_OPT)
+            uniform = np.full(n, 1.0 / n)
+            uniform /= uniform.sum()
+            assert np.array_equal(w.p, uniform)
+            assert 0.0 <= design.duality_gap(rows, w, Criterion.E_OPT) <= 1e-9 * n
+
+    @pytest.mark.parametrize("kind", ["rgg", "ws"])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_no_design_beats_uniform(self, kind, k):
+        n = 20
+        rows = graph_rows(kind, n, k, seed=1)
+        rng = np.random.default_rng([n, k])
+        P = rng.dirichlet(np.full(n, 0.5), size=500)
+        i, j = np.triu_indices(n, 1)
+        pairs = np.zeros((len(i), n))
+        pairs[np.arange(len(i)), i] = pairs[np.arange(len(i)), j] = 0.5
+        for designs in (P, pairs):
+            assert lambda_min(rows, designs).max() <= (1.0 / n) * (1 + 1e-12)
+        assert lambda_min(rows, np.full((1, n), 1.0 / n))[0] == pytest.approx(1.0 / n)
+
+    def test_gap_bounds_suboptimality_on_generic_rows(self, rng):
+        # no certificate here, but gap >= f(p) - f* >= f(p) - f(best draw)
+        rows = random_orthonormal_rows(10, 3, rng)
+        P = rng.dirichlet(np.ones(10), size=500)
+        f_best = 1.0 / lambda_min(rows, P).max()
+        uniform = DesignWeights(np.full(10, 0.1))
+        gap = design.duality_gap(rows, uniform, Criterion.E_OPT)
+        assert gap >= objective(rows, uniform, Criterion.E_OPT) - f_best
