@@ -10,7 +10,6 @@ from .design import (
     criterion_value,
     invertibility_probability_bound,
     min_sample_size,
-    probabilistic_quantize,
     solve_relaxed,
 )
 from .estimation import (

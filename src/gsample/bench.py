@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -44,6 +45,13 @@ _GRAPH_KEYS = {
 _SIGNAL_REQUIRED = {"bandwidth_min", "bandwidth_max", "snr_db_grid"}
 _SIGNAL_DEFAULTS = {"coeff_mean": 1.0, "coeff_std": 0.5, "bandwidth_step": 1}
 
+# value type of every config key; keys not listed take a finite real number
+_INT_KEYS = {"trials", "master_seed", "bandwidth_min", "bandwidth_max",
+             "bandwidth_step", "n", "k"}
+_TEXT_KEYS = {"kind", "path", "criterion", "scenario"}
+_LIST_KEYS = {"snr_db_grid", "methods"}
+_DICT_KEYS = {"graph", "signal"}
+
 
 def _check_keys(section: str, data: dict, required: set, optional) -> None:
     missing = required - set(data)
@@ -52,6 +60,27 @@ def _check_keys(section: str, data: dict, required: set, optional) -> None:
         raise ValueError(f"missing {section} keys: {sorted(missing)}")
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_type(key: str, value) -> None:
+    """Raise ValueError naming `key` unless `value` has the type that key takes."""
+    if key in _INT_KEYS:
+        ok = _is_real(value) and isinstance(value, numbers.Integral)
+        expected = "an integer"
+    elif key in _TEXT_KEYS:
+        ok, expected = isinstance(value, str), "a string"
+    elif key in _LIST_KEYS:
+        ok, expected = isinstance(value, (list, tuple)), "a list"
+    elif key in _DICT_KEYS:
+        ok, expected = isinstance(value, dict), "an object"
+    else:
+        ok, expected = _is_real(value) and math.isfinite(value), "a finite number"
+    if not ok:
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +95,8 @@ class ScenarioConfig:
     scenario: str = "scenario"
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.methods:
@@ -74,18 +105,33 @@ class ScenarioConfig:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
         kind = self.graph.get("kind")
-        if kind not in _GRAPH_KEYS:
+        if not isinstance(kind, str) or kind not in _GRAPH_KEYS:
             raise ValueError(
                 f"unknown graph kind {kind!r}; choose from {sorted(_GRAPH_KEYS)}"
             )
         required, optional = _GRAPH_KEYS[kind]
         _check_keys(f"{kind} graph", self.graph, {"kind", *required}, optional)
         _check_keys("signal", self.signal, _SIGNAL_REQUIRED, _SIGNAL_DEFAULTS)
+        for key, value in self.graph.items():
+            _check_type(key, value)
         sig = {**_SIGNAL_DEFAULTS, **self.signal}
-        if not sig["snr_db_grid"]:
+        for key, value in sig.items():
+            _check_type(key, value)
+        grid = [math.inf if s in ("inf", "Infinity") else s for s in sig["snr_db_grid"]]
+        if not grid:
             raise ValueError("snr_db_grid must be nonempty")
+        if not all(_is_real(s) for s in grid):
+            raise ValueError(f"snr_db_grid must hold numbers, got {grid!r}")
+        sig["snr_db_grid"] = [float(s) for s in grid]
+        if sig["bandwidth_min"] < 1 or sig["bandwidth_step"] < 1:
+            raise ValueError("bandwidth_min and bandwidth_step must be >= 1")
         if sig["bandwidth_min"] > sig["bandwidth_max"]:
             raise ValueError("bandwidth_min exceeds bandwidth_max")
+        if round(self.budget_rule * sig["bandwidth_min"]) < 1:
+            raise ValueError(
+                f"budget_rule {self.budget_rule} gives a budget below 1 "
+                f"at bandwidth_min {sig['bandwidth_min']}"
+            )
         object.__setattr__(self, "signal", sig)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(
@@ -124,23 +170,13 @@ class TrialRecord:
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
     return repr(float(x))
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     optional = {"schema", *(f.name for f in fields(ScenarioConfig))}
     _check_keys("config", data, {"graph", "signal"}, optional)
-    kwargs = {k: v for k, v in data.items() if k != "schema"}
-    sig = dict(kwargs["signal"])
-    if "snr_db_grid" in sig:
-        sig["snr_db_grid"] = [
-            math.inf if s in ("inf", "Infinity") else float(s)
-            for s in sig["snr_db_grid"]
-        ]
-    kwargs["signal"] = sig
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**{k: v for k, v in data.items() if k != "schema"})
 
 
 def load_config(path) -> ScenarioConfig:

@@ -75,13 +75,6 @@ class SampleAllocation:
         object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class QuantizationResidual:
-    """Per-node quantization error m_i/M - p_i."""
-
-    delta_p: np.ndarray
-
-
 def information_matrix(rows: np.ndarray, weights: DesignWeights) -> np.ndarray:
     """A = sum_i p_i u_i u_i^T for the design rows u_i."""
     rows = np.asarray(rows, dtype=float)
@@ -114,6 +107,13 @@ def criterion_value(A: np.ndarray, criterion: Criterion) -> float:
     return float(np.sum(1.0 / w))
 
 
+def _gradient(rows, Ainv, criterion):
+    """-u_i^T B u_i for every row: the gradient in p of -log det A (B = A^-1)
+    or of tr(A^-1) (B = A^-2), given Ainv = A^-1."""
+    B = Ainv if criterion is Criterion.D_OPT else Ainv @ Ainv
+    return -np.einsum("ij,jk,ik->i", rows, B, rows)
+
+
 def criterion_gradient(
     rows: np.ndarray, weights: DesignWeights, criterion: Criterion
 ) -> np.ndarray:
@@ -123,9 +123,7 @@ def criterion_gradient(
     rows = np.asarray(rows, dtype=float)
     A = information_matrix(rows, weights)
     _checked_eigvalsh(A)
-    Ainv = np.linalg.inv(A)
-    B = Ainv if criterion is Criterion.D_OPT else Ainv @ Ainv
-    return -np.einsum("ij,jk,ik->i", rows, B, rows)
+    return _gradient(rows, np.linalg.inv(A), criterion)
 
 
 def _e_bound(rows: np.ndarray) -> float:
@@ -194,13 +192,8 @@ def _solve_fw(rows, criterion):
     A = rows.T @ (p[:, None] * rows)
     for _ in range(_FW_MAX_ITER):
         Ainv = np.linalg.inv(A)
-        if criterion is Criterion.D_OPT:
-            g = -np.einsum("ij,jk,ik->i", rows, Ainv, rows)
-            f = float(-np.linalg.slogdet(A)[1])
-        else:
-            B = Ainv @ Ainv
-            g = -np.einsum("ij,jk,ik->i", rows, B, rows)
-            f = float(np.trace(Ainv))
+        g = _gradient(rows, Ainv, criterion)
+        f = -np.linalg.slogdet(A)[1] if criterion is Criterion.D_OPT else np.trace(Ainv)
         j = int(np.argmin(g))
         gap = float(p @ g - g[j])
         if gap <= _SOLVER_RTOL * max(1.0, abs(f)):
@@ -294,16 +287,6 @@ def budget_repair(raw: np.ndarray, weights: DesignWeights, budget: int) -> Sampl
     return SampleAllocation(m=m, budget=budget)
 
 
-def probabilistic_quantize(
-    weights: DesignWeights, budget: int, seed=None
-) -> tuple[SampleAllocation, QuantizationResidual]:
-    """Randomized rounding of p to integer quotas followed by budget repair."""
-    rng = np.random.default_rng(seed)
-    raw = quantize_raw(weights, budget, rng)
-    alloc = budget_repair(raw, weights, budget)
-    return alloc, QuantizationResidual(delta_p=alloc.m / budget - weights.p)
-
-
 def quantized_information_matrix(
     rows: np.ndarray, alloc: SampleAllocation
 ) -> np.ndarray:
@@ -364,19 +347,18 @@ def min_sample_size(sigma_min: float, n: int, eta: float) -> int:
     return max(1, math.ceil(value))
 
 
-def perturbation_norm(
-    rows: np.ndarray, residual: QuantizationResidual
-) -> tuple[float, float]:
+def perturbation_norm(rows: np.ndarray, delta_p: np.ndarray) -> tuple[float, float]:
     """Spectral norm of the information-matrix perturbation and its bound.
 
-    The perturbation sum_i dp_i u_i u_i^T = R^T diag(dp) R has spectral norm
-    at most max |dp_i| when R has orthonormal columns (R^T R = I), as the
-    rows from `design_rows` do. Row norms <= 1 alone are not enough.
+    For a quantization residual delta_p = m/M - p, the perturbation
+    sum_i dp_i u_i u_i^T = R^T diag(dp) R has spectral norm at most
+    max |dp_i| when R has orthonormal columns (R^T R = I), as the rows from
+    `design_rows` do. Row norms <= 1 alone are not enough.
     Raises ValueError when the norm exceeds the bound, which means the rows
     break that precondition.
     """
     rows = np.asarray(rows, dtype=float)
-    dp = np.asarray(residual.delta_p, dtype=float)
+    dp = np.asarray(delta_p, dtype=float)
     if rows.shape[0] != dp.shape[0]:
         raise ValueError("residual length does not match row count")
     dA = rows.T @ (dp[:, None] * rows)
@@ -396,26 +378,27 @@ def allocate_from_weights(
     budget: int,
     seed=None,
 ) -> tuple[SampleAllocation, int]:
-    """Quantize a relaxed design to quotas, repairing the budget and, when the
-    quantized matrix comes out singular, shifting one budget unit at a time
+    """Quantize a relaxed design to quotas: one randomized rounding
+    (`quantize_raw`, drawn from `seed`) followed by `budget_repair`. When the
+    quantized matrix comes out singular, shifts one budget unit at a time
     from the most-sampled node to the unsampled node with largest weight, at
     most K times for K = rows.shape[1].
 
     Returns the allocation and the number of shifts applied.
     """
     rows = np.asarray(rows, dtype=float)
-    alloc, _ = probabilistic_quantize(weights, budget, seed=seed)
-    m = alloc.m.copy()
+    alloc = budget_repair(quantize_raw(weights, budget, seed), weights, budget)
     shifts = 0
     while True:
         try:
-            quantized_information_matrix(rows, SampleAllocation(m=m, budget=budget))
-            return SampleAllocation(m=m, budget=budget), shifts
+            quantized_information_matrix(rows, alloc)
+            return alloc, shifts
         except SingularInformationMatrix:
             if shifts >= rows.shape[1]:
                 raise FallbackExhausted(
                     f"quantized design still singular after {shifts} budget shifts"
                 )
+            m = alloc.m.copy()
             unsampled = np.nonzero(m == 0)[0]
             donors = np.nonzero(m > 1)[0]
             if len(unsampled) == 0 or len(donors) == 0:
@@ -424,6 +407,7 @@ def allocate_from_weights(
             donor = int(donors[np.argmax(m[donors])])
             m[donor] -= 1
             m[target] += 1
+            alloc = SampleAllocation(m=m, budget=budget)
             shifts += 1
 
 

@@ -55,9 +55,11 @@ def noise_std_for_snr(signal: np.ndarray, snr_db: float) -> float:
 
     Signal power is the mean square over the whole signal, so the noise level
     depends only on the signal, not on which nodes a method samples; a zero
-    signal (or snr_db = inf) yields sigma = 0.
+    signal (or snr_db = +inf) yields sigma = 0. NaN and -inf raise ValueError.
     """
-    if np.isinf(snr_db):
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"SNR must be a number above -inf dB, got {snr_db}")
+    if snr_db == np.inf:
         return 0.0
     power = float(np.mean(np.square(signal)))
     if power == 0.0:
@@ -97,17 +99,6 @@ def _sampled_rows(basis: SpectralBasis, bandwidth: int, seq: SamplingSequence):
     return basis.eigenvectors[:, :bandwidth][seq.indices, :]
 
 
-def _checked_gram_eigh(V_mk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, Q) of the Gram matrix V^T V, or raise
-    RankDeficientSampling when the sampled rows have numerical rank below K."""
-    w, Q = np.linalg.eigh(V_mk.T @ V_mk)
-    if len(V_mk) < V_mk.shape[1] or w[0] <= _RANK_RTOL * max(w[-1], 1e-300):
-        raise RankDeficientSampling(
-            f"sampled rows have numerical rank below {V_mk.shape[1]}"
-        )
-    return w, Q
-
-
 def blue_estimate(
     basis: SpectralBasis,
     bandwidth: int,
@@ -121,30 +112,15 @@ def blue_estimate(
         raise ValueError("observation length does not match sequence")
     V_mk = _sampled_rows(basis, bandwidth, seq)
     # least squares through the normal equations
-    w, Q = _checked_gram_eigh(V_mk)
+    w, Q = np.linalg.eigh(V_mk.T @ V_mk)
+    if len(V_mk) < bandwidth or w[0] <= _RANK_RTOL * max(w[-1], 1e-300):
+        raise RankDeficientSampling(f"sampled rows have numerical rank below {bandwidth}")
     coeffs = Q @ ((Q.T @ (V_mk.T @ y)) / w)
     signal = basis.eigenvectors[:, :bandwidth] @ coeffs
     err = None
     if f_true is not None:
         err = reconstruction_error(f_true, signal)
     return EstimateResult(coeff_estimate=coeffs, signal_estimate=signal, error_l2=err)
-
-
-def error_covariance_scalars(
-    basis: SpectralBasis, bandwidth: int, seq_or_alloc
-) -> tuple[float, float, float]:
-    """(trace, largest eigenvalue, log det) of the unit-noise error covariance
-    (sum_t u_{S_t} u_{S_t}^T)^{-1}."""
-    if isinstance(seq_or_alloc, SampleAllocation):
-        seq = sequence_from_allocation(seq_or_alloc)
-    else:
-        seq = seq_or_alloc
-    w, _ = _checked_gram_eigh(_sampled_rows(basis, bandwidth, seq))
-    return (
-        float(np.sum(1.0 / w)),
-        float(1.0 / w[0]),
-        float(-np.sum(np.log(w))),
-    )
 
 
 def reconstruction_error(f_true: np.ndarray, f_est: np.ndarray) -> float:

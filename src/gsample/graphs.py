@@ -16,7 +16,7 @@ _CONNECTIVITY_RETRIES = 100
 class WeightedGraph:
     """Undirected weighted graph on nodes 0..n-1, edges stored canonically i<j.
 
-    Invariants checked at construction: no self-loops, strictly positive
+    Invariants checked at construction: no self-loops, positive finite
     weights, no duplicate edges, single connected component.
     """
 
@@ -33,8 +33,8 @@ class WeightedGraph:
                 raise ValueError(f"self-loop at node {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            if w <= 0:
-                raise ValueError(f"nonpositive weight {w} on edge ({i},{j})")
+            if not 0 < w < np.inf:
+                raise ValueError(f"weight {w} on edge ({i},{j}) is not positive and finite")
             a, b = (i, j) if i < j else (j, i)
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge ({a},{b})")
@@ -188,8 +188,8 @@ def load_edge_list(path) -> WeightedGraph:
                 raise EdgeListFormatError(f"unparseable edge {line!r}", lineno)
             if i == j:
                 raise EdgeListFormatError(f"self-loop at node {i}", lineno)
-            if w <= 0:
-                raise EdgeListFormatError(f"nonpositive weight {w}", lineno)
+            if not 0 < w < np.inf:
+                raise EdgeListFormatError(f"weight {w} is not positive and finite", lineno)
             edges.append((i, j, w))
     if n is None:
         raise EdgeListFormatError("missing header line")

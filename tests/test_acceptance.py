@@ -80,8 +80,9 @@ def test_criterion_2_mse_identity():
         k = int(rng.integers(2, 6))
         m = 4 * k
         seq = estimation.SamplingSequence(rng.choice(basis.n, size=m, replace=True))
-        tr, _, _ = estimation.error_covariance_scalars(basis, k, seq)
-        pinv = np.linalg.pinv(basis.eigenvectors[:, :k][seq.indices])
+        V = basis.eigenvectors[:, :k][seq.indices]
+        tr = design.criterion_value(V.T @ V, Criterion.A_OPT)
+        pinv = np.linalg.pinv(V)
         z = rng.standard_normal((100_000, m))
         mc = float(np.mean(np.sum((z @ pinv.T) ** 2, axis=1)))
         rel = abs(mc - tr) / tr
@@ -196,9 +197,7 @@ def test_criterion_6_perturbation_inequality():
         for _ in range(200):
             raw = design.quantize_raw(weights, budget, gen)
             dp = raw / budget - weights.p
-            norm, bound = design.perturbation_norm(
-                rows, design.QuantizationResidual(dp)
-            )
+            norm, bound = design.perturbation_norm(rows, dp)
             assert norm <= bound + 1e-10  # zero violations allowed
             hits += norm < sigma_min
             deltas.append(dp)

@@ -97,6 +97,66 @@ class TestConfig:
             tiny_config(graph=graph)
 
 
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "trials", "2"),
+        (None, "trials", True),
+        (None, "trials", 2.0),
+        (None, "master_seed", 1.5),
+        (None, "budget_rule", "4"),
+        (None, "budget_rule", math.inf),
+        (None, "methods", "proposed"),
+        (None, "criterion", 1),
+        (None, "scenario", 3),
+        (None, "graph", [40]),
+        (None, "signal", "none"),
+        ("signal", "snr_db_grid", 10),
+        ("signal", "snr_db_grid", ["10"]),
+        ("signal", "snr_db_grid", [True]),
+        ("signal", "bandwidth_min", 2.0),
+        ("signal", "bandwidth_step", True),
+        ("signal", "coeff_std", "0.5"),
+        ("graph", "n", "20"),
+        ("graph", "radius", None),
+        ("graph", "kernel_width", math.nan),
+    ])
+    def test_value_types_checked(self, section, key, value):
+        data = json.loads(json.dumps(TINY))
+        (data if section is None else data[section])[key] = value
+        with pytest.raises(ValueError, match=key):
+            bench.config_from_dict(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("bandwidth_min", 0),
+        ("bandwidth_step", 0),
+    ])
+    def test_bandwidth_below_one_rejected(self, key, value):
+        data = json.loads(json.dumps(TINY))
+        data["signal"][key] = value
+        with pytest.raises(ValueError, match=key):
+            bench.config_from_dict(data)
+
+    @pytest.mark.parametrize("rule", [0, -4.0, 0.1])
+    def test_budget_below_one_rejected(self, rule):
+        # K = 3: round(0.1 * 3) = 0 samples
+        with pytest.raises(ValueError, match="budget_rule"):
+            tiny_config(budget_rule=rule)
+
+    def test_graph_kind_must_be_a_name(self):
+        with pytest.raises(ValueError, match="unknown graph kind"):
+            tiny_config(graph={"kind": ["file"], "path": "graph.edges"})
+
+    def test_integral_and_numeric_types_accepted(self):
+        cfg = tiny_config(budget_rule=3, master_seed=np.int64(7),
+                          signal={"bandwidth_min": 3, "bandwidth_max": 3,
+                                  "snr_db_grid": [0, 2.5, "Infinity"]})
+        assert cfg.signal["snr_db_grid"] == [0.0, 2.5, math.inf]
+        assert all(type(s) is float for s in cfg.signal["snr_db_grid"])
+
+    def test_infinite_snr_written_as_inf(self):
+        rec = bench.TrialRecord("s", "m3", "a", 3, 12, math.inf, 0, 0.5, None, 0.0)
+        assert rec.row()[5] == "inf"
+
+
 class TestRunScenario:
     def test_noiseless_exact_for_all_methods(self):
         records = bench.run_scenario(tiny_config(), measure_time=False)

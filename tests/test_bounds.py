@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_orthonormal_rows
 from gsample import design
-from gsample.design import DesignWeights, QuantizationResidual
+from gsample.design import DesignWeights
 
 
 class TestInvertibilityBound:
@@ -79,16 +79,14 @@ class TestMinSampleSize:
 class TestPerturbationNorm:
     def test_zero_residual(self, rng):
         rows = random_orthonormal_rows(6, 2, rng)
-        norm, bound = design.perturbation_norm(
-            rows, QuantizationResidual(np.zeros(6))
-        )
+        norm, bound = design.perturbation_norm(rows, np.zeros(6))
         assert norm == 0.0 and bound == 0.0
 
     def test_single_spike_is_rank_one(self, rng):
         rows = random_orthonormal_rows(6, 2, rng)
         dp = np.zeros(6)
         dp[2] = 0.1
-        norm, bound = design.perturbation_norm(rows, QuantizationResidual(dp))
+        norm, bound = design.perturbation_norm(rows, dp)
         assert norm == pytest.approx(0.1 * np.sum(rows[2] ** 2), rel=1e-10)
         assert norm <= bound + 1e-12
 
@@ -98,7 +96,7 @@ class TestPerturbationNorm:
         rng = np.random.default_rng(seed)
         rows = random_orthonormal_rows(8, 3, rng)
         dp = rng.uniform(-0.1, 0.1, size=8)
-        norm, bound = design.perturbation_norm(rows, QuantizationResidual(dp))
+        norm, bound = design.perturbation_norm(rows, dp)
         assert norm <= bound + 1e-10
 
     def test_non_orthonormal_rows_rejected(self):
@@ -107,7 +105,7 @@ class TestPerturbationNorm:
         rows = np.array([[1.0, 0.0], [1.0, 0.0]])
         dp = np.array([0.1, 0.1])
         with pytest.raises(ValueError, match="orthonormal"):
-            design.perturbation_norm(rows, QuantizationResidual(dp))
+            design.perturbation_norm(rows, dp)
 
 
 class TestResidualVariance:

@@ -91,6 +91,30 @@ class TestGraphAndDesign:
         )
         assert code == 1 and "error" in err
 
+    def test_negative_infinite_snr_rejected(self, capsys, tmp_path):
+        gpath = tmp_path / "g.edges"
+        graphs.save_edge_list(graphs.watts_strogatz(6, 2, 0.0, seed=0), gpath)
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps({"m": [1, 1, 0, 0, 0, 0], "budget": 2, "bandwidth": 2}))
+        spath = tmp_path / "signal.txt"
+        np.savetxt(spath, np.ones(6))
+        code, _, err = run(
+            capsys, "estimate", "--graph", str(gpath), "--design", str(dpath),
+            "--signal", str(spath), "--snr-db=-inf",
+        )
+        assert code == 1
+        assert err.startswith("error:") and "SNR" in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_edge_weight_rejected(self, capsys, tmp_path, weight):
+        gpath = tmp_path / "g.edges"
+        gpath.write_text(f"# gsample-graph v1 n=3\n0 1 1.0\n1 2 {weight}\n")
+        code, _, err = run(
+            capsys, "design", "--graph", str(gpath), "--bandwidth", "2",
+            "--budget", "4",
+        )
+        assert code == 1
+        assert err.startswith("error:") and "line 3" in err and "weight" in err
 
     def test_fractional_quotas_rejected(self, capsys, tmp_path):
         gpath = tmp_path / "g.edges"
@@ -173,6 +197,43 @@ class TestBench:
         )
         assert code == 1
         assert err.startswith("error:") and "bandwidth_min" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "trials", "2"),
+        ("signal", "snr_db_grid", 10),
+        ("graph", "n", "20"),
+        ("signal", "bandwidth_min", 2.0),
+        (None, "budget_rule", 0),
+    ])
+    def test_config_value_type_fails_cleanly(self, capsys, tmp_path, section, key, value):
+        cfg = {
+            "graph": {"kind": "watts_strogatz", "n": 20},
+            "signal": {"bandwidth_min": 2, "bandwidth_max": 2, "snr_db_grid": [10.0]},
+            "trials": 1,
+        }
+        (cfg if section is None else cfg[section])[key] = value
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(cfg))
+        code, _, err = run(
+            capsys, "bench", "--config", str(cpath),
+            "--out", str(tmp_path / "records.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("snr", ["-Infinity", "NaN"])
+    def test_undefined_snr_fails_cleanly(self, capsys, tmp_path, snr):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(
+            '{"graph": {"kind": "watts_strogatz", "n": 20}, "trials": 1, '
+            '"signal": {"bandwidth_min": 2, "bandwidth_max": 2, '
+            f'"snr_db_grid": [10.0, {snr}]}}}}'
+        )
+        out_csv = tmp_path / "records.csv"
+        code, _, err = run(capsys, "bench", "--config", str(cpath), "--out", str(out_csv))
+        assert code == 1
+        assert err.startswith("error:") and "SNR" in err
+        assert not out_csv.exists()
 
     def test_preset_with_overrides(self, capsys, tmp_path):
         out_csv = tmp_path / "records.csv"

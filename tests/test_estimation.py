@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsample import design, estimation, graphs, spectral
-from gsample.design import SampleAllocation
+from gsample.design import Criterion, SampleAllocation
 from gsample.estimation import SamplingSequence
 from gsample.exceptions import RankDeficientSampling
 
@@ -37,6 +37,11 @@ class TestSampleWithNoise:
         samples = estimation.sample_with_noise(f, seq, np.inf, seed=1)
         assert np.array_equal(samples.y, f[[0, 3, 3, 7]])
         assert samples.noise_std == 0.0
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_undefined_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="SNR"):
+            estimation.noise_std_for_snr(np.ones(4), snr_db)
 
     def test_zero_signal_convention(self):
         seq = SamplingSequence(np.array([0, 1]))
@@ -120,11 +125,25 @@ class TestBlueEstimate:
         assert (np.abs(mean - coeffs) <= 4 * stderr).all()
 
 
+def sampled_gram(basis, k, seq):
+    """V_S^T V_S: the inverse of the unit-noise BLUE error covariance."""
+    V = basis.eigenvectors[:, :k][seq.indices]
+    return V.T @ V
+
+
 class TestErrorCovariance:
+    """The design criteria of the sampled Gram are the scalars of the BLUE
+    error covariance (V_S^T V_S)^-1: A its trace, E its largest eigenvalue,
+    D its log determinant."""
+
     def test_bandwidth_one_trace(self, basis):
         alloc = SampleAllocation(m=np.array([3] + [0] * (basis.n - 1)), budget=3)
-        tr, lmax, logdet = estimation.error_covariance_scalars(basis, 1, alloc)
-        assert tr == pytest.approx(basis.n / 3, rel=1e-9)
+        G = sampled_gram(basis, 1, estimation.sequence_from_allocation(alloc))
+        # the constant first eigenvector gives the 1x1 Gram 3 / N
+        value = {c: design.criterion_value(G, c) for c in Criterion}
+        assert value[Criterion.A_OPT] == pytest.approx(basis.n / 3, rel=1e-9)
+        assert value[Criterion.E_OPT] == pytest.approx(basis.n / 3, rel=1e-9)
+        assert value[Criterion.D_OPT] == pytest.approx(np.log(basis.n / 3), rel=1e-9)
 
     def test_identity_rows_each_once(self):
         # a 2-node graph's eigenbasis rotated away: construct directly
@@ -132,13 +151,13 @@ class TestErrorCovariance:
             eigenvalues=np.array([0.0, 2.0]), eigenvectors=np.eye(2)
         )
         seq = SamplingSequence(np.array([0, 1]))
-        tr, _, _ = estimation.error_covariance_scalars(basis, 2, seq)
+        tr = design.criterion_value(sampled_gram(basis, 2, seq), Criterion.A_OPT)
         assert tr == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_monte_carlo(self, basis, rng):
         k = 3
         seq = SamplingSequence(rng.choice(basis.n, size=10, replace=True))
-        tr, _, _ = estimation.error_covariance_scalars(basis, k, seq)
+        tr = design.criterion_value(sampled_gram(basis, k, seq), Criterion.A_OPT)
         V_mk = basis.eigenvectors[:, :k][seq.indices]
         pinv = np.linalg.pinv(V_mk)
         z = rng.standard_normal((20_000, len(seq)))
@@ -148,12 +167,10 @@ class TestErrorCovariance:
     def test_repetition_scales_trace(self, basis, rng):
         m = np.zeros(basis.n, dtype=int)
         m[rng.choice(basis.n, size=5, replace=False)] = 1
-        tr1, _, _ = estimation.error_covariance_scalars(
-            basis, 3, SampleAllocation(m=m, budget=5)
-        )
-        tr3, _, _ = estimation.error_covariance_scalars(
-            basis, 3, SampleAllocation(m=3 * m, budget=15)
-        )
+        seq1 = estimation.sequence_from_allocation(SampleAllocation(m=m, budget=5))
+        seq3 = estimation.sequence_from_allocation(SampleAllocation(m=3 * m, budget=15))
+        tr1 = design.criterion_value(sampled_gram(basis, 3, seq1), Criterion.A_OPT)
+        tr3 = design.criterion_value(sampled_gram(basis, 3, seq3), Criterion.A_OPT)
         assert tr3 == pytest.approx(tr1 / 3, rel=1e-9)
 
 

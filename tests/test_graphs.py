@@ -99,6 +99,11 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="weight"):
             graphs.WeightedGraph(2, ((0, 1, -2.0),))
 
+    @pytest.mark.parametrize("weight", [0.0, np.nan, np.inf])
+    def test_rejects_zero_and_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="not positive and finite"):
+            graphs.WeightedGraph(2, ((0, 1, weight),))
+
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="connected"):
             graphs.WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
@@ -124,6 +129,13 @@ class TestEdgeListIO:
         path = tmp_path / "bad.edges"
         path.write_text("# gsample-graph v1 n=2\n0 1 -2\n")
         with pytest.raises(EdgeListFormatError, match="weight"):
+            graphs.load_edge_list(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_weight_reports_line(self, tmp_path, weight):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"# gsample-graph v1 n=3\n0 1 1.0\n1 2 {weight}\n")
+        with pytest.raises(EdgeListFormatError, match=r"not positive and finite \(line 3\)"):
             graphs.load_edge_list(path)
 
     def test_missing_header_rejected(self, tmp_path):

@@ -4,24 +4,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthonormal_rows
-from gsample import design
-from gsample.design import DesignWeights, SampleAllocation
+from gsample import design, estimation
+from gsample.design import Criterion, DesignWeights, SampleAllocation
 from gsample.exceptions import SingularInformationMatrix
+
+
+def quantize(weights, budget, seed):
+    """Quotas from `allocate_from_weights` on one-column rows, which no
+    allocation makes singular, so no fallback shift applies."""
+    rows = np.ones((len(weights.p), 1))
+    alloc, shifts = design.allocate_from_weights(rows, weights, budget, seed=seed)
+    assert shifts == 0
+    return alloc
 
 
 class TestProbabilisticQuantize:
     def test_grid_points_are_fixed(self):
         w = DesignWeights(np.array([0.3, 0.7]))
         for seed in range(20):
-            alloc, resid = design.probabilistic_quantize(w, 10, seed=seed)
+            alloc = quantize(w, 10, seed)
             assert np.array_equal(alloc.m, [3, 7])
-            assert np.allclose(resid.delta_p, 0.0, atol=1e-12)
+            assert np.allclose(alloc.m / 10 - w.p, 0.0, atol=1e-12)
 
     def test_grid_points_small_budget(self):
         w = DesignWeights(np.array([0.25, 0.75]))
         for seed in range(20):
-            alloc, _ = design.probabilistic_quantize(w, 4, seed=seed)
+            alloc = quantize(w, 4, seed)
             assert np.array_equal(alloc.m, [1, 3])
+
+    @pytest.mark.parametrize("seed", [0, 7, [3, 1, 4]])
+    def test_one_rounding_then_repair(self, seed, rng):
+        # the allocation is budget_repair of one quantize_raw draw from `seed`
+        w = DesignWeights(rng.dirichlet(np.ones(9)))
+        raw = design.quantize_raw(w, 25, seed)
+        expected = design.budget_repair(raw, w, 25)
+        assert np.array_equal(quantize(w, 25, seed).m, expected.m)
 
     def test_midpoint_splits_evenly(self):
         # p=0.25 with M=10 sits between 2/10 and 3/10 with equal probability
@@ -55,12 +72,11 @@ class TestProbabilisticQuantize:
             n = rng.integers(2, 12)
             p = rng.dirichlet(np.ones(n))
             budget = int(rng.integers(1, 30))
-            alloc, resid = design.probabilistic_quantize(
-                DesignWeights(p), budget, seed=rng
-            )
+            alloc = quantize(DesignWeights(p), budget, rng)
+            delta_p = alloc.m / budget - p
             assert alloc.m.sum() == budget
-            assert abs(resid.delta_p.sum()) < 1e-12
-            assert np.abs(resid.delta_p).max() <= 2.0 / budget + 1e-12
+            assert abs(delta_p.sum()) < 1e-12
+            assert np.abs(delta_p).max() <= 2.0 / budget + 1e-12
 
 
 class TestBudgetRepair:
@@ -124,3 +140,35 @@ class TestQuantizedInformationMatrix:
         A = design.quantized_information_matrix(rows, SampleAllocation(m=m, budget=5))
         expected = sum((m[i] / 5) * np.outer(rows[i], rows[i]) for i in range(6))
         assert np.allclose(A, expected, atol=1e-14)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        k=st.integers(min_value=1, max_value=4),
+        extra=st.integers(min_value=0, max_value=40),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_matches_sampled_gram(self, n, k, extra, seed):
+        # the design side (m/M weights) and the estimation side (the Gram
+        # V_S^T V_S of the expanded sampling sequence) see the same matrix
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        rows = random_orthonormal_rows(n, k, rng)
+        m = rng.multinomial(extra, np.ones(n) / n)
+        m[rng.choice(n, size=k, replace=False)] += 1  # K distinct rows: full rank
+        budget = int(m.sum())
+        alloc = SampleAllocation(m=m, budget=budget)
+        A_hat = design.quantized_information_matrix(rows, alloc)
+        V_S = rows[estimation.sequence_from_allocation(alloc).indices]
+        G = V_S.T @ V_S
+        assert np.abs(A_hat * budget - G).max() <= 1e-12 * np.abs(G).max()
+        # eigenvalue rounding moves 1/lambda_min by about eps * cond(G)
+        rel = 1e-13 * np.linalg.cond(G)
+        for crit, expected in [
+            (Criterion.A_OPT, budget * design.criterion_value(G, Criterion.A_OPT)),
+            (Criterion.E_OPT, budget * design.criterion_value(G, Criterion.E_OPT)),
+            (Criterion.D_OPT,
+             design.criterion_value(G, Criterion.D_OPT) + k * np.log(budget)),
+        ]:
+            value = design.criterion_value(A_hat, crit)
+            assert value == pytest.approx(expected, rel=rel, abs=rel)
