@@ -139,7 +139,8 @@ class ScenarioConfig:
         )
 
 
-@dataclass
+# slots: a run holds one record per method, grid point and trial
+@dataclass(slots=True)
 class TrialRecord:
     scenario: str
     method: str

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import FallbackExhausted, SingularInformationMatrix
-from .spectral import SpectralBasis, design_rows
+from .spectral import SpectralBasis, _symmetric_eigen, design_rows
 
 _SINGULARITY_RTOL = 1e-12
 _SOLVER_RTOL = 1e-6  # relative duality gap: A/D stopping rule, E certificate
@@ -51,6 +51,17 @@ class DesignWeights:
         object.__setattr__(self, "p", p)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """`values` as a new int array; ValueError unless every entry is a finite
+    integer (integer dtypes pass unchecked, integral floats are accepted)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        a = np.asarray(a, dtype=float)
+        if not (np.isfinite(a) & (a == np.round(a))).all():
+            raise ValueError(f"{what} must be integers, got {a.tolist()}")
+    return a.astype(int)
+
+
 @dataclass(frozen=True)
 class SampleAllocation:
     """Integer sample quotas m with sum(m) == total budget."""
@@ -59,12 +70,7 @@ class SampleAllocation:
     budget: int
 
     def __post_init__(self):
-        m = np.asarray(self.m)
-        if m.dtype.kind not in "iu":
-            m = np.asarray(m, dtype=float)
-            if not (np.isfinite(m) & (m == np.round(m))).all():
-                raise ValueError(f"quotas must be integers, got {m.tolist()}")
-        m = m.astype(int)
+        m = _integers(self.m, "quotas")
         if (m < 0).any():
             raise ValueError("quotas must be nonnegative")
         if int(m.sum()) != self.budget:
@@ -87,8 +93,9 @@ def information_matrix(rows: np.ndarray, weights: DesignWeights) -> np.ndarray:
 
 
 def _checked_eigvalsh(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric information matrix, or raise if singular."""
-    w = np.linalg.eigvalsh(A)
+    """Eigenvalues of a symmetric information matrix, or raise if singular.
+    The eigenvalues are memoized; the singularity test runs every call."""
+    w = _symmetric_eigen(A, vectors=False)
     if w[-1] <= 0 or w[0] <= _SINGULARITY_RTOL * w[-1]:
         raise SingularInformationMatrix(
             f"sigma_min={w[0]:.3e} below threshold for norm {w[-1]:.3e}"
@@ -441,7 +448,7 @@ def design_pipeline(
     alloc, fallback_moves = allocate_from_weights(rows, weights, budget, seed=seed)
     A_hat = quantized_information_matrix(rows, alloc)
     A = information_matrix(rows, weights)
-    sigma_min = float(np.linalg.eigvalsh(A)[0])
+    sigma_min = float(_checked_eigvalsh(A)[0])
     diagnostics = {
         "relaxed_objective": criterion_value(A, criterion),
         "quantized_objective": criterion_value(A_hat, criterion),

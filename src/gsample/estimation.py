@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import SampleAllocation
+from .design import SampleAllocation, _integers
 from .exceptions import RankDeficientSampling
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _symmetric_eigen
 
 _RANK_RTOL = 1e-12
 
@@ -20,7 +20,7 @@ class SamplingSequence:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.array(self.indices, dtype=int)
+        idx = _integers(self.indices, "node indices")
         if idx.ndim != 1 or len(idx) < 1:
             raise ValueError("sampling sequence must be a nonempty vector")
         if (idx < 0).any():
@@ -111,8 +111,9 @@ def blue_estimate(
     if y.shape != seq.indices.shape:
         raise ValueError("observation length does not match sequence")
     V_mk = _sampled_rows(basis, bandwidth, seq)
-    # least squares through the normal equations
-    w, Q = np.linalg.eigh(V_mk.T @ V_mk)
+    # least squares through the normal equations; a repeated sequence reuses
+    # the memoized factorization of its Gram, the rank test runs every call
+    w, Q = _symmetric_eigen(V_mk.T @ V_mk, vectors=True)
     if len(V_mk) < bandwidth or w[0] <= _RANK_RTOL * max(w[-1], 1e-300):
         raise RankDeficientSampling(f"sampled rows have numerical rank below {bandwidth}")
     coeffs = Q @ ((Q.T @ (V_mk.T @ y)) / w)

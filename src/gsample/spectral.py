@@ -1,13 +1,16 @@
-"""Laplacian eigenbasis, graph Fourier transform, bandlimited synthesis."""
+"""Laplacian eigenbasis, graph Fourier transform, bandlimited synthesis, and
+the memoized eigensolver for the small Gram and information matrices."""
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 _DEGENERACY_TOL = 1e-8
+_EIGEN_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -92,3 +95,25 @@ def design_rows(basis: SpectralBasis, k: int) -> np.ndarray:
             stacklevel=2,
         )
     return basis.eigenvectors[:, :k].copy()
+
+
+@functools.lru_cache(maxsize=_EIGEN_MEMO_SIZE)
+def _memo_eigen(data: bytes, shape: tuple, vectors: bool):
+    A = np.frombuffer(data).reshape(shape)
+    if not vectors:
+        w = np.linalg.eigvalsh(A)
+        w.flags.writeable = False
+        return w
+    w, Q = np.linalg.eigh(A)
+    w.flags.writeable = False
+    Q.flags.writeable = False
+    return w, Q
+
+
+def _symmetric_eigen(A: np.ndarray, vectors: bool):
+    """np.linalg.eigh(A) as read-only (w, Q), or eigvalsh(A) as read-only w,
+    memoized on the bytes and shape of the float matrix (the last
+    _EIGEN_MEMO_SIZE distinct ones), so a repeated sampled Gram or quantized
+    information matrix is factored once. Errors are not cached."""
+    A = np.ascontiguousarray(A, dtype=float)
+    return _memo_eigen(A.tobytes(), A.shape, vectors)

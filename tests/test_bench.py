@@ -1,10 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gsample import bench
+from gsample import bench, design, estimation
 
 TINY = {
     "schema": 1,
@@ -198,6 +199,37 @@ class TestRunScenario:
         records = bench.run_scenario(cfg, measure_time=False)
         assert all(r.status.startswith("failed:") for r in records)
         assert all(math.isnan(r.error_l2) for r in records)
+
+
+class TestBenchmarkHooks:
+    """The benchmark's tracer times and spot-checks BLUE and the allocation by
+    patching these module attributes, so `run_scenario` must reach them
+    through the modules, once per record and once per proposed record."""
+
+    def test_run_scenario_calls_module_attributes(self, monkeypatch):
+        blue_fn, alloc_fn = estimation.blue_estimate, design.allocate_from_weights
+        blue_calls, alloc_calls = [], []
+
+        def blue(*args, **kwargs):
+            blue_calls.append(list(inspect.signature(blue_fn).bind(*args, **kwargs).arguments))
+            return blue_fn(*args, **kwargs)
+
+        def alloc(*args, **kwargs):
+            alloc_calls.append(1)
+            return alloc_fn(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "blue_estimate", blue)
+        monkeypatch.setattr(design, "allocate_from_weights", alloc)
+        cfg = tiny_config(
+            signal={"bandwidth_min": 3, "bandwidth_max": 4, "snr_db_grid": [10.0, 20.0]},
+            trials=3,
+        )
+        records = bench.run_scenario(cfg, measure_time=False)
+        assert all(r.status == "ok" for r in records)
+        assert len(blue_calls) == len(records) == 2 * 2 * 3 * 3
+        assert all(names == ["basis", "bandwidth", "seq", "y", "f_true"]
+                   for names in blue_calls)
+        assert len(alloc_calls) == sum(r.method == "proposed" for r in records) == 12
 
 
 class TestSummarize:

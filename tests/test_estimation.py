@@ -13,6 +13,27 @@ def basis():
     return spectral.eigendecompose(graphs.laplacian(g))
 
 
+class TestSamplingSequence:
+    @pytest.mark.parametrize(
+        "indices", [[1.5, 2.9], [0.0, np.nan], [1.0, np.inf], [-np.inf, 2.0]]
+    )
+    def test_non_integral_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="node indices must be integers"):
+            SamplingSequence(indices)
+
+    def test_integral_floats_accepted(self):
+        seq = SamplingSequence([1.0, 2.0, 2.0])
+        assert seq.indices.dtype.kind == "i"
+        assert seq.indices.tolist() == [1, 2, 2]
+
+    def test_integer_input_copied_and_frozen(self):
+        idx = np.array([3, 1, 3], dtype=np.int32)
+        seq = SamplingSequence(idx)
+        idx[0] = 0
+        assert seq.indices.tolist() == [3, 1, 3]
+        assert not seq.indices.flags.writeable
+
+
 class TestSequenceFromAllocation:
     def test_expands_in_node_order(self):
         alloc = SampleAllocation(m=np.array([2, 0, 1]), budget=3)
