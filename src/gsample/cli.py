@@ -21,16 +21,41 @@ def _cmd_generate_graph(args):
         kernel = args.radius / 2.0 if args.kernel_width is None else args.kernel_width
         g = graphs.random_geometric(args.n, args.radius, kernel, args.seed)
     graphs.save_edge_list(g, args.out)
-    print(f"wrote {args.out}: n={g.n}, edges={len(g.edges)}")
+    print(f"wrote {args.out}: n={g.n}, edges={len(g.w)}")
 
 
 def _load_basis(path):
-    g = graphs.load_edge_list(path)
-    return g, spectral.eigendecompose(graphs.laplacian(g))
+    return spectral.eigendecompose(graphs.laplacian(graphs.load_edge_list(path)))
+
+
+def _write_json(payload, out):
+    text = json.dumps(payload, indent=2)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+def _read_design(path):
+    """The sample allocation and bandwidth of a design JSON, types checked."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not (isinstance(payload, dict) and payload.keys() >= {"m", "budget", "bandwidth"}):
+        raise ValueError(f"design {path} is not an object with keys m, budget, bandwidth")
+    if not (isinstance(payload["m"], list)
+            and all(type(x) in (int, float) for x in payload["m"])):
+        raise ValueError(f"design {path}: m must be a list of numbers")
+    for key in ("budget", "bandwidth"):
+        value = payload[key]
+        if not (type(value) in (int, float) and float(value).is_integer()):
+            raise ValueError(f"design {path}: {key} must be an integer, got {value!r}")
+    alloc = design.SampleAllocation(m=payload["m"], budget=int(payload["budget"]))
+    return alloc, int(payload["bandwidth"])
 
 
 def _cmd_design(args):
-    _, basis = _load_basis(args.graph)
+    basis = _load_basis(args.graph)
     criterion = design.Criterion.parse(args.criterion)
     result = design.design_pipeline(
         basis, args.bandwidth, args.budget, criterion, seed=args.seed
@@ -44,26 +69,17 @@ def _cmd_design(args):
         "m": result.allocation.m.tolist(),
         **result.diagnostics,
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(payload, args.out)
 
 
 def _cmd_estimate(args):
-    _, basis = _load_basis(args.graph)
-    with open(args.design, encoding="utf-8") as fh:
-        dpayload = json.load(fh)
-    alloc = design.SampleAllocation(m=dpayload["m"], budget=int(dpayload["budget"]))
+    basis = _load_basis(args.graph)
+    alloc, bandwidth = _read_design(args.design)
     seq = estimation.sequence_from_allocation(alloc)
     f = np.loadtxt(args.signal, ndmin=1)
     snr = math.inf if args.snr_db is None else args.snr_db
     samples = estimation.sample_with_noise(f, seq, snr, seed=args.seed)
-    est = estimation.blue_estimate(
-        basis, int(dpayload["bandwidth"]), seq, samples.y, f_true=f
-    )
+    est = estimation.blue_estimate(basis, bandwidth, seq, samples.y, f_true=f)
     payload = {
         "schema": 1,
         "coeff_estimate": est.coeff_estimate.tolist(),
@@ -71,24 +87,12 @@ def _cmd_estimate(args):
         "error_l2": est.error_l2,
         "noise_std": samples.noise_std,
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(payload, args.out)
 
 
 def _cmd_bench(args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.criterion is not None:
-        overrides["criterion"] = args.criterion
-    if args.methods is not None:
-        overrides["methods"] = args.methods.split(",")
+    keys = ("master_seed", "trials", "criterion", "methods")
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     if args.preset:
         cfg = bench.preset_config(args.preset, **overrides)
     else:
@@ -153,10 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="scenario JSON")
     group.add_argument("--preset", choices=sorted(bench.PRESETS))
-    p.add_argument("--seed", type=int, default=None, help="override master_seed")
+    p.add_argument("--seed", type=int, dest="master_seed", help="override master_seed")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--criterion", default=None)
-    p.add_argument("--methods", default=None, help="comma-separated subset")
+    p.add_argument("--methods", type=lambda s: s.split(","), help="comma-separated subset")
     p.add_argument("--no-timing", action="store_true",
                    help="zero the wall_ms column for byte-reproducible output")
     p.add_argument("--out", default="records.csv")

@@ -13,6 +13,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# a valid design for the 6-node ring of estimate_args
+DESIGN = {"m": [1, 1, 0, 0, 0, 0], "budget": 2, "bandwidth": 2}
+
+
+def estimate_args(tmp_path, design_json):
+    """`estimate` arguments for a 6-node ring, a design JSON and a ones signal."""
+    gpath = tmp_path / "g.edges"
+    graphs.save_edge_list(graphs.watts_strogatz(6, 2, 0.0, seed=0), gpath)
+    dpath = tmp_path / "design.json"
+    dpath.write_text(json.dumps(design_json))
+    spath = tmp_path / "signal.txt"
+    np.savetxt(spath, np.ones(6))
+    return ["estimate", "--graph", str(gpath), "--design", str(dpath),
+            "--signal", str(spath)]
+
+
 class TestBound:
     def test_corollary_reference_point(self, capsys):
         code, out, _ = run(
@@ -131,6 +147,29 @@ class TestGraphAndDesign:
         )
         assert code == 1
         assert err.startswith("error:") and "integers" in err
+
+    @pytest.mark.parametrize("design_json, words", [
+        *[({k: v for k, v in DESIGN.items() if k != key}, "keys m, budget, bandwidth")
+          for key in DESIGN],
+        ([1, 1, 0, 0, 0, 0], "not an object"),
+        ({**DESIGN, "m": {"0": 1, "1": 1}}, "m must be a list of numbers"),
+        ({**DESIGN, "m": ["1", "1", 0, 0, 0, 0]}, "m must be a list of numbers"),
+        ({**DESIGN, "bandwidth": 1.5}, "bandwidth must be an integer"),
+        ({**DESIGN, "budget": 2.5}, "budget must be an integer"),
+        ({**DESIGN, "bandwidth": "2"}, "bandwidth must be an integer"),
+        ({**DESIGN, "bandwidth": True}, "bandwidth must be an integer"),
+        ({**DESIGN, "bandwidth": [2]}, "bandwidth must be an integer"),
+    ])
+    def test_malformed_design_rejected(self, capsys, tmp_path, design_json, words):
+        code, _, err = run(capsys, *estimate_args(tmp_path, design_json))
+        assert code == 1
+        assert err.startswith("error:") and words in err
+
+    def test_integral_float_design_accepted(self, capsys, tmp_path):
+        design_json = {"m": [1.0, 1, 1, 0, 0, 0], "budget": 3.0, "bandwidth": 2.0}
+        code, out, _ = run(capsys, *estimate_args(tmp_path, design_json))
+        assert code == 0
+        assert len(json.loads(out)["coeff_estimate"]) == 2
 
 
 class TestBench:

@@ -95,11 +95,8 @@ class TestSampleWithNoise:
 class TestBlueEstimate:
     def test_hand_worked_bandwidth_one(self):
         # V_K = 0.5 * ones for n=4; sampling node 0 twice with y=(3,5)
-        L = graphs.laplacian(
-            graphs.WeightedGraph(
-                4, tuple((i, j, 1.0) for i in range(4) for j in range(i + 1, 4))
-            )
-        )
+        i, j = np.triu_indices(4, 1)
+        L = graphs.laplacian(graphs.WeightedGraph(4, i, j, np.ones(i.size)))
         basis = spectral.eigendecompose(L)
         seq = SamplingSequence(np.array([0, 0]))
         est = estimation.blue_estimate(basis, 1, seq, np.array([3.0, 5.0]))

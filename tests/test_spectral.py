@@ -5,13 +5,12 @@ from gsample import graphs, spectral
 
 
 def complete_graph(n):
-    return graphs.WeightedGraph(
-        n, tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n))
-    )
+    i, j = np.triu_indices(n, 1)
+    return graphs.WeightedGraph(n, i, j, np.ones(i.size))
 
 
 def path_graph(n):
-    return graphs.WeightedGraph(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
+    return graphs.WeightedGraph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
 
 
 class TestEigendecompose:
