@@ -6,6 +6,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -51,14 +52,22 @@ class DesignWeights:
         object.__setattr__(self, "p", p)
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int; ValueError unless it is an integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _integers(values, what: str) -> np.ndarray:
-    """`values` as a new int array; ValueError unless every entry is a finite
-    integer (integer dtypes pass unchecked, integral floats are accepted)."""
+    """`values` as a new int array; ValueError unless the dtype is integer or
+    real float and every entry is a finite integer (so strings, bools,
+    complex and object entries are rejected; integral floats are accepted)."""
     a = np.asarray(values)
-    if a.dtype.kind not in "iu":
-        a = np.asarray(a, dtype=float)
-        if not (np.isfinite(a) & (a == np.round(a))).all():
-            raise ValueError(f"{what} must be integers, got {a.tolist()}")
+    if a.dtype.kind not in "iu" and not (
+        a.dtype.kind == "f" and (np.isfinite(a) & (a == np.round(a))).all()
+    ):
+        raise ValueError(f"{what} must be integers, got {a.tolist()}")
     return a.astype(int)
 
 
@@ -70,6 +79,7 @@ class SampleAllocation:
     budget: int
 
     def __post_init__(self):
+        _integer(self.budget, "budget")
         m = _integers(self.m, "quotas")
         if (m < 0).any():
             raise ValueError("quotas must be nonnegative")

@@ -26,7 +26,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             DesignWeights(np.array(p))
 
-    @pytest.mark.parametrize("m", [[1.5, 1.5], [np.nan, 2.0], [-1, 3]])
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [1.5, 1.5], [np.nan, 2.0], [-1, 3],
+            ["1", "1", 0], [True, True], np.array([1 + 0j, 1 + 0j]),
+            np.array([1, 1], dtype=object),
+        ],
+    )
     def test_invalid_quotas_rejected(self, m):
         with pytest.raises(ValueError):
             SampleAllocation(m=m, budget=2)
@@ -34,6 +41,14 @@ class TestValidation:
     def test_integral_float_quotas_accepted(self):
         alloc = SampleAllocation(m=[1.0, 2.0], budget=3)
         assert alloc.m.tolist() == [1, 2] and alloc.m.dtype.kind == "i"
+
+    @pytest.mark.parametrize("budget", [True, 2.0, "2", None])
+    def test_non_integer_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            SampleAllocation(m=[1, 1], budget=budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert SampleAllocation(m=[1, 1], budget=np.int64(2)).m.tolist() == [1, 1]
 
     @pytest.mark.parametrize("text", ["dog", "apple", "exp", "", "ad", "x"])
     def test_unknown_criterion_rejected(self, text):

@@ -15,7 +15,11 @@ def basis():
 
 class TestSamplingSequence:
     @pytest.mark.parametrize(
-        "indices", [[1.5, 2.9], [0.0, np.nan], [1.0, np.inf], [-np.inf, 2.0]]
+        "indices",
+        [
+            [1.5, 2.9], [0.0, np.nan], [1.0, np.inf], [-np.inf, 2.0],
+            ["2", "0"], [True, False], np.array([1 + 0j]), np.array([1, 2], dtype=object),
+        ],
     )
     def test_non_integral_indices_rejected(self, indices):
         with pytest.raises(ValueError, match="node indices must be integers"):
