@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .design import DesignWeights, _integer
+from .design import _SINGULARITY_RTOL, DesignWeights, _integer
 from .estimation import SamplingSequence
 
 
@@ -16,12 +16,14 @@ def _checked_budget(budget, n: int) -> int:
 
 
 def _sigma_min_scores(chosen_rows: np.ndarray, cand_rows: np.ndarray) -> np.ndarray:
-    """sqrt(max(λ_min(BᵀB + u uᵀ), 0)) for chosen rows B and each candidate
-    row u, by one `eigvalsh` on the stacked Grams. Only one stack is alive
-    at a time: it is freed on return."""
+    """sqrt(λ_min(BᵀB + u uᵀ)) for chosen rows B and each candidate row u,
+    by one `eigvalsh` on the stacked Grams; 0 where λ_min is at most
+    _SINGULARITY_RTOL·λ_max of that Gram, the rank rule of BLUE. Only one
+    stack is alive at a time: it is freed on return."""
     stacked = cand_rows[:, :, None] * cand_rows[:, None, :]
     stacked += chosen_rows.T @ chosen_rows
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(stacked)[:, 0], 0.0))
+    w = np.linalg.eigvalsh(stacked)
+    return np.sqrt(np.where(w[:, 0] > _SINGULARITY_RTOL * w[:, -1], w[:, 0], 0.0))
 
 
 def greedy_sigma_min(rows: np.ndarray, budget: int) -> SamplingSequence:
@@ -32,12 +34,14 @@ def greedy_sigma_min(rows: np.ndarray, budget: int) -> SamplingSequence:
     first `chosen+1` columns is scored instead, so early picks are still
     discriminated. Each step forms the Gram G = BᵀB of the chosen rows B
     on those columns and scores every unchosen row u at once as
-    sqrt(max(λ_min(G + u uᵀ), 0)), by one `eigvalsh` call on the stacked
+    sqrt(λ_min(G + u uᵀ)), by one `eigvalsh` call on the stacked
     (n_cand, cols, cols) array: n·K²·8 bytes at most, 0.64 MB at N=200,
-    K=20 and 1.2 MB at N=1500, K=10. Through the Gram, a score below about
-    1e-8 is only as accurate as √(rounding of λ). Candidates are scanned in
-    ascending index and a later one wins only by more than 1e-15, so ties
-    go to the lowest index. Returns `budget` distinct nodes in ascending
+    K=20 and 1.2 MB at N=1500, K=10. A candidate whose λ_min is at most
+    1e-12·λ_max of its own G + u uᵀ cannot raise the rank and scores 0, so
+    rounding noise never decides a pick. Candidates are scanned in
+    ascending index and a later one wins only by more than 1e-15, so ties,
+    including a step where no candidate raises the rank, go to the lowest
+    index. Returns `budget` distinct nodes in ascending
     order; ValueError unless `rows` is a finite 2-D array and `budget` an
     integer in [1, n].
     """

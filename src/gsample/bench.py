@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 import numbers
 import time
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,6 +30,9 @@ CSV_COLUMNS = [
     "status",
 ]
 
+SUMMARY_COLUMNS = ["scenario", "method", "K", "snr_db", "mean_error_l2",
+                   "std_error_l2", "count", "failures"]
+
 KNOWN_METHODS = ("proposed", "m1", "m3")
 
 # substream roles under the master seed
@@ -36,17 +41,18 @@ _ROLE_SIGNAL = 1
 _ROLE_NOISE = 2
 _ROLE_METHOD = 3
 
-# graph kind -> (required keys, optional keys) that build_graph reads
+# graph kind -> (required keys, optional keys with their defaults); the keys
+# are the generator's parameter names; a None default leaves it to the generator
 _GRAPH_KEYS = {
-    "watts_strogatz": ({"n"}, {"k", "beta"}),
-    "random_geometric": ({"n"}, {"radius", "kernel_width"}),
-    "file": ({"path"}, set()),
+    "watts_strogatz": ({"n"}, {"k": 5, "beta": 0.1}),
+    "random_geometric": ({"n"}, {"radius": 0.6, "kernel_width": None}),
+    "file": ({"path"}, {}),
 }
 _SIGNAL_REQUIRED = {"bandwidth_min", "bandwidth_max", "snr_db_grid"}
 _SIGNAL_DEFAULTS = {"coeff_mean": 1.0, "coeff_std": 0.5, "bandwidth_step": 1}
 
 # value type of every config key; keys not listed take a finite real number
-_INT_KEYS = {"trials", "master_seed", "bandwidth_min", "bandwidth_max",
+_INT_KEYS = {"schema", "trials", "master_seed", "bandwidth_min", "bandwidth_max",
              "bandwidth_step", "n", "k"}
 _TEXT_KEYS = {"kind", "path", "criterion", "scenario"}
 _LIST_KEYS = {"snr_db_grid", "methods"}
@@ -114,6 +120,7 @@ class ScenarioConfig:
         _check_keys("signal", self.signal, _SIGNAL_REQUIRED, _SIGNAL_DEFAULTS)
         for key, value in self.graph.items():
             _check_type(key, value)
+        object.__setattr__(self, "graph", {**optional, **self.graph})
         sig = {**_SIGNAL_DEFAULTS, **self.signal}
         for key, value in sig.items():
             _check_type(key, value)
@@ -123,6 +130,10 @@ class ScenarioConfig:
         if not all(_is_real(s) for s in grid):
             raise ValueError(f"snr_db_grid must hold numbers, got {grid!r}")
         sig["snr_db_grid"] = [float(s) for s in grid]
+        if any(math.isnan(s) or s == -math.inf for s in sig["snr_db_grid"]):
+            raise ValueError(
+                f"snr_db_grid: SNR must be a number above -inf dB, got {grid!r}"
+            )
         if sig["bandwidth_min"] < 1 or sig["bandwidth_step"] < 1:
             raise ValueError("bandwidth_min and bandwidth_step must be >= 1")
         if sig["bandwidth_min"] > sig["bandwidth_max"]:
@@ -154,29 +165,14 @@ class TrialRecord:
     wall_ms: float
     status: str = "ok"
 
-    def row(self) -> list[str]:
-        return [
-            self.scenario,
-            self.method,
-            self.criterion,
-            str(self.bandwidth),
-            str(self.budget),
-            _fmt(self.snr_db),
-            str(self.trial),
-            _fmt(self.error_l2),
-            "" if self.solver_gap is None else _fmt(self.solver_gap),
-            _fmt(self.wall_ms),
-            self.status,
-        ]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     optional = {"schema", *(f.name for f in fields(ScenarioConfig))}
     _check_keys("config", data, {"graph", "signal"}, optional)
+    if "schema" in data:
+        _check_type("schema", data["schema"])
+        if data["schema"] != 1:
+            raise ValueError(f"schema must be 1, got {data['schema']!r}")
     return ScenarioConfig(**{k: v for k, v in data.items() if k != "schema"})
 
 
@@ -188,17 +184,9 @@ def load_config(path) -> ScenarioConfig:
 def build_graph(cfg: ScenarioConfig) -> graphs.WeightedGraph:
     spec = dict(cfg.graph)
     kind = spec.pop("kind")
-    seed = [cfg.master_seed, _ROLE_GRAPH]
-    if kind == "watts_strogatz":
-        return graphs.watts_strogatz(
-            spec["n"], spec.get("k", 5), spec.get("beta", 0.1), seed
-        )
-    if kind == "random_geometric":
-        radius = spec.get("radius", 0.6)
-        return graphs.random_geometric(
-            spec["n"], radius, spec.get("kernel_width", radius / 2.0), seed
-        )
-    return graphs.load_edge_list(spec["path"])
+    if kind == "file":
+        return graphs.load_edge_list(spec["path"])
+    return getattr(graphs, kind)(**spec, seed=[cfg.master_seed, _ROLE_GRAPH])
 
 
 def trial_inputs(cfg: ScenarioConfig, grid_index: int, bandwidth: int,
@@ -338,92 +326,44 @@ def summarize(records: list[TrialRecord]) -> list[SummaryRow]:
     return out
 
 
-def write_records_csv(records: list[TrialRecord], path) -> None:
+def _write_csv(path, header: list[str], row_type, rows) -> None:
+    """Schema-1 CSV: a `header` line, then each row's `row_type` fields in
+    declaration order, one header name per field. csv writes a float as its
+    repr (`inf`, `nan` included) and None as an empty cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("# schema: 1\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
+        writer.writerow(header)
+        writer.writerows(map(attrgetter(*(f.name for f in fields(row_type))), rows))
+
+
+def write_records_csv(records: list[TrialRecord], path) -> None:
+    _write_csv(path, CSV_COLUMNS, TrialRecord, records)
 
 
 def write_summary_csv(rows: list[SummaryRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# schema: 1\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["scenario", "method", "K", "snr_db", "mean_error_l2",
-             "std_error_l2", "count", "failures"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r.scenario, r.method, str(r.bandwidth), _fmt(r.snr_db),
-                 _fmt(r.mean_error), _fmt(r.std_error), str(r.count),
-                 str(r.failures)]
-            )
+    _write_csv(path, SUMMARY_COLUMNS, SummaryRow, rows)
 
 
+# graph family -> (graph keys, node count at desk and full size)
+_PRESET_GRAPHS = {
+    "g1": ({"kind": "watts_strogatz", "k": 5, "beta": 0.1}, {"desk": 200, "full": 1000}),
+    "g2": ({"kind": "random_geometric", "radius": 0.6, "kernel_width": 0.3},
+           {"desk": 200, "full": 500}),
+}
+_PRESET_SIGNALS = {
+    "f1": {"bandwidth_min": 10, "bandwidth_max": 20, "snr_db_grid": [10.0]},
+    "f2": {"bandwidth_min": 15, "bandwidth_max": 15,
+           "snr_db_grid": [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]},
+}
+# every preset owns its nested dicts and lists
 PRESETS: dict[str, dict] = {
-    "g1-f1-desk": {
-        "scenario": "g1-f1-desk",
-        "graph": {"kind": "watts_strogatz", "n": 200, "k": 5, "beta": 0.1},
-        "signal": {"bandwidth_min": 10, "bandwidth_max": 20, "snr_db_grid": [10.0]},
-    },
-    "g1-f2-desk": {
-        "scenario": "g1-f2-desk",
-        "graph": {"kind": "watts_strogatz", "n": 200, "k": 5, "beta": 0.1},
-        "signal": {
-            "bandwidth_min": 15,
-            "bandwidth_max": 15,
-            "snr_db_grid": [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
-        },
-    },
-    "g2-f1-desk": {
-        "scenario": "g2-f1-desk",
-        "graph": {"kind": "random_geometric", "n": 200, "radius": 0.6,
-                  "kernel_width": 0.3},
-        "signal": {"bandwidth_min": 10, "bandwidth_max": 20, "snr_db_grid": [10.0]},
-    },
-    "g2-f2-desk": {
-        "scenario": "g2-f2-desk",
-        "graph": {"kind": "random_geometric", "n": 200, "radius": 0.6,
-                  "kernel_width": 0.3},
-        "signal": {
-            "bandwidth_min": 15,
-            "bandwidth_max": 15,
-            "snr_db_grid": [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
-        },
-    },
-    "g1-f1-full": {
-        "scenario": "g1-f1-full",
-        "graph": {"kind": "watts_strogatz", "n": 1000, "k": 5, "beta": 0.1},
-        "signal": {"bandwidth_min": 10, "bandwidth_max": 20, "snr_db_grid": [10.0]},
-    },
-    "g1-f2-full": {
-        "scenario": "g1-f2-full",
-        "graph": {"kind": "watts_strogatz", "n": 1000, "k": 5, "beta": 0.1},
-        "signal": {
-            "bandwidth_min": 15,
-            "bandwidth_max": 15,
-            "snr_db_grid": [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
-        },
-    },
-    "g2-f1-full": {
-        "scenario": "g2-f1-full",
-        "graph": {"kind": "random_geometric", "n": 500, "radius": 0.6,
-                  "kernel_width": 0.3},
-        "signal": {"bandwidth_min": 10, "bandwidth_max": 20, "snr_db_grid": [10.0]},
-    },
-    "g2-f2-full": {
-        "scenario": "g2-f2-full",
-        "graph": {"kind": "random_geometric", "n": 500, "radius": 0.6,
-                  "kernel_width": 0.3},
-        "signal": {
-            "bandwidth_min": 15,
-            "bandwidth_max": 15,
-            "snr_db_grid": [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
-        },
-    },
+    name: {"scenario": name, "graph": {**graph, "n": sizes[size]},
+           "signal": copy.deepcopy(signal)}
+    for size in ("desk", "full")
+    for g, (graph, sizes) in _PRESET_GRAPHS.items()
+    for f, signal in _PRESET_SIGNALS.items()
+    for name in [f"{g}-{f}-{size}"]
 }
 
 

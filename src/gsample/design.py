@@ -13,7 +13,7 @@ import numpy as np
 from .exceptions import FallbackExhausted, SingularInformationMatrix
 from .spectral import SpectralBasis, _symmetric_eigen, design_rows
 
-_SINGULARITY_RTOL = 1e-12
+_SINGULARITY_RTOL = 1e-12  # rank rule: lambda_min <= rtol * lambda_max is singular
 _SOLVER_RTOL = 1e-6  # relative duality gap: A/D stopping rule, E certificate
 _FW_MAX_ITER = 50_000
 

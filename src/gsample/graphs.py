@@ -120,10 +120,14 @@ def watts_strogatz(n: int, k: int, beta: float, seed) -> WeightedGraph:
     )
 
 
-def random_geometric(n: int, radius: float, kernel_width: float, seed) -> WeightedGraph:
+def random_geometric(n: int, radius: float, kernel_width: float | None,
+                     seed) -> WeightedGraph:
     """Random geometric graph on the unit square with Gaussian-kernel weights
-    w_ij = exp(-d_ij^2 / (2 kernel_width^2)) for pairs within `radius`.
+    w_ij = exp(-d_ij^2 / (2 kernel_width^2)) for pairs within `radius`;
+    a kernel_width of None is half the radius.
     """
+    if kernel_width is None:
+        kernel_width = radius / 2.0
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if radius <= 0 or kernel_width <= 0:

@@ -104,6 +104,22 @@ class TestGreedySigmaMin:
         seq = baselines.greedy_sigma_min(rows, 2)
         assert set(seq.indices) == {0, 1}
 
+    def test_rank_saturated_steps_go_to_lowest_index(self):
+        # two distinct rows in K = 4 columns: the first two picks are the
+        # first copy of each (the larger |first entry| leads); after them no
+        # candidate raises the rank, so the other picks are the lowest
+        # unchosen indices rather than whichever rounding noise is largest
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            base = rng.standard_normal((2, 4))
+            labels = rng.permutation(np.arange(12) % 2)
+            lead = int(np.argmax(np.abs(base[:, 0])))
+            firsts = [int(np.flatnonzero(labels == lead)[0]),
+                      int(np.flatnonzero(labels != lead)[0])]
+            rest = [i for i in range(12) if i not in firsts][:3]
+            seq = baselines.greedy_sigma_min(base[labels], 5)
+            assert seq.indices.tolist() == sorted(firsts + rest), seed
+
     def test_full_budget_selects_all(self, rng):
         rows = random_orthonormal_rows(5, 2, rng)
         seq = baselines.greedy_sigma_min(rows, 5)

@@ -1,11 +1,14 @@
+import csv
+import hashlib
 import inspect
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gsample import bench, design, estimation
+from gsample import baselines, bench, design, estimation, graphs, spectral
 
 TINY = {
     "schema": 1,
@@ -54,6 +57,35 @@ class TestConfig:
         for name in bench.PRESETS:
             cfg = bench.preset_config(name, trials=1)
             assert cfg.trials == 1
+
+    def test_presets_pinned(self):
+        digest = hashlib.sha256(json.dumps(bench.PRESETS, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "6221d4027acfb2286372ebf67293e310af68cd242d6064bac2d449e42bc5ca2d")
+
+    def test_presets_share_no_containers(self):
+        def containers(obj):
+            if isinstance(obj, (dict, list)):
+                yield id(obj)
+                for value in obj.values() if isinstance(obj, dict) else obj:
+                    yield from containers(value)
+
+        ids = [i for preset in bench.PRESETS.values() for i in containers(preset)]
+        assert len(ids) == len(set(ids))
+
+    @pytest.mark.parametrize("graph, defaults, generator", [
+        ({"kind": "watts_strogatz", "n": 40}, {"k": 5, "beta": 0.1},
+         lambda seed: graphs.watts_strogatz(40, 5, 0.1, seed)),
+        ({"kind": "random_geometric", "n": 40}, {"radius": 0.6, "kernel_width": None},
+         lambda seed: graphs.random_geometric(40, 0.6, 0.3, seed)),
+    ])
+    def test_graph_defaults_filled(self, graph, defaults, generator):
+        cfg = tiny_config(graph=graph)
+        assert cfg.graph == {**graph, **defaults}
+        g, ref = bench.build_graph(cfg), generator([cfg.master_seed, 0])
+        assert g.n == ref.n
+        for name in ("i", "j", "w"):
+            assert np.array_equal(getattr(g, name), getattr(ref, name))
 
     def test_file_graph_with_bandwidth_step_parses(self):
         cfg = tiny_config(
@@ -119,6 +151,13 @@ class TestConfig:
         ("graph", "n", "20"),
         ("graph", "radius", None),
         ("graph", "kernel_width", math.nan),
+        ("graph", "kernel_width", None),
+        ("signal", "snr_db_grid", [math.nan]),
+        ("signal", "snr_db_grid", [10.0, -math.inf]),
+        (None, "schema", 2),
+        (None, "schema", "x"),
+        (None, "schema", None),
+        (None, "schema", True),
     ])
     def test_value_types_checked(self, section, key, value):
         data = json.loads(json.dumps(TINY))
@@ -153,9 +192,67 @@ class TestConfig:
         assert cfg.signal["snr_db_grid"] == [0.0, 2.5, math.inf]
         assert all(type(s) is float for s in cfg.signal["snr_db_grid"])
 
-    def test_infinite_snr_written_as_inf(self):
+    def test_infinite_snr_written_as_inf(self, tmp_path):
         rec = bench.TrialRecord("s", "m3", "a", 3, 12, math.inf, 0, 0.5, None, 0.0)
-        assert rec.row()[5] == "inf"
+        bench.write_records_csv([rec], tmp_path / "records.csv")
+        row = (tmp_path / "records.csv").read_text().splitlines()[2].split(",")
+        assert row[5] == "inf"
+
+
+def read_csv(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# schema: 1"
+    return list(csv.reader(lines[1:]))
+
+
+class TestCsv:
+    def test_records_and_summary_round_trip(self, tmp_path):
+        records = [
+            bench.TrialRecord("s", "m1", "a", 3, 12, 10.0, 0, math.nan, None, 0.0,
+                              "failed:RankDeficientSampling"),
+            bench.TrialRecord("s", "m1", "a", 3, 12, 10.0, 1, 0.1, None, 1.5),
+            bench.TrialRecord("s", "proposed", "d", 4, 16, math.inf, 0, 1 / 3,
+                              1e-7, 2.25),
+            bench.TrialRecord("s", "proposed", "d", 4, 16, math.inf, 1, 0.5,
+                              1e-7, 0.0),
+        ]
+        bench.write_records_csv(records, tmp_path / "records.csv")
+        assert read_csv(tmp_path / "records.csv") == [
+            bench.CSV_COLUMNS,
+            ["s", "m1", "a", "3", "12", "10.0", "0", "nan", "", "0.0",
+             "failed:RankDeficientSampling"],
+            ["s", "m1", "a", "3", "12", "10.0", "1", "0.1", "", "1.5", "ok"],
+            ["s", "proposed", "d", "4", "16", "inf", "0", "0.3333333333333333",
+             "1e-07", "2.25", "ok"],
+            ["s", "proposed", "d", "4", "16", "inf", "1", "0.5", "1e-07", "0.0", "ok"],
+        ]
+        bench.write_summary_csv(bench.summarize(records), tmp_path / "summary.csv")
+        std = repr(float(np.std([1 / 3, 0.5], ddof=1)))
+        assert read_csv(tmp_path / "summary.csv") == [
+            bench.SUMMARY_COLUMNS,
+            ["s", "m1", "3", "10.0", "0.1", "0.0", "1", "1"],
+            ["s", "proposed", "4", "inf", repr((1 / 3 + 0.5) / 2), std, "2", "0"],
+        ]
+
+    @pytest.mark.parametrize("criterion", ["a", "e"])
+    def test_record_numbers_are_python_numbers(self, criterion):
+        # csv writes a float by repr, and repr(np.float64(x)) is "np.float64(x)"
+        records = [r for rule in (4.0, 0.5)  # 0.5: every method fails
+                   for r in bench.run_scenario(tiny_config(criterion=criterion,
+                                                           budget_rule=rule))]
+        assert {r.status == "ok" for r in records} == {True, False}
+        rows = records + bench.summarize(records)
+        for r in rows:
+            for f in fields(r):
+                value = getattr(r, f.name)
+                assert type(value) in (str, int, float) or value is None, (f.name, value)
+
+    def test_all_failed_group_has_nan_mean(self, tmp_path):
+        rec = bench.TrialRecord("s", "m1", "a", 3, 2, 0.0, 0, math.nan, None, 0.0,
+                                "failed:RankDeficientSampling")
+        bench.write_summary_csv(bench.summarize([rec]), tmp_path / "summary.csv")
+        assert read_csv(tmp_path / "summary.csv")[1] == [
+            "s", "m1", "3", "0.0", "nan", "0.0", "0", "1"]
 
 
 class TestRunScenario:
@@ -230,6 +327,59 @@ class TestBenchmarkHooks:
         assert all(names == ["basis", "bandwidth", "seq", "y", "f_true"]
                    for names in blue_calls)
         assert len(alloc_calls) == sum(r.method == "proposed" for r in records) == 12
+
+    def test_traced_names_and_fields(self, monkeypatch, tmp_path):
+        """The tracer reads the bound `rows` and `criterion` of each relaxed
+        solve and the `.p` of its result, and `result[1]` of each allocation;
+        it loads a config with `load_config` and times `build_graph`."""
+        solve_fn, alloc_fn = design.solve_relaxed, design.allocate_from_weights
+        solves, allocs = [], []
+
+        def solve(*args, **kwargs):
+            result = solve_fn(*args, **kwargs)
+            solves.append((inspect.signature(solve_fn).bind(*args, **kwargs).arguments,
+                           result))
+            return result
+
+        def alloc(*args, **kwargs):
+            result = alloc_fn(*args, **kwargs)
+            allocs.append(result)
+            return result
+
+        monkeypatch.setattr(design, "solve_relaxed", solve)
+        monkeypatch.setattr(design, "allocate_from_weights", alloc)
+        gpath, cpath = tmp_path / "graph.edges", tmp_path / "cfg.json"
+        graphs.save_edge_list(graphs.random_geometric(40, 0.5, 0.25, seed=1), gpath)
+        cpath.write_text(json.dumps(dict(
+            TINY, graph={"kind": "file", "path": str(gpath)},
+            signal={"bandwidth_min": 3, "bandwidth_max": 4, "snr_db_grid": [10.0]})))
+        cfg = bench.load_config(cpath)
+        g = bench.build_graph(cfg)
+        assert isinstance(g, graphs.WeightedGraph) and g.n == 40
+        spectral.eigendecompose(graphs.laplacian(g))
+        records = bench.run_scenario(cfg, measure_time=False)
+        assert [list(call) for call, _ in solves] == [["rows", "criterion"]] * 2
+        for call, weights in solves:
+            assert call["criterion"].value == "a"
+            assert weights.p.shape == (call["rows"].shape[0],)
+        assert len(allocs) == sum(r.method == "proposed" for r in records) == 4
+        assert all(isinstance(result[1], int) for result in allocs)
+
+    @pytest.mark.parametrize("module, name", [
+        (graphs, "load_edge_list"), (graphs, "random_geometric"),
+        (graphs, "watts_strogatz"), (graphs, "laplacian"),
+        (spectral, "eigendecompose"), (spectral, "synthesize_bandlimited"),
+        (design, "solve_relaxed"), (design, "duality_gap"),
+        (design, "allocate_from_weights"), (baselines, "greedy_sigma_min"),
+        (baselines, "top_m_selection"), (estimation, "sample_with_noise"),
+        (estimation, "blue_estimate"), (estimation, "sequence_from_allocation"),
+        (bench, "trial_inputs"), (bench, "run_scenario"), (bench, "summarize"),
+        (bench, "write_records_csv"), (bench, "write_summary_csv"),
+    ])
+    def test_traced_span_names_exist(self, module, name):
+        # the tracer reports each layer metric under the span "<module>.<name>"
+        fn = getattr(module, name)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__
 
 
 class TestSummarize:

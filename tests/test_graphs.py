@@ -62,6 +62,11 @@ class TestRandomGeometric:
         assert a.n == b.n
         assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "ijw")
 
+    def test_kernel_width_none_is_half_radius(self):
+        a = graphs.random_geometric(40, 0.5, None, seed=4)
+        b = graphs.random_geometric(40, 0.5, 0.25, seed=4)
+        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "ijw")
+
 
 class TestLaplacian:
     def test_single_edge(self):
