@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .design import _SINGULARITY_RTOL, DesignWeights, _integer
+from .design import DesignWeights, _integer
 from .estimation import SamplingSequence
+from .spectral import _rank_deficient
 
 
 def _checked_budget(budget, n: int) -> int:
@@ -17,13 +18,13 @@ def _checked_budget(budget, n: int) -> int:
 
 def _sigma_min_scores(chosen_rows: np.ndarray, cand_rows: np.ndarray) -> np.ndarray:
     """sqrt(λ_min(BᵀB + u uᵀ)) for chosen rows B and each candidate row u,
-    by one `eigvalsh` on the stacked Grams; 0 where λ_min is at most
-    _SINGULARITY_RTOL·λ_max of that Gram, the rank rule of BLUE. Only one
-    stack is alive at a time: it is freed on return."""
+    by one `eigvalsh` on the stacked Grams; 0 where that Gram fails the rank
+    rule of BLUE (`spectral._rank_deficient`). Only one stack is alive at a
+    time: it is freed on return."""
     stacked = cand_rows[:, :, None] * cand_rows[:, None, :]
     stacked += chosen_rows.T @ chosen_rows
     w = np.linalg.eigvalsh(stacked)
-    return np.sqrt(np.where(w[:, 0] > _SINGULARITY_RTOL * w[:, -1], w[:, 0], 0.0))
+    return np.sqrt(np.where(_rank_deficient(w), 0.0, w[:, 0]))
 
 
 def greedy_sigma_min(rows: np.ndarray, budget: int) -> SamplingSequence:

@@ -16,19 +16,8 @@ import numpy as np
 from . import baselines, design, estimation, graphs, spectral
 from .exceptions import GSampleError
 
-CSV_COLUMNS = [
-    "scenario",
-    "method",
-    "criterion",
-    "K",
-    "M",
-    "snr_db",
-    "trial",
-    "error_l2",
-    "solver_gap",
-    "wall_ms",
-    "status",
-]
+CSV_COLUMNS = ["scenario", "method", "criterion", "K", "M", "snr_db", "trial", "error_l2",
+               "solver_gap", "wall_ms", "status"]
 
 SUMMARY_COLUMNS = ["scenario", "method", "K", "snr_db", "mean_error_l2",
                    "std_error_l2", "count", "failures"]
@@ -41,68 +30,100 @@ _ROLE_SIGNAL = 1
 _ROLE_NOISE = 2
 _ROLE_METHOD = 3
 
-# graph kind -> (required keys, optional keys with their defaults); the keys
-# are the generator's parameter names; a None default leaves it to the generator
-_GRAPH_KEYS = {
-    "watts_strogatz": ({"n"}, {"k": 5, "beta": 0.1}),
-    "random_geometric": ({"n"}, {"radius": 0.6, "kernel_width": None}),
-    "file": ({"path"}, {}),
-}
-_SIGNAL_REQUIRED = {"bandwidth_min", "bandwidth_max", "snr_db_grid"}
-_SIGNAL_DEFAULTS = {"coeff_mean": 1.0, "coeff_std": 0.5, "bandwidth_step": 1}
-
-# value type of every config key; keys not listed take a finite real number
-_INT_KEYS = {"schema", "trials", "master_seed", "bandwidth_min", "bandwidth_max",
-             "bandwidth_step", "n", "k"}
-_TEXT_KEYS = {"kind", "path", "criterion", "scenario"}
-_LIST_KEYS = {"snr_db_grid", "methods"}
-_DICT_KEYS = {"graph", "signal"}
-
-
-def _check_keys(section: str, data: dict, required: set, optional) -> None:
-    missing = required - set(data)
-    unknown = set(data) - required - set(optional)
-    if missing:
-        raise ValueError(f"missing {section} keys: {sorted(missing)}")
-    if unknown:
-        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
-
 
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _check_type(key: str, value) -> None:
-    """Raise ValueError naming `key` unless `value` has the type that key takes."""
-    if key in _INT_KEYS:
-        ok = _is_real(value) and isinstance(value, numbers.Integral)
-        expected = "an integer"
-    elif key in _TEXT_KEYS:
-        ok, expected = isinstance(value, str), "a string"
-    elif key in _LIST_KEYS:
-        ok, expected = isinstance(value, (list, tuple)), "a list"
-    elif key in _DICT_KEYS:
-        ok, expected = isinstance(value, dict), "an object"
-    else:
-        ok, expected = _is_real(value) and math.isfinite(value), "a finite number"
-    if not ok:
-        raise ValueError(f"{key} must be {expected}, got {value!r}")
+# value kind -> (test, what a value of that kind must be)
+_KINDS = {
+    int: (lambda v: _is_real(v) and isinstance(v, numbers.Integral), "an integer"),
+    float: (lambda v: _is_real(v) and math.isfinite(v), "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, (list, tuple)), "a list"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+}
+_REQUIRED = object()
+
+# every config key: section -> key -> (value kind, default or _REQUIRED). A
+# graph kind's keys are its generator's parameter names but `seed`; a None
+# default leaves the value to the generator.
+_SCHEMA = {
+    "config": {"schema": (int, 1), "graph": (dict, _REQUIRED), "signal": (dict, _REQUIRED),
+               "budget_rule": (float, 4.0), "trials": (int, 200),
+               "methods": (list, KNOWN_METHODS), "criterion": (str, "a"),
+               "master_seed": (int, 0), "scenario": (str, "scenario")},
+    "signal": {"bandwidth_min": (int, _REQUIRED), "bandwidth_max": (int, _REQUIRED),
+               "bandwidth_step": (int, 1), "snr_db_grid": (list, _REQUIRED),
+               "coeff_mean": (float, 1.0), "coeff_std": (float, 0.5)},
+    "graph": {
+        "watts_strogatz": {"n": (int, _REQUIRED), "k": (int, 5), "beta": (float, 0.1)},
+        "random_geometric": {"n": (int, _REQUIRED), "radius": (float, 0.6),
+                             "kernel_width": (float, None)},
+        "file": {"path": (str, _REQUIRED)},
+    },
+}
+
+
+def _defaults(spec: dict) -> dict:
+    return {key: default for key, (_, default) in spec.items() if default is not _REQUIRED}
+
+
+def _checked(section: str, spec: dict, data: dict) -> dict:
+    """`data` with the defaults of `spec` filled in. ValueError names the
+    missing or unknown keys of `section`, or the first key whose value is
+    not of its kind."""
+    missing = sorted(key for key, (_, default) in spec.items()
+                     if default is _REQUIRED and key not in data)
+    if missing:
+        raise ValueError(f"missing {section} keys: {missing}")
+    unknown = sorted(set(data) - set(spec))
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {unknown}")
+    for key, value in data.items():
+        test, expected = _KINDS[spec[key][0]]
+        if not test(value):
+            raise ValueError(f"{key} must be {expected}, got {value!r}")
+    return {**_defaults(spec), **data}
+
+
+def check_graph(graph: dict) -> dict:
+    """A graph section with its kind's defaults filled in; ValueError for an
+    unknown kind or a missing, unknown or mistyped key."""
+    kind = graph.get("kind")
+    if not isinstance(kind, str) or kind not in _SCHEMA["graph"]:
+        raise ValueError(
+            f"unknown graph kind {kind!r}; choose from {sorted(_SCHEMA['graph'])}"
+        )
+    return _checked(f"{kind} graph", {"kind": (str, _REQUIRED), **_SCHEMA["graph"][kind]},
+                    graph)
+
+
+def make_graph(graph: dict, seed) -> graphs.WeightedGraph:
+    """The graph a checked graph section describes; `seed` seeds a generator."""
+    params = dict(graph)
+    kind = params.pop("kind")
+    if kind == "file":
+        return graphs.load_edge_list(**params)
+    return getattr(graphs, kind)(**params, seed=seed)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A checked scenario; `config_from_dict` fills in the defaults."""
+
     graph: dict
     signal: dict
-    budget_rule: float = 4.0
-    trials: int = 200
-    methods: tuple = KNOWN_METHODS
-    criterion: str = "a"
-    master_seed: int = 0
-    scenario: str = "scenario"
+    budget_rule: float
+    trials: int
+    methods: tuple
+    criterion: str
+    master_seed: int
+    scenario: str
 
     def __post_init__(self):
-        for f in fields(self):
-            _check_type(f.name, getattr(self, f.name))
+        _checked("config", _SCHEMA["config"],
+                 {f.name: getattr(self, f.name) for f in fields(self)})
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.methods:
@@ -110,20 +131,8 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        kind = self.graph.get("kind")
-        if not isinstance(kind, str) or kind not in _GRAPH_KEYS:
-            raise ValueError(
-                f"unknown graph kind {kind!r}; choose from {sorted(_GRAPH_KEYS)}"
-            )
-        required, optional = _GRAPH_KEYS[kind]
-        _check_keys(f"{kind} graph", self.graph, {"kind", *required}, optional)
-        _check_keys("signal", self.signal, _SIGNAL_REQUIRED, _SIGNAL_DEFAULTS)
-        for key, value in self.graph.items():
-            _check_type(key, value)
-        object.__setattr__(self, "graph", {**optional, **self.graph})
-        sig = {**_SIGNAL_DEFAULTS, **self.signal}
-        for key, value in sig.items():
-            _check_type(key, value)
+        object.__setattr__(self, "graph", check_graph(self.graph))
+        sig = _checked("signal", _SCHEMA["signal"], self.signal)
         grid = [math.inf if s in ("inf", "Infinity") else s for s in sig["snr_db_grid"]]
         if not grid:
             raise ValueError("snr_db_grid must be nonempty")
@@ -145,9 +154,7 @@ class ScenarioConfig:
             )
         object.__setattr__(self, "signal", sig)
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(
-            self, "criterion", design.Criterion.parse(self.criterion).value
-        )
+        object.__setattr__(self, "criterion", design.Criterion.parse(self.criterion).value)
 
 
 # slots: a run holds one record per method, grid point and trial
@@ -166,14 +173,16 @@ class TrialRecord:
     status: str = "ok"
 
 
-def config_from_dict(data: dict) -> ScenarioConfig:
-    optional = {"schema", *(f.name for f in fields(ScenarioConfig))}
-    _check_keys("config", data, {"graph", "signal"}, optional)
-    if "schema" in data:
-        _check_type("schema", data["schema"])
-        if data["schema"] != 1:
-            raise ValueError(f"schema must be 1, got {data['schema']!r}")
-    return ScenarioConfig(**{k: v for k, v in data.items() if k != "schema"})
+def config_from_dict(data: dict, **overrides) -> ScenarioConfig:
+    """The scenario a config object describes, with `overrides` replacing
+    its top-level keys; ValueError unless it is a valid config."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a config must be a JSON object, got {data!r}")
+    data = _checked("config", _SCHEMA["config"], {**data, **overrides})
+    schema = data.pop("schema")
+    if schema != 1:
+        raise ValueError(f"schema must be 1, got {schema!r}")
+    return ScenarioConfig(**data)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -182,11 +191,7 @@ def load_config(path) -> ScenarioConfig:
 
 
 def build_graph(cfg: ScenarioConfig) -> graphs.WeightedGraph:
-    spec = dict(cfg.graph)
-    kind = spec.pop("kind")
-    if kind == "file":
-        return graphs.load_edge_list(spec["path"])
-    return getattr(graphs, kind)(**spec, seed=[cfg.master_seed, _ROLE_GRAPH])
+    return make_graph(cfg.graph, [cfg.master_seed, _ROLE_GRAPH])
 
 
 def trial_inputs(cfg: ScenarioConfig, grid_index: int, bandwidth: int,
@@ -194,95 +199,66 @@ def trial_inputs(cfg: ScenarioConfig, grid_index: int, bandwidth: int,
     """Shared per-trial randomness: GFT coefficients and the standard-normal
     noise vector every method observes."""
     sig = cfg.signal
-    rng_signal = np.random.default_rng(
-        [cfg.master_seed, _ROLE_SIGNAL, grid_index, trial]
-    )
+    rng_signal = np.random.default_rng([cfg.master_seed, _ROLE_SIGNAL, grid_index, trial])
+    rng_noise = np.random.default_rng([cfg.master_seed, _ROLE_NOISE, grid_index, trial])
     coeffs = sig["coeff_mean"] + sig["coeff_std"] * rng_signal.standard_normal(bandwidth)
-    rng_noise = np.random.default_rng(
-        [cfg.master_seed, _ROLE_NOISE, grid_index, trial]
-    )
-    noise = rng_noise.standard_normal(budget)
-    return coeffs, noise
+    return coeffs, rng_noise.standard_normal(budget)
 
 
 def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRecord]:
-    """Run the full Monte Carlo protocol and return one record per
-    (method, grid point, trial). Module errors become failed records."""
-    g = build_graph(cfg)
-    basis = spectral.eigendecompose(graphs.laplacian(g))
+    """Run the full Monte Carlo protocol and return one record per grid
+    point, trial and method, in that nesting order. Module errors become
+    failed records."""
+    basis = spectral.eigendecompose(graphs.laplacian(build_graph(cfg)))
     criterion = design.Criterion.parse(cfg.criterion)
     sig = cfg.signal
-    bandwidths = list(
-        range(sig["bandwidth_min"], sig["bandwidth_max"] + 1, sig["bandwidth_step"])
-    )
-    grid = [(k, snr) for k in bandwidths for snr in sig["snr_db_grid"]]
-
-    # per-bandwidth caches: the relaxed solve and deterministic baselines
-    # do not depend on the trial or the SNR point
-    cache: dict[int, dict] = {}
+    bandwidths = range(sig["bandwidth_min"], sig["bandwidth_max"] + 1, sig["bandwidth_step"])
+    # per bandwidth, what depends on neither the trial nor the SNR: the
+    # budget, rows, relaxed weights and gap, and the baselines' sequences
+    fixed = {}
     for k in bandwidths:
         budget = int(round(cfg.budget_rule * k))
         rows = spectral.design_rows(basis, k)
         weights = design.solve_relaxed(rows, criterion)
         gap = design.duality_gap(rows, weights, criterion)
-        entry = {"budget": budget, "rows": rows, "weights": weights, "gap": gap}
+        seqs = {}
         if "m1" in cfg.methods:
-            entry["m1_seq"] = baselines.greedy_sigma_min(rows, budget)
+            seqs["m1"] = baselines.greedy_sigma_min(rows, budget)
         if "m3" in cfg.methods:
-            entry["m3_seq"] = baselines.top_m_selection(weights, budget)
-        cache[k] = entry
+            seqs["m3"] = baselines.top_m_selection(weights, budget)
+        fixed[k] = budget, rows, weights, gap, seqs
 
-    def run_point(gi, k, snr, trial):
-        entry = cache[k]
-        budget = entry["budget"]
-        coeffs, noise = trial_inputs(cfg, gi, k, budget, trial)
-        f = spectral.synthesize_bandlimited(basis, coeffs)
-        out = []
-        for mi, method in enumerate(cfg.methods):
-            t0 = time.perf_counter() if measure_time else 0.0
-            gap = entry["gap"] if method in ("proposed", "m3") else None
-            try:
-                if method == "proposed":
-                    alloc, _ = design.allocate_from_weights(
-                        entry["rows"],
-                        entry["weights"],
-                        budget,
-                        seed=[cfg.master_seed, _ROLE_METHOD, mi, gi, trial],
-                    )
-                    seq = estimation.sequence_from_allocation(alloc)
-                elif method == "m1":
-                    seq = entry["m1_seq"]
-                else:
-                    seq = entry["m3_seq"]
-                samples = estimation.sample_with_noise(f, seq, snr, noise=noise[: len(seq)])
-                est = estimation.blue_estimate(basis, k, seq, samples.y, f_true=f)
-                err, status = est.error_l2, "ok"
-            except GSampleError as exc:
-                err, status = math.nan, f"failed:{type(exc).__name__}"
-            wall = (time.perf_counter() - t0) * 1000.0 if measure_time else 0.0
-            out.append(
-                TrialRecord(
-                    scenario=cfg.scenario,
-                    method=method,
-                    criterion=cfg.criterion,
-                    bandwidth=k,
-                    budget=budget,
-                    snr_db=snr,
-                    trial=trial,
-                    error_l2=err,
-                    solver_gap=gap,
-                    wall_ms=wall,
+    records = []
+    grid = [(k, snr) for k in bandwidths for snr in sig["snr_db_grid"]]
+    for gi, (k, snr) in enumerate(grid):
+        budget, rows, weights, gap, seqs = fixed[k]
+        for trial in range(cfg.trials):
+            coeffs, noise = trial_inputs(cfg, gi, k, budget, trial)
+            f = spectral.synthesize_bandlimited(basis, coeffs)
+            for mi, method in enumerate(cfg.methods):
+                t0 = time.perf_counter() if measure_time else 0.0
+                try:
+                    if method == "proposed":
+                        alloc, _ = design.allocate_from_weights(
+                            rows, weights, budget,
+                            seed=[cfg.master_seed, _ROLE_METHOD, mi, gi, trial],
+                        )
+                        seq = estimation.sequence_from_allocation(alloc)
+                    else:
+                        seq = seqs[method]
+                    samples = estimation.sample_with_noise(f, seq, snr, noise=noise[: len(seq)])
+                    est = estimation.blue_estimate(basis, k, seq, samples.y, f_true=f)
+                    err, status = est.error_l2, "ok"
+                except GSampleError as exc:
+                    err, status = math.nan, f"failed:{type(exc).__name__}"
+                wall = (time.perf_counter() - t0) * 1000.0 if measure_time else 0.0
+                records.append(TrialRecord(
+                    scenario=cfg.scenario, method=method, criterion=cfg.criterion,
+                    bandwidth=k, budget=budget, snr_db=snr, trial=trial, error_l2=err,
+                    solver_gap=None if method == "m1" else gap, wall_ms=wall,
                     status=status,
-                )
-            )
-        return out
-
-    return [
-        rec
-        for gi, (k, snr) in enumerate(grid)
-        for trial in range(cfg.trials)
-        for rec in run_point(gi, k, snr, trial)
-    ]
+                ))
+    return records
 
 
 @dataclass
@@ -304,25 +280,16 @@ def summarize(records: list[TrialRecord]) -> list[SummaryRow]:
         raise ValueError("no records to summarize")
     groups: dict[tuple, list[TrialRecord]] = {}
     for rec in records:
-        groups.setdefault(
-            (rec.scenario, rec.method, rec.bandwidth, rec.snr_db), []
-        ).append(rec)
+        groups.setdefault((rec.scenario, rec.method, rec.bandwidth, rec.snr_db), []).append(rec)
     out = []
     for (scenario, method, k, snr), recs in groups.items():
-        ok = [r.error_l2 for r in recs if r.status == "ok"]
-        arr = np.asarray(ok, dtype=float)
-        out.append(
-            SummaryRow(
-                scenario=scenario,
-                method=method,
-                bandwidth=k,
-                snr_db=snr,
-                mean_error=float(arr.mean()) if len(arr) else math.nan,
-                std_error=float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
-                count=len(arr),
-                failures=len(recs) - len(arr),
-            )
-        )
+        arr = np.asarray([r.error_l2 for r in recs if r.status == "ok"], dtype=float)
+        out.append(SummaryRow(
+            scenario=scenario, method=method, bandwidth=k, snr_db=snr,
+            mean_error=float(arr.mean()) if len(arr) else math.nan,
+            std_error=float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
+            count=len(arr), failures=len(recs) - len(arr),
+        ))
     return out
 
 
@@ -345,11 +312,11 @@ def write_summary_csv(rows: list[SummaryRow], path) -> None:
     _write_csv(path, SUMMARY_COLUMNS, SummaryRow, rows)
 
 
-# graph family -> (graph keys, node count at desk and full size)
+# graph family -> (graph keys beyond its kind's defaults, node count at
+# desk and full size)
 _PRESET_GRAPHS = {
-    "g1": ({"kind": "watts_strogatz", "k": 5, "beta": 0.1}, {"desk": 200, "full": 1000}),
-    "g2": ({"kind": "random_geometric", "radius": 0.6, "kernel_width": 0.3},
-           {"desk": 200, "full": 500}),
+    "g1": ({"kind": "watts_strogatz"}, {"desk": 200, "full": 1000}),
+    "g2": ({"kind": "random_geometric", "kernel_width": 0.3}, {"desk": 200, "full": 500}),
 }
 _PRESET_SIGNALS = {
     "f1": {"bandwidth_min": 10, "bandwidth_max": 20, "snr_db_grid": [10.0]},
@@ -358,7 +325,8 @@ _PRESET_SIGNALS = {
 }
 # every preset owns its nested dicts and lists
 PRESETS: dict[str, dict] = {
-    name: {"scenario": name, "graph": {**graph, "n": sizes[size]},
+    name: {"scenario": name,
+           "graph": {**_defaults(_SCHEMA["graph"][graph["kind"]]), **graph, "n": sizes[size]},
            "signal": copy.deepcopy(signal)}
     for size in ("desk", "full")
     for g, (graph, sizes) in _PRESET_GRAPHS.items()
@@ -370,6 +338,4 @@ PRESETS: dict[str, dict] = {
 def preset_config(name: str, **overrides) -> ScenarioConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    data = json.loads(json.dumps(PRESETS[name]))
-    data.update(overrides)
-    return config_from_dict(data)
+    return config_from_dict(json.loads(json.dumps(PRESETS[name])), **overrides)

@@ -15,10 +15,9 @@ from .exceptions import GSampleError
 
 
 def _cmd_generate_graph(args):
-    if args.kind == "watts_strogatz":
-        g = graphs.watts_strogatz(args.n, args.k, args.beta, args.seed)
-    else:
-        g = graphs.random_geometric(args.n, args.radius, args.kernel_width, args.seed)
+    flags = {key: getattr(args, key) for key in ("n", "k", "beta", "radius", "kernel_width")}
+    graph = {"kind": args.kind, **{key: v for key, v in flags.items() if v is not None}}
+    g = bench.make_graph(bench.check_graph(graph), args.seed)
     graphs.save_edge_list(g, args.out)
     print(f"wrote {args.out}: n={g.n}, edges={len(g.w)}")
 
@@ -96,9 +95,7 @@ def _cmd_bench(args):
         cfg = bench.preset_config(args.preset, **overrides)
     else:
         with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-        data.update(overrides)
-        cfg = bench.config_from_dict(data)
+            cfg = bench.config_from_dict(json.load(fh), **overrides)
     records = bench.run_scenario(cfg, measure_time=not args.no_timing)
     bench.write_records_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -126,10 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["watts_strogatz", "random_geometric"],
                    required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=5, help="ring half-degree (watts_strogatz)")
-    p.add_argument("--beta", type=float, default=0.1, help="rewiring probability")
-    p.add_argument("--radius", type=float, default=0.6)
-    p.add_argument("--kernel-width", type=float, default=None)
+    # each graph flag belongs to one kind; left out, it takes the scenario default
+    p.add_argument("--k", type=int, help="ring half-degree (watts_strogatz)")
+    p.add_argument("--beta", type=float, help="rewiring probability (watts_strogatz)")
+    p.add_argument("--radius", type=float, help="connection radius (random_geometric)")
+    p.add_argument("--kernel-width", type=float, help="Gaussian kernel width (random_geometric)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate_graph)

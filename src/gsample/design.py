@@ -11,9 +11,8 @@ from numbers import Integral
 import numpy as np
 
 from .exceptions import FallbackExhausted, SingularInformationMatrix
-from .spectral import SpectralBasis, _symmetric_eigen, design_rows
+from .spectral import SpectralBasis, _rank_deficient, _symmetric_eigen, design_rows
 
-_SINGULARITY_RTOL = 1e-12  # rank rule: lambda_min <= rtol * lambda_max is singular
 _SOLVER_RTOL = 1e-6  # relative duality gap: A/D stopping rule, E certificate
 _FW_MAX_ITER = 50_000
 
@@ -106,7 +105,7 @@ def _checked_eigvalsh(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric information matrix, or raise if singular.
     The eigenvalues are memoized; the singularity test runs every call."""
     w = _symmetric_eigen(A, vectors=False)
-    if w[-1] <= 0 or w[0] <= _SINGULARITY_RTOL * w[-1]:
+    if _rank_deficient(w):
         raise SingularInformationMatrix(
             f"sigma_min={w[0]:.3e} below threshold for norm {w[-1]:.3e}"
         )

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _SINGULARITY_RTOL, SampleAllocation, _integers
+from .design import SampleAllocation, _integers
 from .exceptions import RankDeficientSampling
-from .spectral import SpectralBasis, _symmetric_eigen
+from .spectral import SpectralBasis, _rank_deficient, _symmetric_eigen
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def blue_estimate(
     # least squares through the normal equations; a repeated sequence reuses
     # the memoized factorization of its Gram, the rank test runs every call
     w, Q = _symmetric_eigen(V_mk.T @ V_mk, vectors=True)
-    if len(V_mk) < bandwidth or w[0] <= _SINGULARITY_RTOL * max(w[-1], 1e-300):
+    if len(V_mk) < bandwidth or _rank_deficient(w):
         raise RankDeficientSampling(f"sampled rows have numerical rank below {bandwidth}")
     coeffs = Q @ ((Q.T @ (V_mk.T @ y)) / w)
     signal = basis.eigenvectors[:, :bandwidth] @ coeffs

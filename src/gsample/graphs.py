@@ -90,28 +90,28 @@ def watts_strogatz(n: int, k: int, beta: float, seed) -> WeightedGraph:
         raise ValueError(f"require n > 2k >= 2, got n={n}, k={k}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"rewiring probability must be in [0,1], got {beta}")
-    # (near endpoint u, lattice edge i < j) in rewiring order
-    lattice = [(u, (u, u + d) if u + d < n else (u + d - n, u))
-               for d in range(1, k + 1) for u in range(n)]
-    streams = np.random.SeedSequence(seed).spawn(_CONNECTIVITY_RETRIES)
-    for stream in streams:
+    # lattice edges (near u, far v) in rewiring order: offset-major, then node
+    near = np.tile(np.arange(n), k)
+    far = (near + np.repeat(np.arange(1, k + 1), n)) % n
+    for stream in np.random.SeedSequence(seed).spawn(_CONNECTIVITY_RETRIES):
         rng = np.random.default_rng(stream)
-        edge_set = {edge for _, edge in lattice}
-        # rewire the far endpoint of each lattice edge independently
-        for u, edge in lattice:
-            if edge not in edge_set:
-                continue  # already moved by an earlier rewire
-            if rng.random() >= beta:
+        # n x n bytes; the diagonal is set so no node is its own candidate
+        adj = np.eye(n, dtype=bool)
+        adj[near, far] = adj[far, near] = True
+        # rewire the far endpoint of each lattice edge independently; an
+        # edge already moved by an earlier rewire draws nothing
+        for u, v in zip(near.tolist(), far.tolist()):
+            if not adj[u, v] or rng.random() >= beta:
                 continue
-            # uniformly random non-self, non-duplicate target for u
-            candidates = [w for w in range(u) if (w, u) not in edge_set]
-            candidates += [w for w in range(u + 1, n) if (u, w) not in edge_set]
-            if not candidates:
+            # uniformly random non-self, non-duplicate target for u, ascending
+            candidates = np.flatnonzero(~adj[u])
+            if not candidates.size:
                 continue  # u already adjacent to everyone
-            w = candidates[rng.integers(len(candidates))]
-            edge_set.discard(edge)
-            edge_set.add((u, w) if u < w else (w, u))
-        ii, jj = np.array(sorted(edge_set), dtype=np.intp).T
+            w = candidates[rng.integers(candidates.size)]
+            adj[u, v] = adj[v, u] = False
+            adj[u, w] = adj[w, u] = True
+        # the upper triangle row by row: the edges (i < j) in sorted order
+        ii, jj = np.nonzero(np.triu(adj, 1))
         if _connected(n, ii, jj):
             return WeightedGraph(n, ii, jj, np.ones(ii.size))
     raise GraphConnectivityError(
@@ -132,8 +132,7 @@ def random_geometric(n: int, radius: float, kernel_width: float | None,
         raise ValueError(f"need at least 2 nodes, got {n}")
     if radius <= 0 or kernel_width <= 0:
         raise ValueError("radius and kernel_width must be positive")
-    streams = np.random.SeedSequence(seed).spawn(_CONNECTIVITY_RETRIES)
-    for stream in streams:
+    for stream in np.random.SeedSequence(seed).spawn(_CONNECTIVITY_RETRIES):
         rng = np.random.default_rng(stream)
         pts = rng.random((n, 2))
         diff = pts[:, None, :] - pts[None, :, :]

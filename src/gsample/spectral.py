@@ -11,6 +11,7 @@ import numpy as np
 
 _DEGENERACY_TOL = 1e-8
 _EIGEN_MEMO_SIZE = 32
+_SINGULARITY_RTOL = 1e-12  # rank rule: lambda_min <= rtol * lambda_max is singular
 
 
 @dataclass(frozen=True)
@@ -117,3 +118,9 @@ def _symmetric_eigen(A: np.ndarray, vectors: bool):
     information matrix is factored once. Errors are not cached."""
     A = np.ascontiguousarray(A, dtype=float)
     return _memo_eigen(A.tobytes(), A.shape, vectors)
+
+
+def _rank_deficient(w: np.ndarray):
+    """The rank rule on ascending eigenvalues `w`, or on each row of a stack
+    of them; true whenever lambda_max <= 0. `w.T[0]` is cheap on 1-D `w`."""
+    return w.T[0] <= _SINGULARITY_RTOL * w.T[-1]

@@ -192,6 +192,25 @@ class TestConfig:
         assert cfg.signal["snr_db_grid"] == [0.0, 2.5, math.inf]
         assert all(type(s) is float for s in cfg.signal["snr_db_grid"])
 
+    @pytest.mark.parametrize("data", [None, 3, [], "x"])
+    def test_config_must_be_an_object(self, tmp_path, data):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            bench.config_from_dict(data)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            bench.load_config(path)
+
+    @pytest.mark.parametrize("kind, generator", [
+        ("watts_strogatz", graphs.watts_strogatz),
+        ("random_geometric", graphs.random_geometric),
+        ("file", graphs.load_edge_list),
+    ])
+    def test_graph_keys_are_generator_parameters(self, kind, generator):
+        # a renamed generator parameter must fail here, not in a user's config
+        params = set(inspect.signature(generator).parameters) - {"seed"}
+        assert set(bench._SCHEMA["graph"][kind]) == params
+
     def test_infinite_snr_written_as_inf(self, tmp_path):
         rec = bench.TrialRecord("s", "m3", "a", 3, 12, math.inf, 0, 0.5, None, 0.0)
         bench.write_records_csv([rec], tmp_path / "records.csv")
@@ -272,6 +291,15 @@ class TestRunScenario:
         )
         records = bench.run_scenario(cfg, measure_time=False)
         assert len(records) == 3 * 2 * 2 * 3  # bandwidths x snrs x methods x trials
+
+    def test_record_order_and_gaps(self):
+        cfg = tiny_config(signal={"bandwidth_min": 3, "bandwidth_max": 4,
+                                  "snr_db_grid": [10.0, 20.0]})
+        records = bench.run_scenario(cfg, measure_time=False)
+        assert [(r.bandwidth, r.snr_db, r.trial, r.method) for r in records] == [
+            (k, snr, trial, method) for k in (3, 4) for snr in (10.0, 20.0)
+            for trial in range(2) for method in ("proposed", "m1", "m3")]
+        assert all((r.solver_gap is None) == (r.method == "m1") for r in records)
 
     def test_deterministic_csv_bytes(self, tmp_path):
         paths = []

@@ -98,6 +98,21 @@ class TestGraphAndDesign:
         assert err.startswith("error:") and "kernel_width" in err
         assert not gpath.exists()
 
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("random_geometric", "--k", "3"), ("random_geometric", "--beta", "0.9"),
+        ("watts_strogatz", "--radius", "0.5"), ("watts_strogatz", "--kernel-width", "0.2"),
+    ])
+    def test_flag_of_other_kind_rejected(self, capsys, tmp_path, kind, flag, value):
+        gpath = tmp_path / "g.edges"
+        code, _, err = run(
+            capsys, "generate-graph", "--kind", kind, "--n", "30", flag, value,
+            "--out", str(gpath),
+        )
+        assert code == 1
+        key = flag[2:].replace("-", "_")
+        assert err.startswith("error:") and f"unknown {kind} graph keys: ['{key}']" in err
+        assert not gpath.exists()
+
     def test_bad_graph_file_fails_cleanly(self, capsys, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 1 1.0\n")
@@ -272,6 +287,18 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--config", str(cpath), "--out", str(out_csv))
         assert code == 1
         assert err.startswith("error:") and "SNR" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("overrides", [[], ["--trials", "1"]])
+    @pytest.mark.parametrize("text", ["null", "3", "[]", '"x"'])
+    def test_config_not_an_object_fails_cleanly(self, capsys, tmp_path, text, overrides):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(text)
+        out_csv = tmp_path / "records.csv"
+        code, _, err = run(capsys, "bench", "--config", str(cpath), *overrides,
+                           "--out", str(out_csv))
+        assert code == 1
+        assert err.startswith("error:") and "JSON object" in err
         assert not out_csv.exists()
 
     def test_preset_with_overrides(self, capsys, tmp_path):

@@ -4,6 +4,8 @@ raised on every call, and the memo stays bounded and unpoisonable."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsample import design, estimation, graphs, spectral
 from gsample.design import DesignWeights, SampleAllocation
@@ -151,3 +153,26 @@ class TestMemoSafety:
         assert info.maxsize == size
         assert info.currsize == size
         assert info.misses == 3 * size
+
+
+# ascending finite eigenvalues, from negative through subnormal to large
+eigenvalues = st.lists(
+    st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12])),
+    min_size=1, max_size=6,
+).map(sorted).map(np.array)
+
+
+@settings(max_examples=500, deadline=None)
+@given(w=eigenvalues)
+def test_rank_rule_matches_the_three_spellings_it_replaced(w):
+    """`spectral._rank_deficient` against the tests the quantized-design
+    check, greedy `m1` and BLUE wrote out before; BLUE's 1e-300 floor on
+    lambda_max only mattered for 0 < lambda_max < 1e-300."""
+    rule = bool(spectral._rank_deficient(w))
+    assert rule == (w[-1] <= 0 or w[0] <= 1e-12 * w[-1])  # quantized design
+    assert rule == (not w[0] > 1e-12 * w[-1])  # greedy m1
+    if not 0 < w[-1] < 1e-300:
+        assert rule == (w[0] <= 1e-12 * max(w[-1], 1e-300))  # BLUE
+    stacked = np.stack([w, -w[::-1]])
+    assert spectral._rank_deficient(stacked).tolist() == [
+        rule, bool(spectral._rank_deficient(-w[::-1]))]

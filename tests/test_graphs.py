@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsample import graphs
-from gsample.exceptions import EdgeListFormatError
+from gsample.exceptions import EdgeListFormatError, GraphConnectivityError
 
 
 def degrees(g):
@@ -304,3 +304,50 @@ def test_generated_laplacians_are_valid(n, k, beta, seed):
     L = graphs.laplacian(g)
     assert np.abs(L @ np.ones(n)).max() < 1e-10
     assert (L[~np.eye(n, dtype=bool)] <= 0).all()
+
+
+def watts_strogatz_reference(n, k, beta, seed):
+    """The set-based rewiring the adjacency-matrix generator replaced: the
+    same lattice order and rng calls, each rewire scanning all n nodes.
+    Returns the sorted edge arrays, or None if no retry is connected."""
+    lattice = [(u, (u, u + d) if u + d < n else (u + d - n, u))
+               for d in range(1, k + 1) for u in range(n)]
+    for stream in np.random.SeedSequence(seed).spawn(graphs._CONNECTIVITY_RETRIES):
+        rng = np.random.default_rng(stream)
+        edge_set = {edge for _, edge in lattice}
+        for u, edge in lattice:
+            if edge not in edge_set or rng.random() >= beta:
+                continue
+            candidates = [w for w in range(u) if (w, u) not in edge_set]
+            candidates += [w for w in range(u + 1, n) if (u, w) not in edge_set]
+            if not candidates:
+                continue
+            w = candidates[rng.integers(len(candidates))]
+            edge_set.discard(edge)
+            edge_set.add((u, w) if u < w else (w, u))
+        ii, jj = np.array(sorted(edge_set), dtype=np.intp).T
+        if graphs._connected(n, ii, jj):
+            return ii, jj
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=40),
+    k=st.integers(min_value=1, max_value=6),
+    beta=st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(1.0)),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_watts_strogatz_matches_set_based_reference(n, k, beta, seed):
+    # small n with beta near 1 needs retries; n = 2k + 1 is complete, so
+    # no rewire finds a candidate
+    if n <= 2 * k:
+        return
+    ref = watts_strogatz_reference(n, k, beta, seed)
+    if ref is None:
+        with pytest.raises(GraphConnectivityError):
+            graphs.watts_strogatz(n, k, beta, seed)
+        return
+    g = graphs.watts_strogatz(n, k, beta, seed)
+    assert np.array_equal(g.i, ref[0]) and np.array_equal(g.j, ref[1])
+    assert (g.w == 1.0).all()
