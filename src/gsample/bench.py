@@ -72,7 +72,8 @@ def _defaults(spec: dict) -> dict:
 def _checked(section: str, spec: dict, data: dict) -> dict:
     """`data` with the defaults of `spec` filled in. ValueError names the
     missing or unknown keys of `section`, or the first key whose value is
-    not of its kind."""
+    not of its kind. A filled default passes, so a checked `data` checks
+    again."""
     missing = sorted(key for key, (_, default) in spec.items()
                      if default is _REQUIRED and key not in data)
     if missing:
@@ -81,8 +82,9 @@ def _checked(section: str, spec: dict, data: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown {section} keys: {unknown}")
     for key, value in data.items():
-        test, expected = _KINDS[spec[key][0]]
-        if not test(value):
+        kind, default = spec[key]
+        test, expected = _KINDS[kind]
+        if value is not default and not test(value):
             raise ValueError(f"{key} must be {expected}, got {value!r}")
     return {**_defaults(spec), **data}
 
@@ -128,9 +130,11 @@ class ScenarioConfig:
             raise ValueError("trials must be >= 1")
         if not self.methods:
             raise ValueError("need at least one method")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise ValueError(f"method {m!r} is listed twice")
         object.__setattr__(self, "graph", check_graph(self.graph))
         sig = _checked("signal", _SCHEMA["signal"], self.signal)
         grid = [math.inf if s in ("inf", "Infinity") else s for s in sig["snr_db_grid"]]
@@ -179,6 +183,9 @@ def config_from_dict(data: dict, **overrides) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ValueError(f"a config must be a JSON object, got {data!r}")
     data = _checked("config", _SCHEMA["config"], {**data, **overrides})
+    for key, value in data["graph"].items():
+        if value is None:
+            raise ValueError(f"{key} must not be null; leave it out for its default")
     schema = data.pop("schema")
     if schema != 1:
         raise ValueError(f"schema must be 1, got {schema!r}")
@@ -233,8 +240,10 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
     for gi, (k, snr) in enumerate(grid):
         budget, rows, weights, gap, seqs = fixed[k]
         for trial in range(cfg.trials):
-            coeffs, noise = trial_inputs(cfg, gi, k, budget, trial)
+            coeffs, z = trial_inputs(cfg, gi, k, budget, trial)
             f = spectral.synthesize_bandlimited(basis, coeffs)
+            # one noise level per trial; every sequence has `budget` entries
+            noise = estimation.noise_std_for_snr(f, snr) * z
             for mi, method in enumerate(cfg.methods):
                 t0 = time.perf_counter() if measure_time else 0.0
                 try:
@@ -246,8 +255,8 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
                         seq = estimation.sequence_from_allocation(alloc)
                     else:
                         seq = seqs[method]
-                    samples = estimation.sample_with_noise(f, seq, snr, noise=noise[: len(seq)])
-                    est = estimation.blue_estimate(basis, k, seq, samples.y, f_true=f)
+                    y = f[seq.indices] + noise
+                    est = estimation.blue_estimate(basis, k, seq, y, f_true=f)
                     err, status = est.error_l2, "ok"
                 except GSampleError as exc:
                     err, status = math.nan, f"failed:{type(exc).__name__}"

@@ -80,6 +80,8 @@ class SampleAllocation:
     def __post_init__(self):
         _integer(self.budget, "budget")
         m = _integers(self.m, "quotas")
+        if m.ndim != 1:
+            raise ValueError("quotas must be a vector")
         if (m < 0).any():
             raise ValueError("quotas must be nonnegative")
         if int(m.sum()) != self.budget:
@@ -319,7 +321,7 @@ def quantized_information_matrix(
 
 def residual_variance_analytic(budget: int) -> float:
     """The uniform-distribution variance approximation 5 / (192 M^3)."""
-    return 5.0 / (192.0 * budget**3)
+    return 5 / (192 * budget**3)  # in integers, a large M's cube cannot overflow
 
 
 def empirical_residual_variance(
@@ -340,10 +342,12 @@ def empirical_residual_variance(
 def invertibility_probability_bound(sigma_min: float, budget: int, n: int) -> float:
     """Lower bound on P(quantized information matrix stays invertible),
     using the analytic rounding-error variance 5/(192 M^3)."""
-    if sigma_min <= 0:
-        raise ValueError(f"sigma_min must be positive, got {sigma_min}")
+    if not 0.0 < sigma_min < math.inf:
+        raise ValueError(f"sigma_min must be positive and finite, got {sigma_min}")
     if budget < 1 or n < 1:
         raise ValueError("budget and n must be >= 1")
+    if sigma_min**2 == 0.0:
+        raise ValueError(f"sigma_min {sigma_min} squares to 0 in double precision")
     factor = 1.0 - residual_variance_analytic(budget) / sigma_min**2
     if factor <= 0.0:
         return 0.0
@@ -355,12 +359,18 @@ def min_sample_size(sigma_min: float, n: int, eta: float) -> int:
     by the ceiling formula (5 / (192 (1 - eta^(1/n)) sigma_min^2))^(1/3)."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0,1), got {eta}")
-    if sigma_min <= 0:
-        raise ValueError(f"sigma_min must be positive, got {sigma_min}")
+    if not 0.0 < sigma_min < math.inf:
+        raise ValueError(f"sigma_min must be positive and finite, got {sigma_min}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    value = (5.0 / (192.0 * (1.0 - eta ** (1.0 / n)) * sigma_min**2)) ** (1.0 / 3.0)
-    return max(1, math.ceil(value))
+    denom = 192.0 * (1.0 - eta ** (1.0 / n)) * sigma_min**2
+    # refused where sigma_min^2 or 1 - eta^(1/n) rounds to 0 or the quotient overflows
+    if denom == 0.0 or 5.0 / denom == math.inf:
+        raise ValueError(
+            f"sigma_min {sigma_min}, n {n} and eta {eta} give a sample size "
+            "beyond double precision"
+        )
+    return max(1, math.ceil((5.0 / denom) ** (1.0 / 3.0)))
 
 
 def perturbation_norm(rows: np.ndarray, delta_p: np.ndarray) -> tuple[float, float]:

@@ -66,27 +66,19 @@ def noise_std_for_snr(signal: np.ndarray, snr_db: float) -> float:
 
 
 def sample_with_noise(
-    f: np.ndarray, seq: SamplingSequence, snr_db: float, seed=None, noise=None
+    f: np.ndarray, seq: SamplingSequence, snr_db: float, seed=None
 ) -> NoisySamples:
-    """Observe f at the sequence nodes with additive iid Gaussian noise.
-
-    `noise`, if given, is a pre-drawn standard-normal vector of length M
-    (used by the benchmark to share one realization across methods);
-    otherwise the noise is drawn from `seed`.
-    """
+    """Observe f at the sequence nodes with additive iid Gaussian noise drawn
+    from `seed`. ValueError unless f is finite."""
     f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
+        raise ValueError("signal values must be finite")
     idx = seq.indices
     if idx.max() >= len(f):
         raise ValueError("sampling index out of range for signal")
-    sampled = f[idx]
     sigma = noise_std_for_snr(f, snr_db)
-    if noise is None:
-        noise = np.random.default_rng(seed).standard_normal(len(idx))
-    else:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != idx.shape:
-            raise ValueError("noise vector length does not match sequence")
-    return NoisySamples(y=sampled + sigma * noise, noise_std=sigma)
+    noise = np.random.default_rng(seed).standard_normal(len(idx))
+    return NoisySamples(y=f[idx] + sigma * noise, noise_std=sigma)
 
 
 def _sampled_rows(basis: SpectralBasis, bandwidth: int, seq: SamplingSequence):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -41,6 +42,21 @@ class TestConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             tiny_config(methods=["proposed", "m2"])
+
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="method 'm1' is listed twice"):
+            tiny_config(methods=["m1", "proposed", "m1"])
+
+    @pytest.mark.parametrize("graph", [
+        *[preset["graph"] for preset in bench.PRESETS.values()],
+        {"kind": "watts_strogatz", "n": 40},
+        {"kind": "random_geometric", "n": 40},
+        {"kind": "file", "path": "graph.edges"},
+    ])
+    def test_checked_config_checks_again(self, graph):
+        cfg = tiny_config(graph=graph)
+        again = dataclasses.replace(cfg, trials=3)
+        assert again.trials == 3 and again.graph == cfg.graph
 
     def test_empty_snr_grid_rejected(self):
         with pytest.raises(ValueError, match="snr"):
@@ -317,6 +333,44 @@ class TestRunScenario:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         c = bench.trial_inputs(cfg, 0, 3, 12, 2)
         assert not np.array_equal(a[1], c[1])
+
+    def test_observation_from_one_noise_level(self, monkeypatch):
+        # each record's error is BLUE on f[seq] + sigma(f, snr) * z[:M], with
+        # f and z rebuilt from the trial's shared inputs
+        blue_fn, seqs = estimation.blue_estimate, []
+
+        def blue(basis, bandwidth, seq, y, f_true=None):
+            seqs.append(seq)
+            return blue_fn(basis, bandwidth, seq, y, f_true=f_true)
+
+        monkeypatch.setattr(estimation, "blue_estimate", blue)
+        cfg = tiny_config(signal={"bandwidth_min": 3, "bandwidth_max": 4,
+                                  "snr_db_grid": [0.0, 10.0]})
+        records = bench.run_scenario(cfg, measure_time=False)
+        basis = spectral.eigendecompose(graphs.laplacian(bench.build_graph(cfg)))
+        points = [(k, snr) for k in (3, 4) for snr in (0.0, 10.0)]
+        assert len(seqs) == len(records) == len(points) * 2 * 3
+        for rec, seq in zip(records, seqs):
+            gi = points.index((rec.bandwidth, rec.snr_db))
+            coeffs, z = bench.trial_inputs(cfg, gi, rec.bandwidth, rec.budget, rec.trial)
+            f = spectral.synthesize_bandlimited(basis, coeffs)
+            y = f[seq.indices] + estimation.noise_std_for_snr(f, rec.snr_db) * z[: len(seq)]
+            ref = blue_fn(basis, rec.bandwidth, seq, y, f_true=f)
+            assert rec.status == "ok" and rec.error_l2 == ref.error_l2
+
+    def test_noise_level_once_per_trial(self, monkeypatch):
+        std_fn, calls = estimation.noise_std_for_snr, []
+
+        def std(*args):
+            calls.append(args)
+            return std_fn(*args)
+
+        monkeypatch.setattr(estimation, "noise_std_for_snr", std)
+        cfg = tiny_config(signal={"bandwidth_min": 3, "bandwidth_max": 4,
+                                  "snr_db_grid": [10.0, 20.0]}, trials=3)
+        records = bench.run_scenario(cfg, measure_time=False)
+        assert len(records) == 4 * 3 * 3  # grid points x trials x methods
+        assert len(calls) == 4 * 3
 
     def test_failures_recorded_not_raised(self):
         # budget_rule below 1 starves the baselines of rank

@@ -52,6 +52,19 @@ class TestBound:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("sigma_min, n, eta", [
+        ("1e-200", "10", "0.9"),  # sigma_min^2 underflows to 0
+        ("1e-160", "10", "0.9"),  # the quotient overflows
+        ("0.1", "1000000000000", "0.99999999"),  # eta^(1/n) rounds to 1
+        ("nan", "10", "0.9"),
+        ("inf", "10", "0.9"),
+    ])
+    def test_out_of_range_sigma_min_fails_cleanly(self, capsys, sigma_min, n, eta):
+        code, out, err = run(capsys, "bound", "--sigma-min", sigma_min, "--n", n,
+                             "--eta", eta)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "sigma_min" in err
+
 
 class TestGraphAndDesign:
     def test_generate_design_estimate_round_trip(self, capsys, tmp_path):
@@ -179,6 +192,14 @@ class TestGraphAndDesign:
         code, _, err = run(capsys, *estimate_args(tmp_path, design_json))
         assert code == 1
         assert err.startswith("error:") and words in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_signal_rejected(self, capsys, tmp_path, value):
+        args = estimate_args(tmp_path, DESIGN)
+        (tmp_path / "signal.txt").write_text(f"1\n1\n{value}\n1\n1\n1\n")
+        code, out, err = run(capsys, *args, "--snr-db", "10")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "finite" in err
 
     def test_integral_float_design_accepted(self, capsys, tmp_path):
         design_json = {"m": [1.0, 1, 1, 0, 0, 0], "budget": 3.0, "bandwidth": 2.0}
@@ -310,6 +331,16 @@ class TestBench:
         )
         assert code == 0
         assert len(out_csv.read_text().splitlines()) == 2 + 6  # 6 SNR points
+
+    def test_repeated_method_fails_cleanly(self, capsys, tmp_path):
+        out_csv = tmp_path / "records.csv"
+        code, _, err = run(
+            capsys, "bench", "--preset", "g2-f2-desk", "--trials", "2",
+            "--methods", "m1,m1", "--out", str(out_csv),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "'m1' is listed twice" in err
+        assert not out_csv.exists()
 
     def test_usage_error_nonzero(self):
         with pytest.raises(SystemExit):

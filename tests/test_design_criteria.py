@@ -38,6 +38,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             SampleAllocation(m=m, budget=2)
 
+    @pytest.mark.parametrize("m, budget", [([[1, 1], [1, 1]], 4), (5, 5)])
+    def test_non_vector_quotas_rejected(self, m, budget):
+        with pytest.raises(ValueError, match="quotas must be a vector"):
+            SampleAllocation(m=m, budget=budget)
+
     def test_integral_float_quotas_accepted(self):
         alloc = SampleAllocation(m=[1.0, 2.0], budget=3)
         assert alloc.m.tolist() == [1, 2] and alloc.m.dtype.kind == "i"

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -87,13 +89,21 @@ class TestSampleWithNoise:
         )
         assert abs(draws.std() - c / np.sqrt(10)) < 0.02 * c / np.sqrt(10)
 
-    def test_external_noise_vector(self):
+    def test_noise_drawn_from_seed_only(self):
+        assert list(inspect.signature(estimation.sample_with_noise).parameters) == [
+            "f", "seq", "snr_db", "seed"]
         f = np.arange(5.0)
         seq = SamplingSequence(np.array([1, 2]))
-        z = np.array([1.0, -1.0])
-        samples = estimation.sample_with_noise(f, seq, 0.0, noise=z)
-        sigma = estimation.noise_std_for_snr(f, 0.0)
-        assert np.allclose(samples.y, f[[1, 2]] + sigma * z)
+        z = np.random.default_rng(7).standard_normal(2)
+        samples = estimation.sample_with_noise(f, seq, 0.0, seed=7)
+        assert np.array_equal(samples.y, f[[1, 2]] + estimation.noise_std_for_snr(f, 0.0) * z)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, value):
+        f = np.ones(4)
+        f[2] = value
+        with pytest.raises(ValueError, match="finite"):
+            estimation.sample_with_noise(f, SamplingSequence([0, 1]), 10.0, seed=1)
 
 
 class TestBlueEstimate:
