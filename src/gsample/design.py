@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -129,7 +130,7 @@ def _gradient(rows, Ainv, criterion):
     """-u_i^T B u_i for every row: the gradient in p of -log det A (B = A^-1)
     or of tr(A^-1) (B = A^-2), given Ainv = A^-1."""
     B = Ainv if criterion is Criterion.D_OPT else Ainv @ Ainv
-    return -np.einsum("ij,jk,ik->i", rows, B, rows)
+    return -((rows @ B) * rows).sum(axis=1)
 
 
 def criterion_gradient(
@@ -195,32 +196,116 @@ def _pairwise_step(Ainv, u_j, u_a, hi, criterion):
     return float(hi if -b >= denom * hi else -b / denom)
 
 
+def _fw_objective(A, criterion):
+    """-log det A (D) or tr(A^-1) (A) through a Cholesky factor; +inf when A
+    is not numerically positive definite."""
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return math.inf
+    if criterion is Criterion.D_OPT:
+        return float(-2.0 * np.log(np.diag(L)).sum())
+    return float((np.linalg.inv(L) ** 2).sum())
+
+
+def _newton_step(rows, p, A, Ainv, criterion):
+    """One damped Newton step on the support S of p, in place.
+
+    With U the support rows, X = U A^-1 and P = X U^T, the criterion's
+    gradient and Hessian on S are g = -diag(P), H = P∘P (D) or
+    g = -diag(X X^T), H = 2 P∘(X X^T) (A). The KKT system [[H, 1], [1^T, 0]]
+    gives a direction d with sum(d) = 0; a ratio test keeps p >= 0 (a node
+    the full ratio step empties gets exactly 0) and Armijo backtracking
+    (1e-4, halving) accepts the step. Returns False, leaving p unchanged,
+    when the KKT matrix is singular, d does not descend, or no step
+    length passes.
+    """
+    S = np.nonzero(p > 0)[0]
+    U = rows[S]
+    X = U @ Ainv
+    P = X @ U.T
+    if criterion is Criterion.D_OPT:
+        g, H = -np.diag(P), P * P
+    else:
+        Q = X @ X.T
+        g, H = -np.diag(Q), 2.0 * P * Q
+    s = len(S)
+    kkt = np.ones((s + 1, s + 1))
+    kkt[:s, :s] = H
+    kkt[s, s] = 0.0
+    try:
+        d = np.linalg.solve(kkt, np.append(-g, 0.0))[:s]
+    except np.linalg.LinAlgError:
+        return False
+    slope = float(g @ d)
+    if not (np.isfinite(d).all() and slope < 0):
+        return False
+    shrink = d < 0
+    ratios = p[S][shrink] / -d[shrink]
+    t_block = float(ratios.min()) if ratios.size else math.inf
+    t = min(1.0, t_block)
+    blocked = S[shrink][np.argmin(ratios)] if t_block <= 1.0 else None
+    f0 = _fw_objective(A, criterion)
+    for _ in range(60):  # t is below 1e-18 by the last try
+        if _fw_objective(A + t * (U.T * d) @ U, criterion) <= f0 + 1e-4 * t * slope:
+            p[S] += t * d
+            if blocked is not None:
+                p[blocked] = 0.0
+            np.maximum(p, 0.0, out=p)
+            return True
+        t *= 0.5
+        blocked = None
+    return False
+
+
 def _solve_fw(rows, criterion):
-    """Pairwise Frank-Wolfe with exact line search for the A/D criteria.
+    """Pairwise Frank-Wolfe with exact line search for the A/D criteria,
+    with Newton steps on the support once it holds at most 3K nodes.
 
     Starts from the uniform design. Each iteration moves the exact
     `_pairwise_step` weight from the support node with the largest gradient
     to the node with the smallest (lowest index on ties); a step that takes
-    all of a node's weight drops it from the support. Stops when the duality
-    gap is at most _SOLVER_RTOL * max(1, |objective|), when the step is 0, or
-    after _FW_MAX_ITER iterations. Pairwise moves conserve sum(p).
+    all of a node's weight drops it from the support. Once the support has
+    at most 3K nodes, each iteration first takes a `_newton_step` on it and,
+    when that moved, recomputes A, A^-1 and the gradient before the pairwise
+    step. Stops when the duality gap is at most
+    _SOLVER_RTOL * max(1, |objective|), when the pairwise step is 0 and
+    Newton did not move, or after _FW_MAX_ITER iterations. A gap stop on a
+    support of at most 3K nodes keeps one last Newton step if it does not
+    widen the gap. Both steps conserve sum(p).
     """
-    n, _ = rows.shape
+    n, k = rows.shape
     p = np.full(n, 1.0 / n)
     A = rows.T @ (p[:, None] * rows)
     for _ in range(_FW_MAX_ITER):
         Ainv = np.linalg.inv(A)
         g = _gradient(rows, Ainv, criterion)
         f = -np.linalg.slogdet(A)[1] if criterion is Criterion.D_OPT else np.trace(Ainv)
-        j = int(np.argmin(g))
-        gap = float(p @ g - g[j])
-        if gap <= _SOLVER_RTOL * max(1.0, abs(f)):
-            break
+        gap = float(p @ g - g.min())
         support = np.nonzero(p > 1e-15)[0]
+        newton = len(support) <= 3 * k
+        if gap <= _SOLVER_RTOL * max(1.0, abs(f)):
+            # the gap rule can fire one Newton step short of the support
+            # optimum; take that step unless it widens the gap
+            q = p.copy()
+            if newton and _newton_step(rows, q, A, Ainv, criterion):
+                g = _gradient(rows, np.linalg.inv(rows.T @ (q[:, None] * rows)), criterion)
+                if q @ g - g.min() <= gap:
+                    p = q
+            break
+        moved = newton and _newton_step(rows, p, A, Ainv, criterion)
+        if moved:
+            A = rows.T @ (p[:, None] * rows)
+            Ainv = np.linalg.inv(A)
+            g = _gradient(rows, Ainv, criterion)
+            support = np.nonzero(p > 1e-15)[0]
+        j = int(np.argmin(g))
         a = int(support[np.argmax(g[support])])
         u_j, u_a = rows[j], rows[a]
         gamma = _pairwise_step(Ainv, u_j, u_a, p[a], criterion)
         if gamma <= 0:
+            if moved:
+                continue
             break
         p[j] += gamma
         p[a] -= gamma  # exactly 0 when gamma == p[a]
@@ -232,16 +317,23 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     """Solve the relaxed design problem min f(A(p)^-1) over the simplex.
 
     D/A: pairwise Frank-Wolfe with exact (closed-form) line search from the
-    uniform design, stopping once the duality gap is at most 1e-6 times
+    uniform design, with damped Newton steps on the support once it holds at
+    most 3K nodes, stopping once the duality gap is at most 1e-6 times
     max(1, |objective|), or after 50,000 iterations.
     E: the uniform design, once `duality_gap` certifies it to 1e-6 times
     max(1, objective), as a constant column (the `design_rows` of a connected
-    graph) always does; other rows raise ValueError. Deterministic.
+    graph) always does; other rows raise ValueError. Rows whose uniform
+    design has a singular information matrix (so every design does) raise
+    SingularInformationMatrix. Deterministic.
     """
     rows = np.asarray(rows, dtype=float)
     n, k = rows.shape
     if n < k:
         raise ValueError(f"need at least K={k} rows, got {n}")
+    if not np.isfinite(rows).all():
+        raise ValueError("design rows must be finite")
+    # every design's information matrix is singular when the uniform one is
+    _checked_eigvalsh(rows.T @ rows / n)
     if criterion is Criterion.E_OPT:
         p = np.full(n, 1.0 / n)
     else:
@@ -346,6 +438,8 @@ def invertibility_probability_bound(sigma_min: float, budget: int, n: int) -> fl
         raise ValueError(f"sigma_min must be positive and finite, got {sigma_min}")
     if budget < 1 or n < 1:
         raise ValueError("budget and n must be >= 1")
+    if n > sys.float_info.max:
+        raise ValueError(f"n {n} is beyond double precision")
     if sigma_min**2 == 0.0:
         raise ValueError(f"sigma_min {sigma_min} squares to 0 in double precision")
     factor = 1.0 - residual_variance_analytic(budget) / sigma_min**2
@@ -363,6 +457,8 @@ def min_sample_size(sigma_min: float, n: int, eta: float) -> int:
         raise ValueError(f"sigma_min must be positive and finite, got {sigma_min}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n {n} is beyond double precision")
     denom = 192.0 * (1.0 - eta ** (1.0 / n)) * sigma_min**2
     # refused where sigma_min^2 or 1 - eta^(1/n) rounds to 0 or the quotient overflows
     if denom == 0.0 or 5.0 / denom == math.inf:

@@ -28,6 +28,11 @@ class TestInvertibilityBound:
         with pytest.raises(ValueError):
             design.invertibility_probability_bound(0.0, 10, 5)
 
+    def test_rejects_n_beyond_double_range(self):
+        # factor**n would raise OverflowError
+        with pytest.raises(ValueError, match="n 1000.* is beyond double precision"):
+            design.invertibility_probability_bound(0.1, 10, 10**400)
+
 
 class TestMinSampleSize:
     def test_frozen_reference_value(self):
@@ -65,6 +70,11 @@ class TestMinSampleSize:
             design.min_sample_size(0.1, 10, 1.0)
         with pytest.raises(ValueError):
             design.min_sample_size(-1.0, 10, 0.5)
+
+    def test_rejects_n_beyond_double_range(self):
+        # 1.0 / n would raise OverflowError
+        with pytest.raises(ValueError, match="n 1000.* is beyond double precision"):
+            design.min_sample_size(0.1, 10**400, 0.9)
 
     def test_consistent_with_probability_bound(self):
         # the bound evaluated at the recommended budget reaches eta

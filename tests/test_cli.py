@@ -65,6 +65,15 @@ class TestBound:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "sigma_min" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--budget", "10"]])
+    def test_n_beyond_double_range_fails_cleanly(self, capsys, extra):
+        n = "1" + "0" * 400
+        code, out, err = run(capsys, "bound", "--sigma-min", "0.1", "--n", n,
+                             "--eta", "0.9", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: n 1000") and err.count("\n") == 1
+        assert "double precision" in err
+
 
 class TestGraphAndDesign:
     def test_generate_design_estimate_round_trip(self, capsys, tmp_path):

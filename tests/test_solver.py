@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_orthonormal_rows
 from gsample import design, graphs, spectral
 from gsample.design import Criterion, DesignWeights
+from gsample.exceptions import SingularInformationMatrix
 
 
 def objective(rows, weights, crit):
@@ -49,6 +52,168 @@ class TestSolveRelaxed:
     def test_underdetermined_rejected(self, rng):
         with pytest.raises(ValueError):
             design.solve_relaxed(rng.standard_normal((2, 3)), Criterion.A_OPT)
+
+    @pytest.mark.parametrize("crit", list(Criterion))
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],  # an all-zero column
+        [[1.0, 1e-9], [2.0, 0.0], [3.0, 0.0]],  # sigma_min ~ 3e-19
+    ])
+    def test_singular_rows_rejected_up_front(self, rows, crit):
+        with pytest.raises(SingularInformationMatrix, match="sigma_min"):
+            design.solve_relaxed(np.array(rows), crit)
+
+    @pytest.mark.parametrize("crit", list(Criterion))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad, crit):
+        rows = np.eye(3)
+        rows[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            design.solve_relaxed(rows, crit)
+
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_duplicated_support_row_still_certified(self, crit, seed):
+        # N <= 3K, so Newton steps run from the start on a support holding the
+        # copy and its original, whose equal KKT rows make that system singular
+        rows = random_orthonormal_rows(8, 3, np.random.default_rng(seed))
+        heaviest = int(np.argmax(design.solve_relaxed(rows, crit).p))
+        rows = np.vstack([rows, rows[heaviest]])
+        w = design.solve_relaxed(rows, crit)
+        val = objective(rows, w, crit)
+        assert design.duality_gap(rows, w, crit) <= 1e-6 * max(1.0, abs(val))
+
+
+def einsum_gradient(rows, Ainv, crit):
+    """The gradient as an einsum contraction, the form `_gradient` replaced."""
+    B = Ainv if crit is Criterion.D_OPT else Ainv @ Ainv
+    return -np.einsum("ij,jk,ik->i", rows, B, rows)
+
+
+def pairwise_only(rows, crit):
+    """The solver's pairwise Frank-Wolfe loop without Newton steps."""
+    n = rows.shape[0]
+    p = np.full(n, 1.0 / n)
+    A = rows.T @ (p[:, None] * rows)
+    for _ in range(design._FW_MAX_ITER):
+        Ainv = np.linalg.inv(A)
+        g = einsum_gradient(rows, Ainv, crit)
+        f = -np.linalg.slogdet(A)[1] if crit is Criterion.D_OPT else np.trace(Ainv)
+        j = int(np.argmin(g))
+        if p @ g - g[j] <= design._SOLVER_RTOL * max(1.0, abs(f)):
+            break
+        support = np.nonzero(p > 1e-15)[0]
+        a = int(support[np.argmax(g[support])])
+        gamma = design._pairwise_step(Ainv, rows[j], rows[a], p[a], crit)
+        if gamma <= 0:
+            break
+        p[j] += gamma
+        p[a] -= gamma
+        A = A + gamma * (np.outer(rows[j], rows[j]) - np.outer(rows[a], rows[a]))
+    return DesignWeights(np.maximum(p, 0.0) / np.maximum(p, 0.0).sum())
+
+
+def check_newton_step(seed):
+    """One `_newton_step` from a random design on at most 3K of N + 3 random
+    orthonormal rows: it keeps the weights on the simplex and off the nodes
+    outside the support, and either lowers the objective or changes nothing."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 7))
+    n = k + int(rng.integers(0, 13))
+    rows = random_orthonormal_rows(n + 3, k, rng)
+    p = np.zeros(n + 3)
+    support = rng.choice(n + 3, size=rng.integers(k, min(n, 3 * k) + 1), replace=False)
+    p[support] = rng.dirichlet(np.ones(len(support)))
+    A = rows.T @ (p[:, None] * rows)
+    if np.linalg.eigvalsh(A)[0] <= 1e-12:
+        return
+    for crit in (Criterion.A_OPT, Criterion.D_OPT):
+        q = p.copy()
+        moved = design._newton_step(rows, q, A, np.linalg.inv(A), crit)
+        assert abs(q.sum() - 1.0) <= 1e-12
+        assert (q >= 0).all() and (q[p == 0] == 0).all()
+        if moved:
+            f0 = design._fw_objective(A, crit)
+            after = rows.T @ (q[:, None] * rows)
+            assert design._fw_objective(after, crit) <= f0 + 1e-12 * abs(f0)
+        else:
+            assert np.array_equal(q, p)
+
+
+row_sets = st.builds(
+    lambda seed, k, extra: random_orthonormal_rows(k + extra, k, np.random.default_rng(seed)),
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 24),
+)
+
+
+class TestNewtonSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(1, 8))
+    def test_gradient_matches_einsum(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n + k, k))
+        p = rng.dirichlet(np.ones(n + k))
+        Ainv = np.linalg.inv(rows.T @ (p[:, None] * rows))
+        for crit in (Criterion.A_OPT, Criterion.D_OPT):
+            ref = einsum_gradient(rows, Ainv, crit)
+            got = design._gradient(rows, Ainv, crit)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=row_sets)
+    def test_no_worse_than_pairwise_only(self, rows):
+        for crit in (Criterion.A_OPT, Criterion.D_OPT):
+            w = design.solve_relaxed(rows, crit)
+            val = objective(rows, w, crit)
+            ref = objective(rows, pairwise_only(rows, crit), crit)
+            assert val <= ref + 1e-9 * abs(ref)
+            assert design.duality_gap(rows, w, crit) <= 1e-6 * max(1.0, abs(val))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_newton_step_stays_on_simplex(self, seed):
+        check_newton_step(seed)
+
+    def test_newton_step_sweep(self):
+        # about 1% of these start points need the line search: a full step
+        # would empty a node and leave A singular or the objective higher
+        for seed in range(500):
+            check_newton_step(seed)
+
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    def test_blocked_node_leaves_at_exactly_zero(self, crit):
+        # a small weight on a node outside the optimal support: the Newton
+        # step's ratio test blocks at that node and empties it
+        for seed in range(40):
+            rows = random_orthonormal_rows(8, 3, np.random.default_rng(seed))
+            optimum = design.solve_relaxed(rows, crit).p
+            for off in np.nonzero(optimum == 0)[0]:
+                for eps in (1e-3, 1e-2):
+                    p = optimum.copy()
+                    p[off] = eps
+                    p /= p.sum()
+                    A = rows.T @ (p[:, None] * rows)
+                    assert design._newton_step(rows, p, A, np.linalg.inv(A), crit)
+                    assert p[off] == 0.0
+                    assert abs(p.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    def test_gap_stop_takes_the_last_newton_step(self, crit):
+        # on these rows the gap rule fires one Newton step short of the
+        # optimum; without that last step A ends 1.2e-8 above pairwise-only
+        rows = random_orthonormal_rows(9, 2, np.random.default_rng(298))
+        val = objective(rows, design.solve_relaxed(rows, crit), crit)
+        ref = objective(rows, pairwise_only(rows, crit), crit)
+        assert val <= ref + 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    def test_singular_kkt_leaves_p_unchanged(self, crit):
+        # two equal rows on the support give two equal KKT rows
+        rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        p = np.array([0.2, 0.3, 0.5])
+        A = rows.T @ (p[:, None] * rows)
+        q = p.copy()
+        assert not design._newton_step(rows, q, A, np.linalg.inv(A), crit)
+        assert np.array_equal(q, p)
 
 
 def grid_objective(A, D, gammas, crit):
