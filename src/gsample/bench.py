@@ -143,10 +143,11 @@ class ScenarioConfig:
         if not all(_is_real(s) for s in grid):
             raise ValueError(f"snr_db_grid must hold numbers, got {grid!r}")
         sig["snr_db_grid"] = [float(s) for s in grid]
-        if any(math.isnan(s) or s == -math.inf for s in sig["snr_db_grid"]):
-            raise ValueError(
-                f"snr_db_grid: SNR must be a number above -inf dB, got {grid!r}"
-            )
+        try:
+            for s in sig["snr_db_grid"]:
+                estimation._snr_power_ratio(s)
+        except ValueError as exc:
+            raise ValueError(f"snr_db_grid: {exc}")
         if sig["bandwidth_min"] < 1 or sig["bandwidth_step"] < 1:
             raise ValueError("bandwidth_min and bandwidth_step must be >= 1")
         if sig["bandwidth_min"] > sig["bandwidth_max"]:
@@ -192,9 +193,10 @@ def config_from_dict(data: dict, **overrides) -> ScenarioConfig:
     return ScenarioConfig(**data)
 
 
-def load_config(path) -> ScenarioConfig:
+def load_config(path, **overrides) -> ScenarioConfig:
+    """The scenario a config file describes; see `config_from_dict`."""
     with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+        return config_from_dict(json.load(fh), **overrides)
 
 
 def build_graph(cfg: ScenarioConfig) -> graphs.WeightedGraph:

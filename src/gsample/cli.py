@@ -94,8 +94,7 @@ def _cmd_bench(args):
     if args.preset:
         cfg = bench.preset_config(args.preset, **overrides)
     else:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = bench.config_from_dict(json.load(fh), **overrides)
+        cfg = bench.load_config(args.config, **overrides)
     records = bench.run_scenario(cfg, measure_time=not args.no_timing)
     bench.write_records_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")

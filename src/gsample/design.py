@@ -431,15 +431,22 @@ def empirical_residual_variance(
     return delta.var(axis=0)
 
 
+def _check_sample_size_inputs(sigma_min: float, n: int) -> None:
+    """ValueError unless sigma_min is positive and finite and 1 <= n <= max double."""
+    if not 0.0 < sigma_min < math.inf:
+        raise ValueError(f"sigma_min must be positive and finite, got {sigma_min}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n {n} is beyond double precision")
+
+
 def invertibility_probability_bound(sigma_min: float, budget: int, n: int) -> float:
     """Lower bound on P(quantized information matrix stays invertible),
     using the analytic rounding-error variance 5/(192 M^3)."""
-    if not 0.0 < sigma_min < math.inf:
-        raise ValueError(f"sigma_min must be positive and finite, got {sigma_min}")
-    if budget < 1 or n < 1:
-        raise ValueError("budget and n must be >= 1")
-    if n > sys.float_info.max:
-        raise ValueError(f"n {n} is beyond double precision")
+    _check_sample_size_inputs(sigma_min, n)
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if sigma_min**2 == 0.0:
         raise ValueError(f"sigma_min {sigma_min} squares to 0 in double precision")
     factor = 1.0 - residual_variance_analytic(budget) / sigma_min**2
@@ -453,12 +460,7 @@ def min_sample_size(sigma_min: float, n: int, eta: float) -> int:
     by the ceiling formula (5 / (192 (1 - eta^(1/n)) sigma_min^2))^(1/3)."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0,1), got {eta}")
-    if not 0.0 < sigma_min < math.inf:
-        raise ValueError(f"sigma_min must be positive and finite, got {sigma_min}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > sys.float_info.max:
-        raise ValueError(f"n {n} is beyond double precision")
+    _check_sample_size_inputs(sigma_min, n)
     denom = 192.0 * (1.0 - eta ** (1.0 / n)) * sigma_min**2
     # refused where sigma_min^2 or 1 - eta^(1/n) rounds to 0 or the quotient overflows
     if denom == 0.0 or 5.0 / denom == math.inf:

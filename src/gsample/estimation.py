@@ -8,7 +8,7 @@ import numpy as np
 
 from .design import SampleAllocation, _integers
 from .exceptions import RankDeficientSampling
-from .spectral import SpectralBasis, _rank_deficient, _symmetric_eigen
+from .spectral import SpectralBasis, _band, _rank_deficient, _symmetric_eigen
 
 
 @dataclass(frozen=True)
@@ -48,21 +48,33 @@ def sequence_from_allocation(alloc: SampleAllocation) -> SamplingSequence:
     return SamplingSequence(np.repeat(np.arange(len(alloc.m)), alloc.m))
 
 
+def _snr_power_ratio(snr_db: float) -> float:
+    """The power ratio 10^(snr_db/10) of an SNR in dB, inf where it
+    overflows; ValueError for NaN and -inf."""
+    snr_db = float(snr_db)
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"SNR must be a number above -inf dB, got {snr_db}")
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return np.inf
+
+
 def noise_std_for_snr(signal: np.ndarray, snr_db: float) -> float:
     """Noise standard deviation giving the requested SNR in dB.
 
     Signal power is the mean square over the whole signal, so the noise level
     depends only on the signal, not on which nodes a method samples; a zero
-    signal (or snr_db = +inf) yields sigma = 0. NaN and -inf raise ValueError.
+    signal, or an SNR whose power ratio overflows (as +inf does), yields
+    sigma = 0. ValueError for NaN, -inf and an SNR that leaves sigma infinite.
     """
-    if np.isnan(snr_db) or snr_db == -np.inf:
-        raise ValueError(f"SNR must be a number above -inf dB, got {snr_db}")
-    if snr_db == np.inf:
-        return 0.0
+    ratio = _snr_power_ratio(snr_db)
     power = float(np.mean(np.square(signal)))
-    if power == 0.0:
+    if power == 0.0 or ratio == np.inf:
         return 0.0
-    return float(np.sqrt(power / 10.0 ** (snr_db / 10.0)))
+    if ratio == 0.0 or power / ratio == np.inf:
+        raise ValueError(f"SNR {snr_db} dB gives this signal a non-finite noise level")
+    return float(np.sqrt(power / ratio))
 
 
 def sample_with_noise(
@@ -82,11 +94,10 @@ def sample_with_noise(
 
 
 def _sampled_rows(basis: SpectralBasis, bandwidth: int, seq: SamplingSequence):
-    if not 1 <= bandwidth <= basis.n:
-        raise ValueError(f"bandwidth {bandwidth} out of range")
+    V_K = _band(basis, bandwidth)
     if seq.indices.max() >= basis.n:
         raise ValueError("sampling index out of range for basis")
-    return basis.eigenvectors[:, :bandwidth][seq.indices, :]
+    return V_K[seq.indices, :]
 
 
 def blue_estimate(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,16 @@ from .exceptions import EdgeListFormatError, GraphConnectivityError
 
 EDGE_LIST_HEADER = "# gsample-graph v1"
 _CONNECTIVITY_RETRIES = 100
+_MAX_INDEX = int(np.iinfo(np.intp).max)
+
+
+class _EdgeFault(ValueError):
+    """A broken WeightedGraph rule and the index of the first edge that
+    breaks it, or None when the node count breaks it."""
+
+    def __init__(self, message, edge=None):
+        super().__init__(message)
+        self.edge = edge
 
 
 @dataclass(frozen=True, eq=False)
@@ -17,8 +28,10 @@ class WeightedGraph:
     """Undirected weighted graph on nodes 0..n-1 with edges (i[k], j[k], w[k]),
     copied into read-only arrays, each edge stored as i < j, in input order.
 
-    Invariants checked at construction: no self-loops, node indices in range,
-    positive finite weights, no duplicate edges, single connected component.
+    Invariants checked at construction, in this order: n a positive machine
+    integer, no self-loops, node indices in range, positive finite weights,
+    no duplicate edges, single connected component. An edge rule's error
+    names the first edge that breaks it.
     """
 
     n: int
@@ -27,9 +40,12 @@ class WeightedGraph:
     w: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"node count must be positive, got {self.n}")
-        a, b = np.array(self.i, dtype=np.intp), np.array(self.j, dtype=np.intp)
+        if not 1 <= self.n <= _MAX_INDEX:
+            raise _EdgeFault(f"node count must be in [1, {_MAX_INDEX}], got {self.n}")
+        try:
+            a, b = np.array(self.i, dtype=np.intp), np.array(self.j, dtype=np.intp)
+        except OverflowError:  # an index beyond a machine integer, out of range
+            a, b = np.array(self.i, dtype=object), np.array(self.j, dtype=object)
         w = np.array(self.w, dtype=float)
         if not (a.ndim == 1 and a.shape == b.shape == w.shape
                 and np.array_equal(a, self.i) and np.array_equal(b, self.j)):
@@ -43,11 +59,11 @@ class WeightedGraph:
         ):
             if bad.any():
                 k = bad.argmax()  # the first offending edge
-                raise ValueError(message.format(a=a[k], b=b[k], w=w[k], n=self.n))
+                raise _EdgeFault(message.format(a=a[k], b=b[k], w=w[k], n=self.n), k)
         _, first = np.unique(lo * self.n + hi, return_index=True)
         if first.size < lo.size:
             k = np.setdiff1d(np.arange(lo.size), first)[0]
-            raise ValueError(f"duplicate edge ({lo[k]},{hi[k]})")
+            raise _EdgeFault(f"duplicate edge ({lo[k]},{hi[k]})", k)
         if not _connected(self.n, lo, hi):
             raise ValueError("graph is not connected")
         for name, arr in (("i", lo), ("j", hi), ("w", w)):
@@ -56,15 +72,19 @@ class WeightedGraph:
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - W as a dense symmetric matrix."""
+    """Combinatorial Laplacian L = D - W as a dense symmetric matrix; a
+    degree beyond the double range is inf, which eigendecompose rejects."""
     W = np.zeros((g.n, g.n))
     W[g.i, g.j] = g.w
     W[g.j, g.i] = g.w
-    return np.diag(W.sum(axis=1)) - W
+    with np.errstate(over="ignore"):
+        return np.diag(W.sum(axis=1)) - W
 
 
 def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
     """Whether the undirected edges (i[k], j[k]) connect nodes 0..n-1."""
+    if i.size < n - 1:
+        return False  # and n may be too large to allocate per-node arrays
     ends = np.concatenate([i, j])
     order = np.argsort(ends)
     neighbours = np.concatenate([j, i])[order]
@@ -157,18 +177,18 @@ def save_edge_list(g: WeightedGraph, path) -> None:
 
 
 def load_edge_list(path) -> WeightedGraph:
-    """Parse the edge-list format written by save_edge_list."""
-    n = None
-    edges = []
+    """Parse the edge-list format written by save_edge_list. An error about
+    one line, including a WeightedGraph rule an edge or n breaks, names it."""
+    n = header = None
+    edges, gaps = [], []  # gaps: the edge count at each line without an edge
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
+            if not line or line.startswith("#"):
+                gaps.append(len(edges))
                 if line.startswith(EDGE_LIST_HEADER):
                     try:
-                        n = int(line.split("n=")[1])
+                        n, header = int(line.split("n=")[1]), lineno
                     except (IndexError, ValueError):
                         raise EdgeListFormatError("malformed header", lineno)
                 continue
@@ -178,18 +198,18 @@ def load_edge_list(path) -> WeightedGraph:
                     f"expected 'i j w', got {line!r}", lineno
                 )
             try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
             except ValueError:
                 raise EdgeListFormatError(f"unparseable edge {line!r}", lineno)
-            if i == j:
-                raise EdgeListFormatError(f"self-loop at node {i}", lineno)
-            if not 0 < w < np.inf:
-                raise EdgeListFormatError(f"weight {w} is not positive and finite", lineno)
-            edges.append((i, j, w))
     if n is None:
         raise EdgeListFormatError("missing header line")
     i, j, w = zip(*edges) if edges else ((), (), ())
     try:
         return WeightedGraph(n, i, j, w)
+    except _EdgeFault as exc:
+        # edge k is on line k + 1 plus the lines without an edge before it
+        k = exc.edge
+        line = header if k is None else k + 1 + bisect.bisect_right(gaps, k)
+        raise EdgeListFormatError(str(exc), line)
     except ValueError as exc:
         raise EdgeListFormatError(str(exc))

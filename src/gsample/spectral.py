@@ -31,11 +31,20 @@ class SpectralBasis:
         return self.eigenvectors.shape[0]
 
 
+def _band(basis: SpectralBasis, bandwidth: int) -> np.ndarray:
+    """V_K, the first `bandwidth` eigenvectors, as a view; bandwidth in [1, N]."""
+    if not 1 <= bandwidth <= basis.n:
+        raise ValueError(f"bandwidth {bandwidth} out of range [1, {basis.n}]")
+    return basis.eigenvectors[:, :bandwidth]
+
+
 def eigendecompose(L: np.ndarray) -> SpectralBasis:
     """Full symmetric eigendecomposition with the deterministic sign convention."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {L.shape}")
+    if not np.isfinite(L).all():
+        raise ValueError("Laplacian has a non-finite entry")
     if not np.allclose(L, L.T, atol=1e-10):
         raise ValueError("Laplacian must be symmetric")
     w, V = np.linalg.eigh(L)
@@ -74,10 +83,7 @@ def synthesize_bandlimited(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarr
     Bandwidth is len(coeffs); the resulting GFT vanishes at indices >= K.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    k = coeffs.shape[0]
-    if not 1 <= k <= basis.n:
-        raise ValueError(f"bandwidth {k} out of range [1, {basis.n}]")
-    return basis.eigenvectors[:, :k] @ coeffs
+    return _band(basis, coeffs.shape[0]) @ coeffs
 
 
 def design_rows(basis: SpectralBasis, k: int) -> np.ndarray:
@@ -86,8 +92,7 @@ def design_rows(basis: SpectralBasis, k: int) -> np.ndarray:
     Warns when eigenvalues K-1 and K coincide: the low-frequency subspace is
     then not unique and designs may differ across eigensolvers.
     """
-    if not 1 <= k <= basis.n:
-        raise ValueError(f"bandwidth {k} out of range [1, {basis.n}]")
+    V_K = _band(basis, k)
     w = basis.eigenvalues
     if k < basis.n and abs(w[k] - w[k - 1]) <= _DEGENERACY_TOL:
         warnings.warn(
@@ -95,7 +100,7 @@ def design_rows(basis: SpectralBasis, k: int) -> np.ndarray:
             "the bandlimited subspace is not unique",
             stacklevel=2,
         )
-    return basis.eigenvectors[:, :k].copy()
+    return V_K.copy()
 
 
 @functools.lru_cache(maxsize=_EIGEN_MEMO_SIZE)

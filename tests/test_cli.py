@@ -217,6 +217,58 @@ class TestGraphAndDesign:
         assert len(json.loads(out)["coeff_estimate"]) == 2
 
 
+def bench_args(tmp_path, snr):
+    """`bench` arguments for a one-trial scenario at the SNR `snr`."""
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps({
+        "graph": {"kind": "watts_strogatz", "n": 20}, "trials": 1,
+        "signal": {"bandwidth_min": 2, "bandwidth_max": 2, "snr_db_grid": [snr]}}))
+    return ["bench", "--config", str(cpath), "--no-timing",
+            "--out", str(tmp_path / "records.csv")]
+
+
+def design_args(tmp_path, text):
+    """`design` arguments for an edge list with the given text."""
+    gpath = tmp_path / "g.edges"
+    gpath.write_text(text)
+    return ["design", "--graph", str(gpath), "--bandwidth", "1", "--budget", "2"]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (lambda tmp: estimate_args(tmp, DESIGN) + ["--snr-db=-3240"], "SNR -3240.0 dB"),
+    (lambda tmp: estimate_args(tmp, DESIGN) + ["--snr-db=-3200"], "SNR -3200.0 dB"),
+    (lambda tmp: bench_args(tmp, -3200), "SNR -3200.0 dB"),
+    (lambda tmp: design_args(tmp, "# gsample-graph v1 n=3\n1 99999999999999999999 1.0\n"),
+     "out of range for n=3 (line 2)"),
+    (lambda tmp: design_args(tmp, "# gsample-graph v1 n=99999999999999999999\n0 1 1.0\n"),
+     "got 99999999999999999999 (line 1)"),
+    (lambda tmp: design_args(tmp, "# gsample-graph v1 n=3\n0 1 1e308\n1 2 1e308\n"),
+     "Laplacian has a non-finite entry"),
+], ids=["snr-3240", "snr-3200", "bench-snr-3200", "index", "node-count", "laplacian"])
+def test_inputs_beyond_double_or_integer_range_fail_cleanly(capsys, tmp_path, argv, words):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and words in err
+
+
+def test_overflowing_snr_is_noiseless(capsys, tmp_path):
+    outputs = {}
+    for snr in ("3090", "1e308", None):
+        extra = [] if snr is None else [f"--snr-db={snr}"]
+        code, out, _ = run(capsys, *estimate_args(tmp_path, DESIGN), *extra)
+        assert code == 0
+        outputs[snr] = out
+    assert outputs["3090"] == outputs["1e308"] == outputs[None]
+    assert json.loads(outputs[None])["noise_std"] == 0.0
+    records = {}
+    for snr in (1e308, "Infinity"):
+        assert run(capsys, *bench_args(tmp_path, snr))[0] == 0
+        rows = list(csv.DictReader(
+            (tmp_path / "records.csv").read_text().splitlines()[1:]))
+        records[snr] = [(r["method"], r["error_l2"], r["status"]) for r in rows]
+    assert records[1e308] == records["Infinity"]
+
+
 class TestBench:
     def test_config_run_writes_csv(self, capsys, tmp_path):
         cfg = {

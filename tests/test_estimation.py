@@ -70,6 +70,16 @@ class TestSampleWithNoise:
         with pytest.raises(ValueError, match="SNR"):
             estimation.noise_std_for_snr(np.ones(4), snr_db)
 
+    @pytest.mark.parametrize("snr_db", [3090.0, 1e308, np.inf])
+    def test_overflowing_power_ratio_is_noiseless(self, snr_db):
+        assert estimation.noise_std_for_snr(np.ones(4), snr_db) == 0.0
+
+    @pytest.mark.parametrize("snr_db", [-3200.0, -3240.0])
+    def test_non_finite_noise_level_rejected(self, snr_db):
+        with pytest.raises(ValueError, match=f"SNR {snr_db} dB"):
+            estimation.noise_std_for_snr(np.ones(4), snr_db)
+        assert estimation.noise_std_for_snr(np.zeros(4), snr_db) == 0.0
+
     def test_zero_signal_convention(self):
         seq = SamplingSequence(np.array([0, 1]))
         samples = estimation.sample_with_noise(np.zeros(4), seq, 10.0, seed=1)

@@ -129,6 +129,15 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="out of range for n=3"):
             graphs.WeightedGraph(3, [0, 1], [1, node], [1.0, 1.0])
 
+    @pytest.mark.parametrize("n, j, words", [
+        (3, 10**20, "out of range for n=3"),
+        (10**20, 1, "node count"),
+        (0, 1, "node count"),
+    ])
+    def test_rejects_values_beyond_a_machine_integer(self, n, j, words):
+        with pytest.raises(ValueError, match=words):
+            graphs.WeightedGraph(n, [0], [j], [1.0])
+
     @pytest.mark.parametrize("i, j, w", [
         ([0.5], [1], [1.0]),
         ([0, 1], [1], [1.0]),
@@ -287,6 +296,55 @@ class TestEdgeListIO:
         path.write_text("0 1 1.0\n")
         with pytest.raises(EdgeListFormatError, match="header"):
             graphs.load_edge_list(path)
+
+
+_FILLER = st.sampled_from(["", "   ", "# a comment", "#"])
+
+
+@st.composite
+def faulty_edge_files(draw):
+    """(text, line): a connected edge list with blank and comment lines mixed
+    in and one injected fault, the only one in the file, on line `line`: a
+    self-loop, a node >= n, a bad weight, or a repeated or reversed edge."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    rows = [[*(pair[::-1] if draw(st.booleans()) else pair),
+             draw(st.sampled_from(["1.0", "0.25", "3"]))]
+            for pair in draw(st.permutations(tree + extra))]
+    fault = draw(st.sampled_from(["loop", "range", "weight", "repeat", "reverse"]))
+    k = draw(st.integers(0, len(rows) - 1))
+    if fault == "weight":
+        rows[k][2] = draw(st.sampled_from(["0", "-1", "nan", "inf"]))
+        bad = k
+    elif fault in ("repeat", "reverse"):
+        a, b, w = rows[k]
+        bad = draw(st.integers(k + 1, len(rows)))  # after the edge it repeats
+        rows.insert(bad, [a, b, w] if fault == "repeat" else [b, a, w])
+    else:
+        node = draw(st.integers(0, n - 1))
+        far = draw(st.sampled_from([n, n + 3, 10**20]))
+        bad = draw(st.integers(0, len(rows)))
+        rows.insert(bad, [node, node if fault == "loop" else far, "1.0"])
+    lines = draw(st.lists(_FILLER, max_size=2)) + [f"{graphs.EDGE_LIST_HEADER} n={n}"]
+    for r, row in enumerate(rows):
+        lines += draw(st.lists(_FILLER, max_size=2))
+        if r == bad:
+            line = len(lines) + 1
+        lines.append(" ".join(map(str, row)))
+    return "\n".join(lines) + "\n", line
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=faulty_edge_files())
+def test_loader_names_the_faulty_line(tmp_path_factory, case):
+    text, line = case
+    path = tmp_path_factory.mktemp("edges") / "g.edges"
+    path.write_text(text)
+    with pytest.raises(EdgeListFormatError) as info:
+        graphs.load_edge_list(path)
+    assert info.value.line_number == line
 
 
 @settings(max_examples=25, deadline=None)

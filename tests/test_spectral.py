@@ -47,6 +47,12 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             spectral.eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_overflowing_laplacian(self):
+        # two weights of 1e308 give node 1 a degree of inf
+        g = graphs.WeightedGraph(3, [0, 1], [1, 2], [1e308, 1e308])
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral.eigendecompose(graphs.laplacian(g))
+
 
 class TestTransforms:
     def test_gft_of_eigenvector_is_unit_coordinate(self, small_world_basis):
