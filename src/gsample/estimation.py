@@ -66,12 +66,16 @@ def noise_std_for_snr(signal: np.ndarray, snr_db: float) -> float:
     Signal power is the mean square over the whole signal, so the noise level
     depends only on the signal, not on which nodes a method samples; a zero
     signal, or an SNR whose power ratio overflows (as +inf does), yields
-    sigma = 0. ValueError for NaN, -inf and an SNR that leaves sigma infinite.
+    sigma = 0. ValueError for NaN, -inf, an SNR that leaves sigma infinite
+    and a signal whose power is beyond the double range.
     """
     ratio = _snr_power_ratio(snr_db)
-    power = float(np.mean(np.square(signal)))
+    with np.errstate(over="ignore"):
+        power = float(np.mean(np.square(signal)))
     if power == 0.0 or ratio == np.inf:
         return 0.0
+    if power == np.inf:
+        raise ValueError("signal power (mean square) is beyond the double range")
     if ratio == 0.0 or power / ratio == np.inf:
         raise ValueError(f"SNR {snr_db} dB gives this signal a non-finite noise level")
     return float(np.sqrt(power / ratio))

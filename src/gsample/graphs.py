@@ -60,9 +60,11 @@ class WeightedGraph:
             if bad.any():
                 k = bad.argmax()  # the first offending edge
                 raise _EdgeFault(message.format(a=a[k], b=b[k], w=w[k], n=self.n), k)
-        _, first = np.unique(lo * self.n + hi, return_index=True)
-        if first.size < lo.size:
-            k = np.setdiff1d(np.arange(lo.size), first)[0]
+        order = np.lexsort((hi, lo))  # stable, on (lo, hi) themselves: no key to wrap
+        lo_s, hi_s = lo[order], hi[order]
+        repeat = (lo_s[1:] == lo_s[:-1]) & (hi_s[1:] == hi_s[:-1])
+        if repeat.any():
+            k = order[1:][repeat].min()  # the first repeated edge in input order
             raise _EdgeFault(f"duplicate edge ({lo[k]},{hi[k]})", k)
         if not _connected(self.n, lo, hi):
             raise ValueError("graph is not connected")

@@ -33,6 +33,59 @@ def assert_matches_svd(rows, budget):
     assert got.tolist() == svd_greedy(rows, budget).tolist()
 
 
+def stacked_scores(chosen_rows, cand_rows):
+    """Every candidate's sqrt(λ_min(BᵀB + u uᵀ)) by one stacked `eigvalsh`,
+    0 under the rank rule of BLUE."""
+    stacked = cand_rows[:, :, None] * cand_rows[:, None, :]
+    stacked += chosen_rows.T @ chosen_rows
+    w = np.linalg.eigvalsh(stacked)
+    return np.sqrt(np.where(spectral._rank_deficient(w), 0.0, w[:, 0]))
+
+
+def unpruned_greedy(rows, budget):
+    """The greedy without bounds: every unchosen row of every step goes
+    through the stacked scorer, then the same ascending scan."""
+    n, k = rows.shape
+    chosen, remaining = [], np.ones(n, dtype=bool)
+    for _ in range(budget):
+        cols = min(len(chosen) + 1, k)
+        cand = np.flatnonzero(remaining)
+        scores = stacked_scores(rows[chosen, :cols], rows[cand, :cols])
+        best_i, best_score = None, -np.inf
+        for i, score in zip(cand.tolist(), scores.tolist()):
+            if score > best_score + 1e-15:
+                best_i, best_score = i, score
+        chosen.append(best_i)
+        remaining[best_i] = False
+    return np.sort(chosen)
+
+
+@st.composite
+def hard_rows(draw):
+    """Row sets where a loose bound or a rounded score would move a pick:
+    wide scales, exact ties among small integers, repeated rows, and
+    orthonormal rows whose Gram has equal leading eigenvalues."""
+    kind = draw(st.sampled_from(["scaled", "integer", "duplicated", "orthonormal"]))
+    k = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=24))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "scaled":
+        rows = draw(st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3])) * rng.standard_normal((n, k))
+    elif kind == "integer":
+        rows = rng.integers(-2, 3, size=(n, k)).astype(float)
+    elif kind == "duplicated":
+        base = rng.standard_normal((max(1, n // 3), k))
+        factors = rng.choice([1.0, -1.0, 2.0], size=(n, 1))
+        rows = factors * base[rng.integers(0, len(base), size=n)]
+    else:
+        basis = np.eye(k) if draw(st.booleans()) else np.linalg.qr(rng.standard_normal((k, k)))[0]
+        copies = np.vstack([basis] * (n // k + 2))
+        rows = np.vstack([copies, 0.5 * rng.standard_normal((n, k))])
+        rows = rows[rng.permutation(len(rows))]
+    budget = draw(st.integers(min_value=1, max_value=len(rows)))
+    return rows, budget
+
+
 @pytest.fixture(scope="module")
 def g2_desk_basis():
     g = graphs.random_geometric(200, 0.6, 0.3, seed=[0, 0])
@@ -96,6 +149,47 @@ class TestGreedyMatchesSvdReference:
         g = graphs.watts_strogatz(200, 5, 0.1, seed=[0, 0])
         basis = spectral.eigendecompose(graphs.laplacian(g))
         assert_matches_svd(spectral.design_rows(basis, 15), 60)
+
+
+class TestBoundThenVerify:
+    @settings(max_examples=300, deadline=None)
+    @given(case=hard_rows())
+    def test_same_picks_as_unpruned(self, case):
+        rows, budget = case
+        got = baselines.greedy_sigma_min(rows, budget).indices
+        assert got.tolist() == unpruned_greedy(rows, budget).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=hard_rows(), chosen=st.integers(min_value=1, max_value=30))
+    def test_bound_never_below_eigvalsh(self, case, chosen):
+        rows, _ = case
+        if rows.shape[1] < 2:
+            rows = np.hstack([rows, rows[:, ::-1]])
+        chosen = min(chosen, len(rows))
+        upper, scale = baselines._ritz_upper_bounds(rows[:chosen], rows)
+        stacked = rows[:, :, None] * rows[:, None, :] + rows[:chosen].T @ rows[:chosen]
+        lam = np.linalg.eigvalsh(stacked)
+        assert (upper >= lam[:, 0]).all()
+        assert (scale >= lam[:, -1] * (1 - 1e-12)).all()
+
+    def test_near_tie_below_the_probe_goes_to_lowest_index(self):
+        # after [2e-4, 0], the row [0, y] scores exactly |y|; rows 0 and 1
+        # tie within the scan's 1e-15, so row 0 is picked, although the
+        # bound alone, with its margin of ~1e-20, rules it out below row 1
+        y = 1e-4
+        rows = np.array([[0.0, y - 6e-16], [0.0, y], [2e-4, 0.0]])
+        assert unpruned_greedy(rows, 2).tolist() == [0, 2]
+        assert baselines.greedy_sigma_min(rows, 2).indices.tolist() == [0, 2]
+
+    def test_most_candidates_are_pruned(self, g2_desk_basis, monkeypatch):
+        scored = []
+        score = baselines._sigma_min_scores
+        monkeypatch.setattr(baselines, "_sigma_min_scores",
+                            lambda b, u: scored.append(len(u)) or score(b, u))
+        rows = spectral.design_rows(g2_desk_basis, 20)
+        baselines.greedy_sigma_min(rows, 80)
+        unpruned = sum(len(rows) - step for step in range(80))  # 12,840
+        assert sum(scored) < 0.2 * unpruned
 
 
 class TestGreedySigmaMin:

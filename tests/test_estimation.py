@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,14 @@ class TestSampleWithNoise:
         with pytest.raises(ValueError, match=f"SNR {snr_db} dB"):
             estimation.noise_std_for_snr(np.ones(4), snr_db)
         assert estimation.noise_std_for_snr(np.zeros(4), snr_db) == 0.0
+
+    @pytest.mark.parametrize("signal", [[1e200, 1.0, 1.0], [1e154] * 8])
+    def test_signal_power_beyond_double_range_rejected(self, signal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="signal power"):
+                estimation.noise_std_for_snr(np.array(signal), 10.0)
+            assert estimation.noise_std_for_snr(np.array(signal), np.inf) == 0.0
 
     def test_zero_signal_convention(self):
         seq = SamplingSequence(np.array([0, 1]))

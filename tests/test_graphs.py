@@ -124,6 +124,15 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match=r"duplicate edge \(0,1\)"):
             graphs.WeightedGraph(3, [0, 1, i], [1, 2, j], [1.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("i, j, message", [
+        ([0, 4], [5, 5], "not connected"),  # a key lo*n + hi wraps both edges to 5
+        ([0, 4, 5], [5, 5, 0], r"duplicate edge \(0,5\)"),
+    ])
+    def test_duplicate_check_does_not_wrap(self, i, j, message):
+        with pytest.raises(ValueError, match=message) as info:
+            graphs.WeightedGraph(2**62, i, j, [1.0] * len(i))
+        assert getattr(info.value, "edge", None) == (None if len(i) == 2 else 2)
+
     @pytest.mark.parametrize("node", [-1, 3])
     def test_rejects_node_out_of_range(self, node):
         with pytest.raises(ValueError, match="out of range for n=3"):
