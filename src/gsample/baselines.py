@@ -100,11 +100,17 @@ def greedy_sigma_min(rows: np.ndarray, budget: int) -> SamplingSequence:
     one wins only by more than 1e-15, so ties, including a step where no
     candidate raises the rank, go to the lowest index. Returns `budget`
     distinct nodes in ascending order; ValueError unless `rows` is a finite
-    2-D array and `budget` an integer in [1, n].
+    2-D array whose squared Frobenius norm is below a quarter of the double
+    range and `budget` an integer in [1, n].
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or not np.isfinite(rows).all():
         raise ValueError("rows must be a finite 2-D array")
+    with np.errstate(over="ignore"):
+        # ‖rows‖²_F bounds every Gram entry, bound and score formed below
+        frobenius_sq = float(np.vdot(rows, rows))
+    if not np.isfinite(4.0 * frobenius_sq):
+        raise ValueError("rows overflow: their squared norms exceed double precision")
     n, k = rows.shape
     budget = _checked_budget(budget, n)
     chosen: list[int] = []

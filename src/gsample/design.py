@@ -258,47 +258,61 @@ def _newton_step(rows, p, A, Ainv, criterion):
     return False
 
 
-def _solve_fw(rows, criterion):
-    """Pairwise Frank-Wolfe with exact line search for the A/D criteria,
-    with Newton steps on the support once it holds at most 3K nodes.
+def _volume_rows(rows):
+    """K row indices by pivoted Gram-Schmidt (Businger & Golub 1965): pick
+    the largest residual norm (lowest index on ties), project its direction
+    out of every residual, repeat. On rows that pass the rank rule a picked
+    row's residual is rounding noise, so the K picks are distinct."""
+    r = rows.copy()
+    picks = []
+    for _ in range(rows.shape[1]):
+        i = int(np.argmax((r * r).sum(axis=1)))
+        picks.append(i)
+        q = r[i] / np.linalg.norm(r[i])
+        r -= np.outer(r @ q, q)
+    return picks
 
-    Starts from the uniform design. Each iteration moves the exact
+
+def _solve_fw(rows, criterion):
+    """Pairwise Frank-Wolfe with exact line search and a Newton step on the
+    support each iteration, for the A/D criteria.
+
+    Starts from uniform weight on the K rows `_volume_rows` picks, the
+    core-set start for D-optimal design (Kumar & Yildirim 2005). Each
+    iteration first takes a `_newton_step` on the support and, when that
+    moved, recomputes A, A^-1 and the gradient. It then moves the exact
     `_pairwise_step` weight from the support node with the largest gradient
     to the node with the smallest (lowest index on ties); a step that takes
-    all of a node's weight drops it from the support. Once the support has
-    at most 3K nodes, each iteration first takes a `_newton_step` on it and,
-    when that moved, recomputes A, A^-1 and the gradient before the pairwise
-    step. Stops when the duality gap is at most
-    _SOLVER_RTOL * max(1, |objective|), when the pairwise step is 0 and
-    Newton did not move, or after _FW_MAX_ITER iterations. A gap stop on a
-    support of at most 3K nodes keeps one last Newton step if it does not
-    widen the gap. Both steps conserve sum(p).
+    all of a node's weight drops it from the support. Stops when the duality
+    gap is at most _SOLVER_RTOL * max(1, |objective|), when the pairwise step
+    is 0 and Newton did not move, or after _FW_MAX_ITER iterations. A gap
+    stop keeps one last Newton step if it does not widen the gap. Both steps
+    conserve sum(p).
     """
     n, k = rows.shape
-    p = np.full(n, 1.0 / n)
+    p = np.zeros(n)
+    p[_volume_rows(rows)] = 1.0 / k
     A = rows.T @ (p[:, None] * rows)
     for _ in range(_FW_MAX_ITER):
         Ainv = np.linalg.inv(A)
         g = _gradient(rows, Ainv, criterion)
         f = -np.linalg.slogdet(A)[1] if criterion is Criterion.D_OPT else np.trace(Ainv)
         gap = float(p @ g - g.min())
-        support = np.nonzero(p > 1e-15)[0]
-        newton = len(support) <= 3 * k
         if gap <= _SOLVER_RTOL * max(1.0, abs(f)):
             # the gap rule can fire one Newton step short of the support
             # optimum; take that step unless it widens the gap
             q = p.copy()
-            if newton and _newton_step(rows, q, A, Ainv, criterion):
+            if _newton_step(rows, q, A, Ainv, criterion):
                 g = _gradient(rows, np.linalg.inv(rows.T @ (q[:, None] * rows)), criterion)
                 if q @ g - g.min() <= gap:
                     p = q
             break
-        moved = newton and _newton_step(rows, p, A, Ainv, criterion)
+        moved = _newton_step(rows, p, A, Ainv, criterion)
         if moved:
             A = rows.T @ (p[:, None] * rows)
             Ainv = np.linalg.inv(A)
             g = _gradient(rows, Ainv, criterion)
-            support = np.nonzero(p > 1e-15)[0]
+        support = np.nonzero(p > 1e-15)[0]
         j = int(np.argmin(g))
         a = int(support[np.argmax(g[support])])
         u_j, u_a = rows[j], rows[a]
@@ -316,40 +330,37 @@ def _solve_fw(rows, criterion):
 def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     """Solve the relaxed design problem min f(A(p)^-1) over the simplex.
 
-    D/A: pairwise Frank-Wolfe with exact (closed-form) line search from the
-    uniform design, with damped Newton steps on the support once it holds at
-    most 3K nodes, stopping once the duality gap is at most 1e-6 times
-    max(1, |objective|), or after 50,000 iterations.
-    E: the uniform design, once `duality_gap` certifies it to 1e-6 times
-    max(1, objective), as a constant column (the `design_rows` of a connected
-    graph) always does; other rows raise ValueError. Rows whose uniform
-    design has a singular information matrix (so every design does) raise
-    SingularInformationMatrix. Deterministic.
+    The uniform design is evaluated first, for every criterion: when its
+    information matrix is singular (so every design's is) this raises
+    SingularInformationMatrix, and when `duality_gap` certifies it to 1e-6
+    times max(1, |objective|), as a constant column (the `design_rows` of a
+    connected graph) always does for E, it is returned. E without that
+    certificate raises ValueError. D/A otherwise run `_solve_fw`: pairwise
+    Frank-Wolfe with exact (closed-form) line search and a damped Newton
+    step on the support each iteration, from uniform weight on K rows picked
+    by pivoted Gram-Schmidt, stopping once the duality gap is at most 1e-6
+    times max(1, |objective|), or after 50,000 iterations. Deterministic.
     """
     rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] == 0 or not np.isfinite(rows).all():
+        raise ValueError("design rows must be a finite 2-D array with a column")
     n, k = rows.shape
     if n < k:
         raise ValueError(f"need at least K={k} rows, got {n}")
-    if not np.isfinite(rows).all():
-        raise ValueError("design rows must be finite")
-    # every design's information matrix is singular when the uniform one is
-    _checked_eigvalsh(rows.T @ rows / n)
-    if criterion is Criterion.E_OPT:
-        p = np.full(n, 1.0 / n)
-    else:
-        p = _solve_fw(rows, criterion)
-    p = np.maximum(p, 0.0)
+    p = np.full(n, 1.0 / n)
     p /= p.sum()
-    weights = DesignWeights(p)
+    uniform = DesignWeights(p)
+    f = criterion_value(information_matrix(rows, uniform), criterion)
+    gap = duality_gap(rows, uniform, criterion)
+    if gap <= _SOLVER_RTOL * max(1.0, abs(f)):
+        return uniform
     if criterion is Criterion.E_OPT:
-        f = criterion_value(information_matrix(rows, weights), criterion)
-        gap = duality_gap(rows, weights, criterion)
-        if gap > _SOLVER_RTOL * max(1.0, f):
-            raise ValueError(
-                "E-optimal design needs rows whose uniform design is certified "
-                f"optimal, such as rows with a constant column; gap is {gap:.3e}"
-            )
-    return weights
+        raise ValueError(
+            "E-optimal design needs rows whose uniform design is certified "
+            f"optimal, such as rows with a constant column; gap is {gap:.3e}"
+        )
+    p = np.maximum(_solve_fw(rows, criterion), 0.0)
+    return DesignWeights(p / p.sum())
 
 
 def _grid_split(weights: DesignWeights, budget: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,16 @@ class TestGreedySigmaMin:
     def test_bad_rows_rejected(self, rows):
         with pytest.raises(ValueError, match="finite 2-D"):
             baselines.greedy_sigma_min(rows, 1)
+
+    @pytest.mark.parametrize("big", [1e200, 1e154])
+    def test_overflowing_gram_rejected_without_warning(self, big):
+        # 1e200 squares to inf; 1e154 squares to 1e308, and the bound's
+        # lambda_max(G) + |u|^2 overflows
+        rows = np.array([[big, 1.0], [1.0, big], [3.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                baselines.greedy_sigma_min(rows, 3)
 
     def test_signature_and_single_path(self):
         params = inspect.signature(baselines.greedy_sigma_min).parameters

@@ -15,11 +15,21 @@ def objective(rows, weights, crit):
     return design.criterion_value(design.information_matrix(rows, weights), crit)
 
 
+def eye_with(value):
+    """np.eye(3) with `value` at [0, 0]."""
+    rows = np.eye(3)
+    rows[0, 0] = value
+    return rows
+
+
 class TestSolveRelaxed:
     def test_bandwidth_one_returns_uniform(self):
-        rows = np.full((6, 1), 1 / np.sqrt(6))
-        w = design.solve_relaxed(rows, Criterion.A_OPT)
-        assert np.allclose(w.p, 1.0 / 6, atol=1e-9)
+        # the certified uniform design comes back as is, not the K-row start
+        for rows in (np.full((6, 1), 1 / np.sqrt(6)), np.eye(3), np.vstack([np.eye(2)] * 2)):
+            uniform = np.full(len(rows), 1.0 / len(rows))
+            uniform /= uniform.sum()
+            for crit in (Criterion.A_OPT, Criterion.D_OPT):
+                assert np.array_equal(design.solve_relaxed(rows, crit).p, uniform)
 
     def test_standard_basis_two_nodes(self):
         rows = np.eye(2)
@@ -63,18 +73,23 @@ class TestSolveRelaxed:
             design.solve_relaxed(np.array(rows), crit)
 
     @pytest.mark.parametrize("crit", list(Criterion))
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rows_rejected(self, bad, crit):
-        rows = np.eye(3)
-        rows[0, 0] = bad
+    @pytest.mark.parametrize("rows", [
+        pytest.param(eye_with(np.nan), id="nan"),
+        pytest.param(eye_with(np.inf), id="inf"),
+        pytest.param(eye_with(-np.inf), id="-inf"),
+        pytest.param(np.ones((3, 0)), id="no-column"),
+        pytest.param(np.ones((0, 0)), id="empty"),
+        pytest.param(np.ones(3), id="1-D"),
+    ])
+    def test_non_finite_rows_rejected(self, rows, crit):
         with pytest.raises(ValueError, match="finite"):
             design.solve_relaxed(rows, crit)
 
     @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
     @pytest.mark.parametrize("seed", range(5))
     def test_duplicated_support_row_still_certified(self, crit, seed):
-        # N <= 3K, so Newton steps run from the start on a support holding the
-        # copy and its original, whose equal KKT rows make that system singular
+        # Newton steps run every iteration, on supports that can hold the copy
+        # and its original, whose equal KKT rows make that system singular
         rows = random_orthonormal_rows(8, 3, np.random.default_rng(seed))
         heaviest = int(np.argmax(design.solve_relaxed(rows, crit).p))
         rows = np.vstack([rows, rows[heaviest]])
@@ -214,6 +229,63 @@ class TestNewtonSolver:
         q = p.copy()
         assert not design._newton_step(rows, q, A, np.linalg.inv(A), crit)
         assert np.array_equal(q, p)
+
+
+def start_rows(kind, seed):
+    """Rows that stress the K-row start: a random orthonormal basis with
+    duplicated rows, a constant column, a column scaled by 1e-5 (a tiny
+    pivot that still passes the rank rule) or a near-duplicate row, or a
+    generic square matrix, whose start is the uniform design."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 6))
+    n = k + int(rng.integers(1, 12))
+    if kind == "square":
+        return rng.standard_normal((k, k))
+    rows = random_orthonormal_rows(n, k, rng)
+    if kind == "duplicated":
+        return np.vstack([rows, rows[rng.integers(0, n, 3)]])
+    if kind == "constant-column":
+        rows[:, 0] = 1.0
+    elif kind == "scaled-column":
+        rows[:, -1] *= 1e-5
+    elif kind == "near-duplicate":
+        rows = np.vstack([rows, rows[int(rng.integers(n))] * (1 + 1e-9)])
+    return rows
+
+
+def passes_rank_rule(rows):
+    return not spectral._rank_deficient(np.linalg.eigvalsh(rows.T @ rows))
+
+
+START_KINDS = ["duplicated", "constant-column", "scaled-column", "near-duplicate", "square"]
+
+
+class TestVolumeStart:
+    @pytest.mark.parametrize("kind", START_KINDS)
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    def test_certified_and_no_worse_than_pairwise_only(self, kind, crit):
+        for seed in range(8):
+            rows = start_rows(kind, seed)
+            if not passes_rank_rule(rows):
+                continue
+            w = design.solve_relaxed(rows, crit)
+            val = objective(rows, w, crit)
+            ref = objective(rows, pairwise_only(rows, crit), crit)
+            assert val <= ref + 1e-9 * abs(ref)
+            assert design.duality_gap(rows, w, crit) <= 1e-6 * max(1.0, abs(val))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(START_KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_k_distinct_rows_of_full_rank(self, kind, seed):
+        rows = start_rows(kind, seed)
+        if passes_rank_rule(rows):
+            picks = design._volume_rows(rows)
+            assert len(set(picks)) == len(picks) == rows.shape[1]
+            assert passes_rank_rule(rows[picks])
+
+    def test_largest_residual_first_ties_to_lowest_index(self):
+        rows = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 2.0], [1.0, 1.0]])
+        assert design._volume_rows(rows) == [1, 0]
 
 
 def grid_objective(A, D, gammas, crit):
