@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .design import DesignWeights, _integer
+from .design import DesignWeights, _positive
 from .estimation import SamplingSequence
 from .spectral import _rank_deficient
 
 
 def _checked_budget(budget, n: int) -> int:
-    budget = _integer(budget, "budget")
-    if not 1 <= budget <= n:
-        raise ValueError(f"budget {budget} is outside [1, node count {n}]")
+    budget = _positive(budget)
+    if budget > n:
+        raise ValueError(f"budget {budget} is above the node count {n}")
     return budget
 
 

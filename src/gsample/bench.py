@@ -126,8 +126,7 @@ class ScenarioConfig:
     def __post_init__(self):
         _checked("config", _SCHEMA["config"],
                  {f.name: getattr(self, f.name) for f in fields(self)})
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        design._positive(self.trials, "trials")
         if not self.methods:
             raise ValueError("need at least one method")
         for i, m in enumerate(self.methods):

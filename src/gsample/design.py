@@ -7,12 +7,11 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from .exceptions import FallbackExhausted, SingularInformationMatrix
-from .spectral import SpectralBasis, _rank_deficient, _symmetric_eigen, design_rows
+from .spectral import SpectralBasis, _integer, _rank_deficient, _sampled_eigh, design_rows
 
 _SOLVER_RTOL = 1e-6  # relative duality gap: A/D stopping rule, E certificate
 _FW_MAX_ITER = 50_000
@@ -52,11 +51,13 @@ class DesignWeights:
         object.__setattr__(self, "p", p)
 
 
-def _integer(value, what: str) -> int:
-    """`value` as an int; ValueError unless it is an integer and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def _positive(value, what: str = "budget") -> int:
+    """`value` as an int; ValueError unless it is an integer, not a bool,
+    and at least 1."""
+    value = _integer(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
+    return value
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -104,10 +105,9 @@ def information_matrix(rows: np.ndarray, weights: DesignWeights) -> np.ndarray:
     return rows.T @ (p[:, None] * rows)
 
 
-def _checked_eigvalsh(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric information matrix, or raise if singular.
-    The eigenvalues are memoized; the singularity test runs every call."""
-    w = _symmetric_eigen(A, vectors=False)
+def _checked(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues `w` of an information matrix, or raise
+    SingularInformationMatrix when they fail the rank rule."""
     if _rank_deficient(w):
         raise SingularInformationMatrix(
             f"sigma_min={w[0]:.3e} below threshold for norm {w[-1]:.3e}"
@@ -115,15 +115,19 @@ def _checked_eigvalsh(A: np.ndarray) -> np.ndarray:
     return w
 
 
-def criterion_value(A: np.ndarray, criterion: Criterion) -> float:
-    """Scalarize the inverse information matrix: -log det A, 1/lambda_min(A),
-    or tr(A^-1) for D, E, A optimality respectively."""
-    w = _checked_eigvalsh(np.asarray(A, dtype=float))
+def _scalarized(w: np.ndarray, criterion: Criterion) -> float:
+    """`criterion_value` from the ascending eigenvalues `w` of A."""
     if criterion is Criterion.D_OPT:
         return float(-np.sum(np.log(w)))
     if criterion is Criterion.E_OPT:
         return float(1.0 / w[0])
     return float(np.sum(1.0 / w))
+
+
+def criterion_value(A: np.ndarray, criterion: Criterion) -> float:
+    """Scalarize the inverse information matrix: -log det A, 1/lambda_min(A),
+    or tr(A^-1) for D, E, A optimality respectively."""
+    return _scalarized(_checked(np.linalg.eigvalsh(A)), criterion)
 
 
 def _gradient(rows, Ainv, criterion):
@@ -141,7 +145,7 @@ def criterion_gradient(
         raise ValueError("the E criterion has no gradient")
     rows = np.asarray(rows, dtype=float)
     A = information_matrix(rows, weights)
-    _checked_eigvalsh(A)
+    _checked(np.linalg.eigvalsh(A))
     return _gradient(rows, np.linalg.inv(A), criterion)
 
 
@@ -365,7 +369,11 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
 
 def _grid_split(weights: DesignWeights, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Split p * budget into its grid floor and the offset above it, with
-    float noise at grid points snapped so exact multiples stay deterministic."""
+    float noise at grid points snapped so exact multiples stay deterministic.
+    ValueError unless budget is a `_positive` integer of at most 2**53: above
+    that a grid step 1/budget is finer than the weights can resolve."""
+    if _positive(budget) > 2**53:
+        raise ValueError(f"budget {budget} is above 2**53, too fine a grid to round to")
     x = weights.p * budget
     floor = np.floor(x)
     frac = x - floor
@@ -380,8 +388,6 @@ def quantize_raw(weights: DesignWeights, budget: int, rng) -> np.ndarray:
     """One independent draw of the two-point randomized rounding of each p_i
     to an adjacent multiple of 1/budget. Unbiased; the draws need not sum
     to the budget."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(rng)
     floor, frac = _grid_split(weights, budget)
     return (floor + (rng.random(len(frac)) < frac)).astype(int)
@@ -394,6 +400,7 @@ def budget_repair(raw: np.ndarray, weights: DesignWeights, budget: int) -> Sampl
     m_i >= 1); increments the largest deficit p_i - m_i/budget. Ties go to
     the lowest index.
     """
+    budget = _positive(budget)
     m = np.asarray(raw, dtype=int).copy()
     if (m < 0).any():
         raise ValueError("raw quotas must be nonnegative")
@@ -408,23 +415,29 @@ def budget_repair(raw: np.ndarray, weights: DesignWeights, budget: int) -> Sampl
     return SampleAllocation(m=m, budget=budget)
 
 
-def quantized_information_matrix(
-    rows: np.ndarray, alloc: SampleAllocation
-) -> np.ndarray:
+def _quantized_eigenvalues(rows: np.ndarray, alloc: SampleAllocation) -> np.ndarray:
+    """Eigenvalues of the sampled Gram sum_i m_i u_i u_i^T (M times the
+    quantized information matrix) by `_sampled_eigh`, as BLUE factors it on
+    the allocation's sequence; the caller applies the rank rule."""
+    if len(alloc.m) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(alloc.m)} quotas")
+    return _sampled_eigh(rows, np.repeat(np.arange(len(alloc.m)), alloc.m))[1]
+
+
+def quantized_information_matrix(rows: np.ndarray, alloc: SampleAllocation) -> np.ndarray:
     """Information matrix of the quantized design sum_i (m_i/M) u_i u_i^T.
 
     Raises SingularInformationMatrix when the quantized design lost rank.
     """
     rows = np.asarray(rows, dtype=float)
+    _checked(_quantized_eigenvalues(rows, alloc))
     p = alloc.m / alloc.budget
-    A = rows.T @ (p[:, None] * rows)
-    _checked_eigvalsh(A)
-    return A
+    return rows.T @ (p[:, None] * rows)
 
 
 def residual_variance_analytic(budget: int) -> float:
     """The uniform-distribution variance approximation 5 / (192 M^3)."""
-    return 5 / (192 * budget**3)  # in integers, a large M's cube cannot overflow
+    return 5 / (192 * _positive(budget) ** 3)  # in integers, a large M's cube cannot overflow
 
 
 def empirical_residual_variance(
@@ -435,6 +448,7 @@ def empirical_residual_variance(
     Provided alongside the analytic approximation so the two can be compared;
     the analytic value assumes p_i uniform within its grid cell.
     """
+    draws = _positive(draws, "draws")
     rng = np.random.default_rng(seed)
     _, frac = _grid_split(weights, budget)
     up = rng.random((draws, len(frac))) < frac[None, :]
@@ -442,22 +456,21 @@ def empirical_residual_variance(
     return delta.var(axis=0)
 
 
-def _check_sample_size_inputs(sigma_min: float, n: int) -> None:
-    """ValueError unless sigma_min is positive and finite and 1 <= n <= max double."""
+def _check_sample_size_inputs(sigma_min: float, n: int) -> int:
+    """`n` as an int; ValueError unless sigma_min is positive and finite and n
+    an integer in [1, max double]."""
     if not 0.0 < sigma_min < math.inf:
         raise ValueError(f"sigma_min must be positive and finite, got {sigma_min}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _positive(n, "n")
     if n > sys.float_info.max:
         raise ValueError(f"n {n} is beyond double precision")
+    return n
 
 
 def invertibility_probability_bound(sigma_min: float, budget: int, n: int) -> float:
     """Lower bound on P(quantized information matrix stays invertible),
     using the analytic rounding-error variance 5/(192 M^3)."""
-    _check_sample_size_inputs(sigma_min, n)
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    n = _check_sample_size_inputs(sigma_min, n)
     if sigma_min**2 == 0.0:
         raise ValueError(f"sigma_min {sigma_min} squares to 0 in double precision")
     factor = 1.0 - residual_variance_analytic(budget) / sigma_min**2
@@ -471,7 +484,7 @@ def min_sample_size(sigma_min: float, n: int, eta: float) -> int:
     by the ceiling formula (5 / (192 (1 - eta^(1/n)) sigma_min^2))^(1/3)."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0,1), got {eta}")
-    _check_sample_size_inputs(sigma_min, n)
+    n = _check_sample_size_inputs(sigma_min, n)
     denom = 192.0 * (1.0 - eta ** (1.0 / n)) * sigma_min**2
     # refused where sigma_min^2 or 1 - eta^(1/n) rounds to 0 or the quotient overflows
     if denom == 0.0 or 5.0 / denom == math.inf:
@@ -524,26 +537,23 @@ def allocate_from_weights(
     rows = np.asarray(rows, dtype=float)
     alloc = budget_repair(quantize_raw(weights, budget, seed), weights, budget)
     shifts = 0
-    while True:
-        try:
-            quantized_information_matrix(rows, alloc)
-            return alloc, shifts
-        except SingularInformationMatrix:
-            if shifts >= rows.shape[1]:
-                raise FallbackExhausted(
-                    f"quantized design still singular after {shifts} budget shifts"
-                )
-            m = alloc.m.copy()
-            unsampled = np.nonzero(m == 0)[0]
-            donors = np.nonzero(m > 1)[0]
-            if len(unsampled) == 0 or len(donors) == 0:
-                raise FallbackExhausted("no budget shift available")
-            target = int(unsampled[np.argmax(weights.p[unsampled])])
-            donor = int(donors[np.argmax(m[donors])])
-            m[donor] -= 1
-            m[target] += 1
-            alloc = SampleAllocation(m=m, budget=budget)
-            shifts += 1
+    while _rank_deficient(_quantized_eigenvalues(rows, alloc)):
+        if shifts >= rows.shape[1]:
+            raise FallbackExhausted(
+                f"quantized design still singular after {shifts} budget shifts"
+            )
+        m = alloc.m.copy()
+        unsampled = np.nonzero(m == 0)[0]
+        donors = np.nonzero(m > 1)[0]
+        if len(unsampled) == 0 or len(donors) == 0:
+            raise FallbackExhausted("no budget shift available")
+        target = int(unsampled[np.argmax(weights.p[unsampled])])
+        donor = int(donors[np.argmax(m[donors])])
+        m[donor] -= 1
+        m[target] += 1
+        alloc = SampleAllocation(m=m, budget=budget)
+        shifts += 1
+    return alloc, shifts
 
 
 @dataclass(frozen=True)
@@ -563,9 +573,7 @@ def design_pipeline(
     """End-to-end design: rows -> relaxed solve -> quantize -> repair.
 
     `seed` drives the randomized rounding; the relaxed solve is deterministic.
-    When the quantized design is singular, shifts one unit of budget at a
-    time from the most-sampled node to the unsampled node with the largest
-    relaxed weight, at most `bandwidth` times.
+    A singular quantized design gets `allocate_from_weights`'s budget shifts.
     """
     if budget < bandwidth:
         raise ValueError(
@@ -574,16 +582,15 @@ def design_pipeline(
     rows = design_rows(basis, bandwidth)
     weights = solve_relaxed(rows, criterion)
     alloc, fallback_moves = allocate_from_weights(rows, weights, budget, seed=seed)
-    A_hat = quantized_information_matrix(rows, alloc)
-    A = information_matrix(rows, weights)
-    sigma_min = float(_checked_eigvalsh(A)[0])
+    w = _checked(np.linalg.eigvalsh(information_matrix(rows, weights)))
+    w_hat = _checked(_quantized_eigenvalues(rows, alloc)) / budget
     diagnostics = {
-        "relaxed_objective": criterion_value(A, criterion),
-        "quantized_objective": criterion_value(A_hat, criterion),
+        "relaxed_objective": _scalarized(w, criterion),
+        "quantized_objective": _scalarized(w_hat, criterion),
         "duality_gap": duality_gap(rows, weights, criterion),
-        "sigma_min": sigma_min,
+        "sigma_min": float(w[0]),
         "invertibility_bound": invertibility_probability_bound(
-            sigma_min, budget, len(weights.p)
+            float(w[0]), budget, len(weights.p)
         ),
         "fallback_moves": fallback_moves,
     }

@@ -8,7 +8,7 @@ import numpy as np
 
 from .design import SampleAllocation, _integers
 from .exceptions import RankDeficientSampling
-from .spectral import SpectralBasis, _band, _rank_deficient, _symmetric_eigen
+from .spectral import SpectralBasis, _band, _rank_deficient, _sampled_eigh
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,6 @@ def sample_with_noise(
     return NoisySamples(y=f[idx] + sigma * noise, noise_std=sigma)
 
 
-def _sampled_rows(basis: SpectralBasis, bandwidth: int, seq: SamplingSequence):
-    V_K = _band(basis, bandwidth)
-    if seq.indices.max() >= basis.n:
-        raise ValueError("sampling index out of range for basis")
-    return V_K[seq.indices, :]
-
-
 def blue_estimate(
     basis: SpectralBasis,
     bandwidth: int,
@@ -115,17 +108,15 @@ def blue_estimate(
     y = np.asarray(y, dtype=float)
     if y.shape != seq.indices.shape:
         raise ValueError("observation length does not match sequence")
-    V_mk = _sampled_rows(basis, bandwidth, seq)
     # least squares through the normal equations; a repeated sequence reuses
     # the memoized factorization of its Gram, the rank test runs every call
-    w, Q = _symmetric_eigen(V_mk.T @ V_mk, vectors=True)
+    V_K = _band(basis, bandwidth)
+    V_mk, w, Q = _sampled_eigh(V_K, seq.indices)
     if len(V_mk) < bandwidth or _rank_deficient(w):
         raise RankDeficientSampling(f"sampled rows have numerical rank below {bandwidth}")
     coeffs = Q @ ((Q.T @ (V_mk.T @ y)) / w)
-    signal = basis.eigenvectors[:, :bandwidth] @ coeffs
-    err = None
-    if f_true is not None:
-        err = reconstruction_error(f_true, signal)
+    signal = V_K @ coeffs
+    err = None if f_true is None else reconstruction_error(f_true, signal)
     return EstimateResult(coeff_estimate=coeffs, signal_estimate=signal, error_l2=err)
 
 

@@ -1,11 +1,12 @@
 """Laplacian eigenbasis, graph Fourier transform, bandlimited synthesis, and
-the memoized eigensolver for the small Gram and information matrices."""
+the memoized eigensolver for sampled Gram matrices."""
 
 from __future__ import annotations
 
 import functools
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -31,8 +32,16 @@ class SpectralBasis:
         return self.eigenvectors.shape[0]
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int; ValueError unless it is an integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _band(basis: SpectralBasis, bandwidth: int) -> np.ndarray:
-    """V_K, the first `bandwidth` eigenvectors, as a view; bandwidth in [1, N]."""
+    """V_K, the first `bandwidth` eigenvectors, as a view; bandwidth an integer in [1, N]."""
+    bandwidth = _integer(bandwidth, "bandwidth")
     if not 1 <= bandwidth <= basis.n:
         raise ValueError(f"bandwidth {bandwidth} out of range [1, {basis.n}]")
     return basis.eigenvectors[:, :bandwidth]
@@ -53,9 +62,7 @@ def eigendecompose(L: np.ndarray) -> SpectralBasis:
     signs = np.sign(V[pivot, np.arange(V.shape[1])])
     signs[signs == 0] = 1.0
     V = V * signs
-    w = w.copy()
-    w.flags.writeable = False
-    V.flags.writeable = False
+    w.flags.writeable = V.flags.writeable = False
     return SpectralBasis(eigenvalues=w, eigenvectors=V)
 
 
@@ -104,25 +111,21 @@ def design_rows(basis: SpectralBasis, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_EIGEN_MEMO_SIZE)
-def _memo_eigen(data: bytes, shape: tuple, vectors: bool):
-    A = np.frombuffer(data).reshape(shape)
-    if not vectors:
-        w = np.linalg.eigvalsh(A)
-        w.flags.writeable = False
-        return w
-    w, Q = np.linalg.eigh(A)
-    w.flags.writeable = False
-    Q.flags.writeable = False
+def _memo_eigh(gram: bytes, k: int):
+    w, Q = np.linalg.eigh(np.frombuffer(gram).reshape(k, k))
+    w.flags.writeable = Q.flags.writeable = False
     return w, Q
 
 
-def _symmetric_eigen(A: np.ndarray, vectors: bool):
-    """np.linalg.eigh(A) as read-only (w, Q), or eigvalsh(A) as read-only w,
-    memoized on the bytes and shape of the float matrix (the last
-    _EIGEN_MEMO_SIZE distinct ones), so a repeated sampled Gram or quantized
-    information matrix is factored once. Errors are not cached."""
-    A = np.ascontiguousarray(A, dtype=float)
-    return _memo_eigen(A.tobytes(), A.shape, vectors)
+def _sampled_eigh(V_K: np.ndarray, indices: np.ndarray):
+    """V_S = V_K[indices] and the read-only eigh (w, Q) of V_S^T V_S, memoized
+    on the Gram's bytes (the last _EIGEN_MEMO_SIZE), so an allocation's rank
+    check and BLUE on its sequence factor it once. Errors are not cached."""
+    if indices.size and indices.max() >= len(V_K):
+        raise ValueError("sampling index out of range for basis")
+    V_S = V_K[indices]
+    G = V_S.T @ V_S
+    return (V_S, *_memo_eigh(G.tobytes(), G.shape[0]))
 
 
 def _rank_deficient(w: np.ndarray):

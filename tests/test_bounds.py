@@ -153,3 +153,11 @@ class TestResidualVariance:
         rng = np.random.default_rng(0)
         for _ in range(200):
             assert design.quantize_raw(w, budget, rng).tolist() == quotas
+
+
+@pytest.mark.parametrize("n", [2.5, 10.0, True, "10", None])
+def test_n_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        design.min_sample_size(0.1, n, 0.9)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        design.invertibility_probability_bound(0.1, 10, n)

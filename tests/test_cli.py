@@ -65,6 +65,12 @@ class TestBound:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "sigma_min" in err
 
+    def test_budget_of_401_digits(self, capsys):
+        code, out, _ = run(capsys, "bound", "--sigma-min", "0.1", "--n", "10",
+                           "--eta", "0.9", "--budget", "1" + "0" * 400)
+        assert code == 0
+        assert "1.000000" in out
+
     @pytest.mark.parametrize("extra", [[], ["--budget", "10"]])
     def test_n_beyond_double_range_fails_cleanly(self, capsys, extra):
         n = "1" + "0" * 400
@@ -157,6 +163,15 @@ class TestGraphAndDesign:
         )
         assert code == 1
         assert err.startswith("error:") and "SNR" in err
+
+    def test_budget_beyond_the_rounding_fails_cleanly(self, capsys, tmp_path):
+        gpath = tmp_path / "g.edges"
+        graphs.save_edge_list(graphs.watts_strogatz(6, 2, 0.0, seed=0), gpath)
+        budget = "1" + "0" * 20
+        code, out, err = run(capsys, "design", "--graph", str(gpath), "--bandwidth", "1",
+                             "--budget", budget)
+        assert code == 1 and out == ""
+        assert err == f"error: budget {budget} is above 2**53, too fine a grid to round to\n"
 
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_edge_weight_rejected(self, capsys, tmp_path, weight):

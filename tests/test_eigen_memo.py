@@ -1,10 +1,11 @@
-"""The memoized symmetric eigensolver behind BLUE and the quantized-design
-rank check: results equal a plain LAPACK call bit for bit, failures are
+"""The memoized factorization of sampled Grams behind BLUE and the
+quantized-design rank check: results equal a plain LAPACK call bit for bit,
+allocation and BLUE make one rank decision on one factorization, failures are
 raised on every call, and the memo stays bounded and unpoisonable."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsample import design, estimation, graphs, spectral
@@ -25,9 +26,9 @@ def basis():
 
 @pytest.fixture(autouse=True)
 def cold_memo():
-    spectral._memo_eigen.cache_clear()
+    spectral._memo_eigh.cache_clear()
     yield
-    spectral._memo_eigen.cache_clear()
+    spectral._memo_eigh.cache_clear()
 
 
 def repeated_sequence(n, k, rng):
@@ -45,41 +46,28 @@ class TestBitwiseEqual:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_eigh_cold_warm_plain(self, basis, seed):
         k = 5
-        G = sampled_gram(basis, k, repeated_sequence(basis.n, k, np.random.default_rng(seed)))
-        cold = spectral._symmetric_eigen(G, vectors=True)
-        warm = spectral._symmetric_eigen(G.copy(), vectors=True)
-        w, Q = np.linalg.eigh(G)
+        seq = repeated_sequence(basis.n, k, np.random.default_rng(seed))
+        V_K = basis.eigenvectors[:, :k]
+        V_S, *cold = spectral._sampled_eigh(V_K, seq.indices)
+        _, *warm = spectral._sampled_eigh(V_K.copy(), seq.indices.copy())
+        w, Q = np.linalg.eigh(sampled_gram(basis, k, seq))
         assert warm[0] is cold[0] and warm[1] is cold[1]
         assert np.array_equal(cold[0], w) and np.array_equal(cold[1], Q)
-        assert spectral._memo_eigen.cache_info().hits == 1
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_eigvalsh_cold_warm_plain(self, basis, seed):
-        rng = np.random.default_rng(seed)
-        rows = basis.eigenvectors[:, :4]
-        alloc = SampleAllocation(m=rng.multinomial(20, np.ones(basis.n) / basis.n), budget=20)
-        A = design.information_matrix(rows, DesignWeights(alloc.m / alloc.budget))
-        cold = spectral._symmetric_eigen(A, vectors=False)
-        warm = spectral._symmetric_eigen(A.copy(), vectors=False)
-        assert warm is cold
-        assert np.array_equal(cold, np.linalg.eigvalsh(A))
-
-    def test_mode_is_part_of_the_key(self, rng):
-        x = rng.standard_normal((4, 4))
-        A = x @ x.T
-        w = spectral._symmetric_eigen(A, vectors=False)
-        _, Q = spectral._symmetric_eigen(A, vectors=True)
-        assert isinstance(w, np.ndarray) and Q.shape == (4, 4)
-        assert spectral._memo_eigen.cache_info().misses == 2
+        assert np.array_equal(V_S, V_K[seq.indices])
+        assert spectral._memo_eigh.cache_info().hits == 1
 
     def test_mutated_input_is_a_new_key(self, rng):
-        x = rng.standard_normal((3, 3))
-        A = x @ x.T
-        before = spectral._symmetric_eigen(A, vectors=False).copy()
-        A *= 2.0
-        after = spectral._symmetric_eigen(A, vectors=False)
-        assert np.array_equal(after, np.linalg.eigvalsh(A))
+        V = rng.standard_normal((4, 3))
+        idx = np.arange(4)
+        before = spectral._sampled_eigh(V, idx)[1].copy()
+        V *= 2.0
+        after = spectral._sampled_eigh(V, idx)[1]
+        assert np.array_equal(after, np.linalg.eigh(V.T @ V)[0])
         assert not np.array_equal(after, before)
+
+    def test_index_past_the_rows_rejected(self, rng):
+        with pytest.raises(ValueError, match="out of range"):
+            spectral._sampled_eigh(rng.standard_normal((4, 2)), np.array([0, 4]))
 
     def test_repeated_sequence_factors_once(self, basis, rng, monkeypatch):
         calls = []
@@ -104,6 +92,71 @@ class TestBlue:
             est = estimation.blue_estimate(basis, k, seq, y)
             expected = np.linalg.lstsq(V_mk, y, rcond=None)[0]
             assert np.abs(est.coeff_estimate - expected).max() <= 1e-8
+
+
+def quantized_and_blue_raise(rows, m):
+    """Whether `quantized_information_matrix` and `blue_estimate` reject the
+    quotas `m` on `rows`, both taken as the first K eigenvectors."""
+    alloc = SampleAllocation(m=m, budget=int(np.sum(m)))
+    basis = spectral.SpectralBasis(np.arange(float(len(rows))), rows)
+    seq = estimation.sequence_from_allocation(alloc)
+    try:
+        design.quantized_information_matrix(rows, alloc)
+        qim = False
+    except SingularInformationMatrix:
+        qim = True
+    try:
+        estimation.blue_estimate(basis, rows.shape[1], seq, np.zeros(len(seq)))
+        blue = False
+    except RankDeficientSampling:
+        blue = True
+    return qim, blue
+
+
+class TestOneRankDecision:
+    def test_near_threshold_design_gets_one_answer(self):
+        # lambda_min / lambda_max of this design sits within 1e-16 of the
+        # 1e-12 rank threshold: eigvalsh of sum (m_i/M) u_i u_i^T put it
+        # below and eigh of the sampled Gram above, so the quantized-design
+        # check raised where BLUE estimated
+        rows = np.array([
+            [-0.9167776795665493, -1.0656023843162088],
+            [0.9605034760075998, 1.11642958693333],
+            [-0.8761711170587881, -1.018403718239041],
+            [-0.3129927587666398, -0.3638007091124933],
+        ])
+        qim, blue = quantized_and_blue_raise(rows, np.array([1, 1, 2, 4]))
+        assert qim == blue
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.integers(0, 4)),
+            min_size=2, max_size=8,
+        ),
+        c=st.floats(-2, 2),
+    )
+    def test_quantized_check_raises_exactly_when_blue_does(self, data, c):
+        col, noise, m = (np.array(v) for v in zip(*data))
+        assume(m.sum() >= 1)
+        rows = np.column_stack([col, c * col + 1e-6 * noise])
+        qim, blue = quantized_and_blue_raise(rows, m)
+        assert qim == blue
+
+    def test_allocation_and_blue_share_one_factorization(self, basis, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda a, fn=fn, name=name: calls.__setitem__(name, calls[name] + 1) or fn(a))
+        k = 4
+        rows = basis.eigenvectors[:, :k].copy()
+        weights = DesignWeights(np.full(basis.n, 1.0 / basis.n))
+        alloc, _ = design.allocate_from_weights(rows, weights, 3 * k, seed=0)
+        seq = estimation.sequence_from_allocation(alloc)
+        estimation.blue_estimate(basis, k, seq, np.ones(len(seq)))
+        assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 class TestFailuresNotCached:
@@ -136,20 +189,20 @@ class TestFailuresNotCached:
 class TestMemoSafety:
     def test_results_are_read_only(self, basis, rng):
         k = 4
-        G = sampled_gram(basis, k, repeated_sequence(basis.n, k, rng))
-        w, Q = spectral._symmetric_eigen(G, vectors=True)
-        values = spectral._symmetric_eigen(G, vectors=False)
-        for a in (w, Q, values):
+        seq = repeated_sequence(basis.n, k, rng)
+        V_K = basis.eigenvectors[:, :k]
+        _, w, Q = spectral._sampled_eigh(V_K, seq.indices)
+        for a in (w, Q):
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        assert np.array_equal(spectral._symmetric_eigen(G, vectors=True)[0], np.linalg.eigh(G)[0])
+        G = sampled_gram(basis, k, seq)
+        assert np.array_equal(spectral._sampled_eigh(V_K, seq.indices)[1], np.linalg.eigh(G)[0])
 
     def test_bounded_capacity(self, rng):
         size = spectral._EIGEN_MEMO_SIZE
         for _ in range(3 * size):
-            x = rng.standard_normal((3, 3))
-            spectral._symmetric_eigen(x @ x.T, vectors=bool(rng.integers(2)))
-        info = spectral._memo_eigen.cache_info()
+            spectral._sampled_eigh(rng.standard_normal((4, 3)), rng.integers(4, size=5))
+        info = spectral._memo_eigh.cache_info()
         assert info.maxsize == size
         assert info.currsize == size
         assert info.misses == 3 * size

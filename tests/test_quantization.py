@@ -172,3 +172,52 @@ class TestQuantizedInformationMatrix:
         ]:
             value = design.criterion_value(A_hat, crit)
             assert value == pytest.approx(expected, rel=rel, abs=rel)
+
+
+W3 = DesignWeights(np.array([0.5, 0.3, 0.2]))
+BUDGET_USES = {
+    "quantize_raw": lambda b: design.quantize_raw(W3, b, 0),
+    "budget_repair": lambda b: design.budget_repair(np.array([1, 1, 1]), W3, b),
+    "allocate_from_weights": lambda b: design.allocate_from_weights(
+        np.ones((3, 1)), W3, b, seed=0),
+    "invertibility_probability_bound": lambda b: design.invertibility_probability_bound(
+        0.1, b, 10),
+    "residual_variance_analytic": design.residual_variance_analytic,
+    "empirical_residual_variance": lambda b: design.empirical_residual_variance(
+        W3, b, draws=10, seed=0),
+}
+
+
+class TestBudgetRule:
+    """Every entry point takes a budget by one rule: an integer, not a bool,
+    at least 1; the rounding also refuses budgets above 2**53."""
+
+    @pytest.mark.parametrize("use", BUDGET_USES)
+    @pytest.mark.parametrize("budget", [0, -1, True, False, 2.5, 2.0, "2", None])
+    def test_bad_budget_rejected(self, use, budget):
+        with pytest.raises(ValueError, match="budget"):
+            BUDGET_USES[use](budget)
+
+    @pytest.mark.parametrize("use", BUDGET_USES)
+    def test_numpy_integer_budget_accepted(self, use):
+        BUDGET_USES[use](np.int64(4))
+
+    @pytest.mark.parametrize("draws", [0, -1, True, 2.5, 10.0])
+    def test_bad_draw_count_rejected(self, draws):
+        with pytest.raises(ValueError, match="draws"):
+            design.empirical_residual_variance(W3, 10, draws=draws, seed=0)
+
+    @pytest.mark.parametrize("use", ["quantize_raw", "allocate_from_weights",
+                                     "empirical_residual_variance"])
+    @pytest.mark.parametrize("budget", [2**53 + 1, 10**20])
+    def test_rounding_refuses_budgets_beyond_the_weights_resolution(self, use, budget):
+        with pytest.raises(ValueError, match=f"budget {budget} is above 2\\*\\*53"):
+            BUDGET_USES[use](budget)
+
+    def test_rounding_takes_the_largest_budget(self):
+        raw = design.quantize_raw(W3, 2**53, 0)
+        assert np.abs(raw - W3.p * 2**53).max() <= 1
+
+    def test_analytic_variance_takes_any_integer_budget(self):
+        assert design.residual_variance_analytic(10**400) == 0.0
+        assert design.invertibility_probability_bound(0.1, 10**400, 10) == 1.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gsample import graphs, spectral
+from gsample import estimation, graphs, spectral
+from gsample.estimation import SamplingSequence
 
 
 def complete_graph(n):
@@ -105,6 +106,15 @@ class TestBandlimited:
             spectral.synthesize_bandlimited(
                 small_world_basis, np.zeros(small_world_basis.n + 1)
             )
+
+
+@pytest.mark.parametrize("bandwidth", [2.0, 1.5, True, np.float64(2.0), "2"])
+def test_bandwidth_must_be_an_integer(small_world_basis, bandwidth):
+    with pytest.raises(ValueError, match="bandwidth must be an integer"):
+        spectral.design_rows(small_world_basis, bandwidth)
+    seq = SamplingSequence(np.arange(4))
+    with pytest.raises(ValueError, match="bandwidth must be an integer"):
+        estimation.blue_estimate(small_world_basis, bandwidth, seq, np.zeros(4))
 
 
 class TestDesignRows:
