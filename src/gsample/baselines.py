@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .design import DesignWeights, _positive
+from .design import DesignWeights, _as_rows, _positive
 from .estimation import SamplingSequence
 from .spectral import _rank_deficient
 
@@ -100,12 +100,10 @@ def greedy_sigma_min(rows: np.ndarray, budget: int) -> SamplingSequence:
     one wins only by more than 1e-15, so ties, including a step where no
     candidate raises the rank, go to the lowest index. Returns `budget`
     distinct nodes in ascending order; ValueError unless `rows` is a finite
-    2-D array whose squared Frobenius norm is below a quarter of the double
-    range and `budget` an integer in [1, n].
+    2-D array with a column whose squared Frobenius norm is below a quarter
+    of the double range and `budget` an integer in [1, n].
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or not np.isfinite(rows).all():
-        raise ValueError("rows must be a finite 2-D array")
+    rows = _as_rows(rows, finite=True)
     with np.errstate(over="ignore"):
         # ‖rows‖²_F bounds every Gram entry, bound and score formed below
         frobenius_sq = float(np.vdot(rows, rows))

@@ -73,6 +73,11 @@ def _cmd_design(args):
 def _cmd_estimate(args):
     basis = _load_basis(args.graph)
     alloc, bandwidth = _read_design(args.design)
+    if len(alloc.m) != basis.n:
+        raise ValueError(
+            f"design {args.design} has quotas for {len(alloc.m)} nodes "
+            f"but graph {args.graph} has {basis.n}"
+        )
     seq = estimation.sequence_from_allocation(alloc)
     f = np.loadtxt(args.signal, ndmin=1)
     snr = math.inf if args.snr_db is None else args.snr_db

@@ -94,9 +94,18 @@ class SampleAllocation:
         object.__setattr__(self, "m", m)
 
 
+def _as_rows(rows, finite: bool = False) -> np.ndarray:
+    """`rows` as a float array; ValueError unless it is 2-D with a column
+    and, when `finite`, every entry is finite."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] == 0 or (finite and not np.isfinite(rows).all()):
+        raise ValueError("design rows must be a finite 2-D array with a column")
+    return rows
+
+
 def information_matrix(rows: np.ndarray, weights: DesignWeights) -> np.ndarray:
     """A = sum_i p_i u_i u_i^T for the design rows u_i."""
-    rows = np.asarray(rows, dtype=float)
+    rows = _as_rows(rows)
     p = weights.p
     if rows.shape[0] != p.shape[0]:
         raise ValueError(
@@ -163,41 +172,12 @@ def duality_gap(
     """An upper bound on f(p) - f*. A/D: the Frank-Wolfe linear-minimization
     gap over the simplex. E: 1/lambda_min(A(p)) - 1/_e_bound(rows) (Kiefer's
     equivalence theorem), 0 at the uniform design of a constant-column basis."""
+    rows = _as_rows(rows)
     if criterion is Criterion.E_OPT:
         f = criterion_value(information_matrix(rows, weights), criterion)
         return f - 1.0 / _e_bound(rows)
     g = criterion_gradient(rows, weights, criterion)
     return float(weights.p @ g - g.min())
-
-
-def _pairwise_step(Ainv, u_j, u_a, hi, criterion):
-    """Exact minimizer on [0, hi] of gamma -> crit(A + gamma (u_j u_j^T - u_a u_a^T)).
-
-    The swap is a rank-2 update. With x = A^-1 u_j, y = A^-1 u_a and the 2x2
-    Gram entries g11 = u_j.x, g22 = u_a.y, g12 = u_j.y, Sylvester's identity
-    gives det ratio q(gamma) = 1 + e gamma - d gamma^2 (e = g11 - g22,
-    d = g11 g22 - g12^2). D: -log q is minimized at e / (2d). A: by Woodbury
-    tr((A + ...)^-1) = tr(A^-1) + (b gamma + c gamma^2) / q(gamma), stationary
-    at the positive root of (bd + ce) gamma^2 + 2c gamma + b = 0. The
-    criterion is convex along the segment, so returns 0 when the swap does not
-    descend at gamma = 0, and hi when it descends all the way.
-    """
-    x, y = Ainv @ u_j, Ainv @ u_a
-    g11, g22, g12 = u_j @ x, u_a @ y, u_j @ y
-    e = g11 - g22
-    d = g11 * g22 - g12 * g12
-    if criterion is Criterion.D_OPT:
-        if e <= 0:
-            return 0.0
-        return float(hi if e >= 2.0 * d * hi else e / (2.0 * d))
-    h11, h22, h12 = x @ x, y @ y, x @ y
-    b = h22 - h11
-    if b >= 0:
-        return 0.0
-    c = g22 * h11 + g11 * h22 - 2.0 * g12 * h12
-    disc = c * c - (b * d + c * e) * b
-    denom = c + math.sqrt(disc) if disc >= 0 else 0.0
-    return float(hi if -b >= denom * hi else -b / denom)
 
 
 def _fw_objective(A, criterion):
@@ -212,19 +192,18 @@ def _fw_objective(A, criterion):
     return float((np.linalg.inv(L) ** 2).sum())
 
 
-def _newton_step(rows, p, A, Ainv, criterion):
-    """One damped Newton step on the support S of p, in place.
+def _newton_step(rows, p, S, A, Ainv, criterion):
+    """One damped Newton step on the node set S, in place.
 
-    With U the support rows, X = U A^-1 and P = X U^T, the criterion's
+    With U the rows of S, X = U A^-1 and P = X U^T, the criterion's
     gradient and Hessian on S are g = -diag(P), H = P∘P (D) or
     g = -diag(X X^T), H = 2 P∘(X X^T) (A). The KKT system [[H, 1], [1^T, 0]]
     gives a direction d with sum(d) = 0; a ratio test keeps p >= 0 (a node
     the full ratio step empties gets exactly 0) and Armijo backtracking
     (1e-4, halving) accepts the step. Returns False, leaving p unchanged,
-    when the KKT matrix is singular, d does not descend, or no step
-    length passes.
+    when the KKT matrix is singular, d does not descend, d shrinks a node
+    already at weight 0, or no step length passes.
     """
-    S = np.nonzero(p > 0)[0]
     U = rows[S]
     X = U @ Ainv
     P = X @ U.T
@@ -247,6 +226,8 @@ def _newton_step(rows, p, A, Ainv, criterion):
     shrink = d < 0
     ratios = p[S][shrink] / -d[shrink]
     t_block = float(ratios.min()) if ratios.size else math.inf
+    if t_block == 0.0:
+        return False
     t = min(1.0, t_block)
     blocked = S[shrink][np.argmin(ratios)] if t_block <= 1.0 else None
     f0 = _fw_objective(A, criterion)
@@ -278,56 +259,32 @@ def _volume_rows(rows):
 
 
 def _solve_fw(rows, criterion):
-    """Pairwise Frank-Wolfe with exact line search and a Newton step on the
-    support each iteration, for the A/D criteria.
+    """Fully-corrective Frank-Wolfe (Holloway 1974) with damped Newton steps,
+    for the A/D criteria.
 
     Starts from uniform weight on the K rows `_volume_rows` picks, the
     core-set start for D-optimal design (Kumar & Yildirim 2005). Each
-    iteration first takes a `_newton_step` on the support and, when that
-    moved, recomputes A, A^-1 and the gradient. It then moves the exact
-    `_pairwise_step` weight from the support node with the largest gradient
-    to the node with the smallest (lowest index on ties); a step that takes
-    all of a node's weight drops it from the support. Stops when the duality
-    gap is at most _SOLVER_RTOL * max(1, |objective|), when the pairwise step
-    is 0 and Newton did not move, or after _FW_MAX_ITER iterations. A gap
-    stop keeps one last Newton step if it does not widen the gap. Both steps
-    conserve sum(p).
+    iteration recomputes A, A^-1 and the gradient g from p, stops once the
+    duality gap is at most _SOLVER_RTOL * max(1, |objective|), and otherwise
+    takes a `_newton_step` on the support plus the Frank-Wolfe vertex
+    argmin g (lowest index on ties), or, when that does not move, on the
+    support alone. Stops when neither moves or after _FW_MAX_ITER
+    iterations. Every step conserves sum(p).
     """
     n, k = rows.shape
     p = np.zeros(n)
     p[_volume_rows(rows)] = 1.0 / k
-    A = rows.T @ (p[:, None] * rows)
     for _ in range(_FW_MAX_ITER):
+        A = rows.T @ (p[:, None] * rows)
         Ainv = np.linalg.inv(A)
         g = _gradient(rows, Ainv, criterion)
-        f = -np.linalg.slogdet(A)[1] if criterion is Criterion.D_OPT else np.trace(Ainv)
-        gap = float(p @ g - g.min())
-        if gap <= _SOLVER_RTOL * max(1.0, abs(f)):
-            # the gap rule can fire one Newton step short of the support
-            # optimum; take that step unless it widens the gap
-            q = p.copy()
-            if _newton_step(rows, q, A, Ainv, criterion):
-                g = _gradient(rows, np.linalg.inv(rows.T @ (q[:, None] * rows)), criterion)
-                if q @ g - g.min() <= gap:
-                    p = q
+        if p @ g - g.min() <= _SOLVER_RTOL * max(1.0, abs(_fw_objective(A, criterion))):
             break
-        moved = _newton_step(rows, p, A, Ainv, criterion)
-        if moved:
-            A = rows.T @ (p[:, None] * rows)
-            Ainv = np.linalg.inv(A)
-            g = _gradient(rows, Ainv, criterion)
-        support = np.nonzero(p > 1e-15)[0]
-        j = int(np.argmin(g))
-        a = int(support[np.argmax(g[support])])
-        u_j, u_a = rows[j], rows[a]
-        gamma = _pairwise_step(Ainv, u_j, u_a, p[a], criterion)
-        if gamma <= 0:
-            if moved:
-                continue
+        support = np.nonzero(p > 0)[0]
+        entering = np.nonzero((p > 0) | (np.arange(n) == np.argmin(g)))[0]
+        if not (_newton_step(rows, p, entering, A, Ainv, criterion)
+                or _newton_step(rows, p, support, A, Ainv, criterion)):
             break
-        p[j] += gamma
-        p[a] -= gamma  # exactly 0 when gamma == p[a]
-        A = A + gamma * (np.outer(u_j, u_j) - np.outer(u_a, u_a))
     return p
 
 
@@ -339,15 +296,13 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     SingularInformationMatrix, and when `duality_gap` certifies it to 1e-6
     times max(1, |objective|), as a constant column (the `design_rows` of a
     connected graph) always does for E, it is returned. E without that
-    certificate raises ValueError. D/A otherwise run `_solve_fw`: pairwise
-    Frank-Wolfe with exact (closed-form) line search and a damped Newton
-    step on the support each iteration, from uniform weight on K rows picked
-    by pivoted Gram-Schmidt, stopping once the duality gap is at most 1e-6
-    times max(1, |objective|), or after 50,000 iterations. Deterministic.
+    certificate raises ValueError. D/A otherwise run `_solve_fw`: damped
+    Newton steps on the support plus the Frank-Wolfe vertex, from uniform
+    weight on K rows picked by pivoted Gram-Schmidt, stopping once the
+    duality gap is at most 1e-6 times max(1, |objective|), or after 50,000
+    iterations. Deterministic.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] == 0 or not np.isfinite(rows).all():
-        raise ValueError("design rows must be a finite 2-D array with a column")
+    rows = _as_rows(rows, finite=True)
     n, k = rows.shape
     if n < k:
         raise ValueError(f"need at least K={k} rows, got {n}")
@@ -394,24 +349,30 @@ def quantize_raw(weights: DesignWeights, budget: int, rng) -> np.ndarray:
 
 
 def budget_repair(raw: np.ndarray, weights: DesignWeights, budget: int) -> SampleAllocation:
-    """Adjust quotas one grid step at a time until they sum to the budget.
+    """Bring one rounding draw's quotas to the budget.
 
-    Decrements the largest positive residual m_i/budget - p_i (only where
-    m_i >= 1); increments the largest deficit p_i - m_i/budget. Ties go to
-    the lowest index.
+    `raw` must be what `quantize_raw` draws: one integer per weight with
+    |m_i - p_i budget| < 1 (ValueError otherwise). Each residual
+    m_i/budget - p_i then lies in (-1/budget, 1/budget) and they sum to
+    (sum(m) - budget)/budget, so one unit comes off each of the
+    sum(m) - budget largest residuals, or goes onto each of the
+    budget - sum(m) smallest, ties to the lowest index. No node moves twice,
+    so this is moving one unit at a time to or from the largest remaining
+    residual.
     """
     budget = _positive(budget)
-    m = np.asarray(raw, dtype=int).copy()
-    if (m < 0).any():
-        raise ValueError("raw quotas must be nonnegative")
     p = weights.p
-    while m.sum() > budget:
+    m = _integers(raw, "raw quotas")
+    if m.shape != p.shape or not (np.abs(m - p * budget) < 1).all():
+        raise ValueError(
+            f"raw quotas must be one rounding draw of the {len(p)} weights, "
+            "each within 1 of p_i * budget"
+        )
+    excess = int(m.sum()) - budget
+    if excess:
         resid = m / budget - p
-        resid[m < 1] = -np.inf
-        m[int(np.argmax(resid))] -= 1
-    while m.sum() < budget:
-        deficit = p - m / budget
-        m[int(np.argmax(deficit))] += 1
+        order = np.argsort(-resid if excess > 0 else resid, kind="stable")
+        m[order[:abs(excess)]] -= np.sign(excess)
     return SampleAllocation(m=m, budget=budget)
 
 
@@ -429,7 +390,7 @@ def quantized_information_matrix(rows: np.ndarray, alloc: SampleAllocation) -> n
 
     Raises SingularInformationMatrix when the quantized design lost rank.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = _as_rows(rows)
     _checked(_quantized_eigenvalues(rows, alloc))
     p = alloc.m / alloc.budget
     return rows.T @ (p[:, None] * rows)
@@ -534,7 +495,7 @@ def allocate_from_weights(
 
     Returns the allocation and the number of shifts applied.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = _as_rows(rows)
     alloc = budget_repair(quantize_raw(weights, budget, seed), weights, budget)
     shifts = 0
     while _rank_deficient(_quantized_eigenvalues(rows, alloc)):

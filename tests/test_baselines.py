@@ -262,6 +262,7 @@ class TestGreedySigmaMin:
         [
             np.ones(4),
             np.ones((2, 3, 2)),
+            np.ones((3, 0)),
             np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]),
             np.array([[1.0, np.inf], [0.0, 1.0]]),
         ],

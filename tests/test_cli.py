@@ -217,6 +217,13 @@ class TestGraphAndDesign:
         assert code == 1
         assert err.startswith("error:") and words in err
 
+    @pytest.mark.parametrize("m", [[1, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0]])
+    def test_design_for_another_node_count_rejected(self, capsys, tmp_path, m):
+        # quotas whose indices are all in range, but for a 5- or 7-node graph
+        code, out, err = run(capsys, *estimate_args(tmp_path, {**DESIGN, "m": m}))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"{len(m)} nodes" in err and "has 6" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_signal_rejected(self, capsys, tmp_path, value):
         args = estimate_args(tmp_path, DESIGN)

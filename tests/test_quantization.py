@@ -86,16 +86,16 @@ class TestBudgetRepair:
         assert np.array_equal(alloc.m, [2, 3, 5])
 
     def test_increment_trace(self):
-        # deficit always largest at index 1; three increments land on (3, 7)
-        w = DesignWeights(np.array([0.25, 0.75]))
-        alloc = design.budget_repair(np.array([3, 4]), w, 10)
-        assert np.array_equal(alloc.m, [3, 7])
+        # deficits 0.08, 0.07 and 0.05: the two largest gain a unit each
+        w = DesignWeights(np.array([0.18, 0.27, 0.55]))
+        alloc = design.budget_repair(np.array([1, 2, 5]), w, 10)
+        assert np.array_equal(alloc.m, [2, 3, 5])
 
     def test_decrement_trace(self):
-        # residual 3/4-0.5 beats 2/4-0.5, so index 1 loses the unit
-        w = DesignWeights(np.array([0.5, 0.5]))
+        # residual 2/4-0.3 beats 3/4-0.7, so index 0 loses the unit
+        w = DesignWeights(np.array([0.3, 0.7]))
         alloc = design.budget_repair(np.array([2, 3]), w, 4)
-        assert np.array_equal(alloc.m, [2, 2])
+        assert np.array_equal(alloc.m, [1, 3])
 
     def test_ties_go_to_lowest_index(self):
         w = DesignWeights(np.array([0.5, 0.5]))
@@ -117,6 +117,64 @@ class TestBudgetRepair:
         assert (alloc.m >= 0).all()
         # repair moves each quota by whole grid steps only
         assert (np.abs(alloc.m - raw) <= max(abs(raw.sum() - budget), 1)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["dirichlet", "sparse", "grid", "tied"]),
+        n=st.integers(min_value=1, max_value=12),
+        budget=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_one_unit_at_a_time(self, kind, n, budget, seed):
+        w = DesignWeights(fuzzed_weights(kind, n, budget, np.random.default_rng(seed)))
+        raw = design.quantize_raw(w, budget, seed)
+        assert np.array_equal(design.budget_repair(raw, w, budget).m,
+                              unit_steps_repair(raw, w, budget))
+
+    @pytest.mark.parametrize("raw, budget, match", [
+        ([1, 1, 1], 10**20, "rounding draw"),  # would take 1e20 one-unit moves
+        ([1, 1, 1], 4, "rounding draw"),  # 1 is a full unit below 0.5 * 4
+        ([3, 1, 0], 4, "rounding draw"),
+        ([1, 1], 3, "rounding draw"),
+        ([[2, 1, 1]], 4, "rounding draw"),
+        ([1.5, 1, 1], 3, "integers"),
+        (["1", "1", "1"], 3, "integers"),
+    ])
+    def test_non_draws_rejected(self, raw, budget, match):
+        with pytest.raises(ValueError, match=match):
+            design.budget_repair(np.array(raw), W3, budget)
+
+
+def unit_steps_repair(raw, weights, budget):
+    """Repair one grid unit per step: take a unit from the largest residual
+    m_i/M - p_i among m_i >= 1 while over budget, give one to the largest
+    deficit p_i - m_i/M while under it; ties to the lowest index."""
+    m = np.asarray(raw, dtype=int).copy()
+    p = weights.p
+    while m.sum() > budget:
+        resid = m / budget - p
+        resid[m < 1] = -np.inf
+        m[int(np.argmax(resid))] -= 1
+    while m.sum() < budget:
+        deficit = p - m / budget
+        m[int(np.argmax(deficit))] += 1
+    return m
+
+
+def fuzzed_weights(kind, n, budget, rng):
+    """Weights that stress the repair: generic, mostly zero, on the grid
+    1/budget, or with repeated values."""
+    if kind == "sparse":
+        p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.4)
+        if p.sum() == 0:
+            p[rng.integers(n)] = 1.0
+    elif kind == "grid":
+        p = rng.multinomial(budget, np.ones(n) / n) + rng.random(n) * (rng.random(n) < 0.5)
+    elif kind == "tied":
+        p = rng.integers(1, 3, n).astype(float)
+    else:
+        p = rng.dirichlet(np.ones(n))
+    return p / p.sum()
 
 
 class TestQuantizedInformationMatrix:
@@ -177,7 +235,7 @@ class TestQuantizedInformationMatrix:
 W3 = DesignWeights(np.array([0.5, 0.3, 0.2]))
 BUDGET_USES = {
     "quantize_raw": lambda b: design.quantize_raw(W3, b, 0),
-    "budget_repair": lambda b: design.budget_repair(np.array([1, 1, 1]), W3, b),
+    "budget_repair": lambda b: design.budget_repair(np.array([2, 1, 1]), W3, b),
     "allocate_from_weights": lambda b: design.allocate_from_weights(
         np.ones((3, 1)), W3, b, seed=0),
     "invertibility_probability_bound": lambda b: design.invertibility_probability_bound(

@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthonormal_rows
@@ -20,6 +21,23 @@ def eye_with(value):
     rows = np.eye(3)
     rows[0, 0] = value
     return rows
+
+
+BAD_SHAPES = [
+    pytest.param(np.ones((3, 0)), id="no-column"),
+    pytest.param(np.ones((0, 0)), id="empty"),
+    pytest.param(np.ones(3), id="1-D"),
+]
+THIRDS = DesignWeights(np.full(3, 1 / 3))
+SHAPE_USES = {
+    "information_matrix": lambda rows: design.information_matrix(rows, THIRDS),
+    "criterion_gradient": lambda rows: design.criterion_gradient(rows, THIRDS, Criterion.A_OPT),
+    "allocate_from_weights": lambda rows: design.allocate_from_weights(rows, THIRDS, 3, 0),
+    "quantized_information_matrix": lambda rows: design.quantized_information_matrix(
+        rows, design.SampleAllocation(m=[1, 1, 1], budget=3)),
+    **{f"duality_gap-{crit.value}": lambda rows, crit=crit: design.duality_gap(rows, THIRDS, crit)
+       for crit in Criterion},
+}
 
 
 class TestSolveRelaxed:
@@ -77,13 +95,18 @@ class TestSolveRelaxed:
         pytest.param(eye_with(np.nan), id="nan"),
         pytest.param(eye_with(np.inf), id="inf"),
         pytest.param(eye_with(-np.inf), id="-inf"),
-        pytest.param(np.ones((3, 0)), id="no-column"),
-        pytest.param(np.ones((0, 0)), id="empty"),
-        pytest.param(np.ones(3), id="1-D"),
+        *BAD_SHAPES,
     ])
     def test_non_finite_rows_rejected(self, rows, crit):
         with pytest.raises(ValueError, match="finite"):
             design.solve_relaxed(rows, crit)
+
+    @pytest.mark.parametrize("use", SHAPE_USES)
+    @pytest.mark.parametrize("rows", BAD_SHAPES)
+    def test_rows_of_bad_shape_rejected_by_every_entry_point(self, rows, use):
+        # the shape rule solve_relaxed states, before any indexing
+        with pytest.raises(ValueError, match="2-D array with a column"):
+            SHAPE_USES[use](rows)
 
     @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
     @pytest.mark.parametrize("seed", range(5))
@@ -104,8 +127,39 @@ def einsum_gradient(rows, Ainv, crit):
     return -np.einsum("ij,jk,ik->i", rows, B, rows)
 
 
+def pairwise_step(Ainv, u_j, u_a, hi, criterion):
+    """Exact minimizer on [0, hi] of gamma -> crit(A + gamma (u_j u_j^T - u_a u_a^T)).
+
+    The swap is a rank-2 update. With x = A^-1 u_j, y = A^-1 u_a and the 2x2
+    Gram entries g11 = u_j.x, g22 = u_a.y, g12 = u_j.y, Sylvester's identity
+    gives det ratio q(gamma) = 1 + e gamma - d gamma^2 (e = g11 - g22,
+    d = g11 g22 - g12^2). D: -log q is minimized at e / (2d). A: by Woodbury
+    tr((A + ...)^-1) = tr(A^-1) + (b gamma + c gamma^2) / q(gamma), stationary
+    at the positive root of (bd + ce) gamma^2 + 2c gamma + b = 0. The
+    criterion is convex along the segment, so returns 0 when the swap does not
+    descend at gamma = 0, and hi when it descends all the way.
+    """
+    x, y = Ainv @ u_j, Ainv @ u_a
+    g11, g22, g12 = u_j @ x, u_a @ y, u_j @ y
+    e = g11 - g22
+    d = g11 * g22 - g12 * g12
+    if criterion is Criterion.D_OPT:
+        if e <= 0:
+            return 0.0
+        return float(hi if e >= 2.0 * d * hi else e / (2.0 * d))
+    h11, h22, h12 = x @ x, y @ y, x @ y
+    b = h22 - h11
+    if b >= 0:
+        return 0.0
+    c = g22 * h11 + g11 * h22 - 2.0 * g12 * h12
+    disc = c * c - (b * d + c * e) * b
+    denom = c + math.sqrt(disc) if disc >= 0 else 0.0
+    return float(hi if -b >= denom * hi else -b / denom)
+
+
 def pairwise_only(rows, crit):
-    """The solver's pairwise Frank-Wolfe loop without Newton steps."""
+    """Reference solve: pairwise Frank-Wolfe from the uniform design with
+    the closed-form `pairwise_step` and no Newton steps."""
     n = rows.shape[0]
     p = np.full(n, 1.0 / n)
     A = rows.T @ (p[:, None] * rows)
@@ -118,7 +172,7 @@ def pairwise_only(rows, crit):
             break
         support = np.nonzero(p > 1e-15)[0]
         a = int(support[np.argmax(g[support])])
-        gamma = design._pairwise_step(Ainv, rows[j], rows[a], p[a], crit)
+        gamma = pairwise_step(Ainv, rows[j], rows[a], p[a], crit)
         if gamma <= 0:
             break
         p[j] += gamma
@@ -143,7 +197,7 @@ def check_newton_step(seed):
         return
     for crit in (Criterion.A_OPT, Criterion.D_OPT):
         q = p.copy()
-        moved = design._newton_step(rows, q, A, np.linalg.inv(A), crit)
+        moved = design._newton_step(rows, q, np.nonzero(p)[0], A, np.linalg.inv(A), crit)
         assert abs(q.sum() - 1.0) <= 1e-12
         assert (q >= 0).all() and (q[p == 0] == 0).all()
         if moved:
@@ -207,18 +261,58 @@ class TestNewtonSolver:
                     p[off] = eps
                     p /= p.sum()
                     A = rows.T @ (p[:, None] * rows)
-                    assert design._newton_step(rows, p, A, np.linalg.inv(A), crit)
+                    assert design._newton_step(rows, p, np.nonzero(p)[0], A, np.linalg.inv(A), crit)
                     assert p[off] == 0.0
                     assert abs(p.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
-    def test_gap_stop_takes_the_last_newton_step(self, crit):
-        # on these rows the gap rule fires one Newton step short of the
-        # optimum; without that last step A ends 1.2e-8 above pairwise-only
+    def test_gap_rule_stops_after_a_support_step(self, crit):
+        # on these rows a gap stop one support-Newton step short of the
+        # optimum leaves A 1.2e-8 above pairwise-only; every step that brings
+        # in a node also re-optimizes the support, so the gap rule fires after one
         rows = random_orthonormal_rows(9, 2, np.random.default_rng(298))
         val = objective(rows, design.solve_relaxed(rows, crit), crit)
         ref = objective(rows, pairwise_only(rows, crit), crit)
         assert val <= ref + 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    def test_shrinking_a_zero_weight_node_is_no_step(self, crit):
+        # at the optimum every node outside the support has a larger
+        # gradient, so a step on the support plus that node shrinks it: the
+        # ratio test allows only t = 0, which is reported as no step
+        for seed in range(10):
+            rows = random_orthonormal_rows(8, 3, np.random.default_rng(seed))
+            optimum = design.solve_relaxed(rows, crit).p
+            A = rows.T @ (optimum[:, None] * rows)
+            for off in np.nonzero(optimum == 0)[0]:
+                p = optimum.copy()
+                S = np.union1d(np.nonzero(p)[0], off)
+                assert not design._newton_step(rows, p, S, A, np.linalg.inv(A), crit)
+                assert np.array_equal(p, optimum)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), extra=st.integers(1, 18))
+    def test_step_brings_in_the_frank_wolfe_vertex(self, seed, k, extra):
+        # from a design optimal on its own support but not certified on all
+        # rows, a step on the support plus argmin g moves, gives that node
+        # weight and does not raise the objective
+        rng = np.random.default_rng(seed)
+        rows = random_orthonormal_rows(k + extra, k, rng)
+        sub = np.sort(rng.choice(k + extra, size=int(rng.integers(k, k + extra + 1)), replace=False))
+        assume(np.linalg.eigvalsh(rows[sub].T @ rows[sub])[0] > 1e-6)
+        for crit in (Criterion.A_OPT, Criterion.D_OPT):
+            p = np.zeros(k + extra)
+            p[sub] = design.solve_relaxed(rows[sub], crit).p
+            A = rows.T @ (p[:, None] * rows)
+            Ainv = np.linalg.inv(A)
+            g = design._gradient(rows, Ainv, crit)
+            f = design._fw_objective(A, crit)
+            if p @ g - g.min() <= design._SOLVER_RTOL * max(1.0, abs(f)):
+                continue
+            j = int(np.argmin(g))
+            assert design._newton_step(rows, p, np.union1d(np.nonzero(p)[0], j), A, Ainv, crit)
+            assert p[j] > 0
+            assert design._fw_objective(rows.T @ (p[:, None] * rows), crit) <= f
 
     @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
     def test_singular_kkt_leaves_p_unchanged(self, crit):
@@ -227,7 +321,7 @@ class TestNewtonSolver:
         p = np.array([0.2, 0.3, 0.5])
         A = rows.T @ (p[:, None] * rows)
         q = p.copy()
-        assert not design._newton_step(rows, q, A, np.linalg.inv(A), crit)
+        assert not design._newton_step(rows, q, np.arange(3), A, np.linalg.inv(A), crit)
         assert np.array_equal(q, p)
 
 
@@ -299,6 +393,8 @@ def grid_objective(A, D, gammas, crit):
 
 
 class TestPairwiseStep:
+    """The closed-form swap that `pairwise_only` takes, checked on a grid."""
+
     @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("scaled_copy", [False, True])
@@ -320,7 +416,7 @@ class TestPairwiseStep:
                 u_j, u_a = rows[j], rows[a]
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    gamma = design._pairwise_step(Ainv, u_j, u_a, p[a], crit)
+                    gamma = pairwise_step(Ainv, u_j, u_a, p[a], crit)
                 assert 0.0 <= gamma <= p[a]
                 D = np.outer(u_j, u_j) - np.outer(u_a, u_a)
                 at_gamma = grid_objective(A, D, np.array([gamma]), crit)[0]
@@ -331,7 +427,7 @@ class TestPairwiseStep:
         rows = random_orthonormal_rows(6, 3, rng)
         A = design.information_matrix(rows, DesignWeights(np.full(6, 1 / 6)))
         for crit in (Criterion.A_OPT, Criterion.D_OPT):
-            step = design._pairwise_step(np.linalg.inv(A), rows[2], rows[2], 1 / 6, crit)
+            step = pairwise_step(np.linalg.inv(A), rows[2], rows[2], 1 / 6, crit)
             assert step == 0.0
 
 
