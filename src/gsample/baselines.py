@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .design import DesignWeights, _as_rows, _positive
-from .estimation import SamplingSequence
+from .design import DesignWeights, SampleAllocation, _as_rows, _positive
 from .spectral import _rank_deficient
 
 
@@ -78,7 +77,7 @@ def _candidates_to_score(chosen_rows: np.ndarray, cand_rows: np.ndarray, n: int)
     return np.flatnonzero(~(upper < cut * cut))  # a NaN bound is kept
 
 
-def greedy_sigma_min(rows: np.ndarray, budget: int) -> SamplingSequence:
+def greedy_sigma_min(rows: np.ndarray, budget: int) -> SampleAllocation:
     """Greedy selection maximizing the smallest singular value of the grown
     row submatrix.
 
@@ -98,10 +97,10 @@ def greedy_sigma_min(rows: np.ndarray, budget: int) -> SamplingSequence:
     own G + u uᵀ cannot raise the rank and scores 0, so rounding noise never
     decides a pick. Candidates are scanned in ascending index and a later
     one wins only by more than 1e-15, so ties, including a step where no
-    candidate raises the rank, go to the lowest index. Returns `budget`
-    distinct nodes in ascending order; ValueError unless `rows` is a finite
-    2-D array with a column whose squared Frobenius norm is below a quarter
-    of the double range and `budget` an integer in [1, n].
+    candidate raises the rank, go to the lowest index. Returns quota 1 on
+    `budget` distinct nodes, 0 elsewhere; ValueError unless `rows` is a
+    finite 2-D array with a column whose squared Frobenius norm is below a
+    quarter of the double range and `budget` an integer in [1, n].
     """
     rows = _as_rows(rows, finite=True)
     with np.errstate(over="ignore"):
@@ -127,16 +126,15 @@ def greedy_sigma_min(rows: np.ndarray, budget: int) -> SamplingSequence:
                 best_i, best_score = i, score
         chosen.append(best_i)
         remaining[best_i] = False
-    return SamplingSequence(np.sort(chosen))
+    return SampleAllocation(np.bincount(chosen, minlength=n), budget)
 
 
-def top_m_selection(weights: DesignWeights, budget: int) -> SamplingSequence:
-    """The `budget` nodes with largest design weight, each sampled once.
-
-    Ties go to the lowest index; output ascending.
+def top_m_selection(weights: DesignWeights, budget: int) -> SampleAllocation:
+    """Quota 1 on each of the `budget` nodes with largest design weight, 0
+    elsewhere. Ties go to the lowest index.
     """
     p = weights.p
     budget = _checked_budget(budget, len(p))
     # stable sort on -p keeps lowest index first among ties
     order = np.argsort(-p, kind="stable")
-    return SamplingSequence(np.sort(order[:budget]))
+    return SampleAllocation(np.bincount(order[:budget], minlength=len(p)), budget)

@@ -222,7 +222,7 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
     sig = cfg.signal
     bandwidths = range(sig["bandwidth_min"], sig["bandwidth_max"] + 1, sig["bandwidth_step"])
     # per bandwidth, what depends on neither the trial nor the SNR: the
-    # budget, rows, relaxed weights and gap, and the baselines' sequences
+    # budget, rows, relaxed weights and gap, and the baselines' allocations
     fixed = {}
     for k in bandwidths:
         budget = int(round(cfg.budget_rule * k))
@@ -249,11 +249,10 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
                 t0 = time.perf_counter() if measure_time else 0.0
                 try:
                     if method == "proposed":
-                        alloc, _ = design.allocate_from_weights(
+                        seq, _ = design.allocate_from_weights(
                             rows, weights, budget,
                             seed=[cfg.master_seed, _ROLE_METHOD, mi, gi, trial],
                         )
-                        seq = estimation.sequence_from_allocation(alloc)
                     else:
                         seq = seqs[method]
                     y = f[seq.indices] + noise

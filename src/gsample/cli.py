@@ -78,11 +78,10 @@ def _cmd_estimate(args):
             f"design {args.design} has quotas for {len(alloc.m)} nodes "
             f"but graph {args.graph} has {basis.n}"
         )
-    seq = estimation.sequence_from_allocation(alloc)
     f = np.loadtxt(args.signal, ndmin=1)
     snr = math.inf if args.snr_db is None else args.snr_db
-    samples = estimation.sample_with_noise(f, seq, snr, seed=args.seed)
-    est = estimation.blue_estimate(basis, bandwidth, seq, samples.y, f_true=f)
+    samples = estimation.sample_with_noise(f, alloc, snr, seed=args.seed)
+    est = estimation.blue_estimate(basis, bandwidth, alloc, samples.y, f_true=f)
     payload = {
         "schema": 1,
         "coeff_estimate": est.coeff_estimate.tolist(),

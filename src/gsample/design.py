@@ -4,6 +4,7 @@ integer sample quotas, and the perturbation / sample-size analysis."""
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -74,13 +75,13 @@ def _integers(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleAllocation:
-    """Integer sample quotas m with sum(m) == total budget."""
+    """Integer sample quotas m with sum(m) == budget >= 1; `indices` expands them."""
 
     m: np.ndarray
     budget: int
 
     def __post_init__(self):
-        _integer(self.budget, "budget")
+        _positive(self.budget)
         m = _integers(self.m, "quotas")
         if m.ndim != 1:
             raise ValueError("quotas must be a vector")
@@ -92,6 +93,13 @@ class SampleAllocation:
             )
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        """The sampling sequence, read-only: node i repeated m_i times, ascending."""
+        idx = np.repeat(np.arange(len(self.m)), self.m)
+        idx.flags.writeable = False
+        return idx
 
 
 def _as_rows(rows, finite: bool = False) -> np.ndarray:
@@ -135,7 +143,11 @@ def _scalarized(w: np.ndarray, criterion: Criterion) -> float:
 
 def criterion_value(A: np.ndarray, criterion: Criterion) -> float:
     """Scalarize the inverse information matrix: -log det A, 1/lambda_min(A),
-    or tr(A^-1) for D, E, A optimality respectively."""
+    or tr(A^-1) for D, E, A optimality respectively. ValueError unless A is
+    a non-empty square matrix with finite entries."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0 or not np.isfinite(A).all():
+        raise ValueError(f"information matrix must be finite, square and non-empty, got {A.shape}")
     return _scalarized(_checked(np.linalg.eigvalsh(A)), criterion)
 
 
@@ -152,9 +164,9 @@ def criterion_gradient(
     """Gradient of the A or D criterion with respect to p; E has none."""
     if criterion is Criterion.E_OPT:
         raise ValueError("the E criterion has no gradient")
-    rows = np.asarray(rows, dtype=float)
+    rows = _as_rows(rows, finite=True)
     A = information_matrix(rows, weights)
-    _checked(np.linalg.eigvalsh(A))
+    criterion_value(A, criterion)  # refuses an overflowing or singular A
     return _gradient(rows, np.linalg.inv(A), criterion)
 
 
@@ -172,7 +184,7 @@ def duality_gap(
     """An upper bound on f(p) - f*. A/D: the Frank-Wolfe linear-minimization
     gap over the simplex. E: 1/lambda_min(A(p)) - 1/_e_bound(rows) (Kiefer's
     equivalence theorem), 0 at the uniform design of a constant-column basis."""
-    rows = _as_rows(rows)
+    rows = _as_rows(rows, finite=True)
     if criterion is Criterion.E_OPT:
         f = criterion_value(information_matrix(rows, weights), criterion)
         return f - 1.0 / _e_bound(rows)
@@ -268,24 +280,29 @@ def _solve_fw(rows, criterion):
     duality gap is at most _SOLVER_RTOL * max(1, |objective|), and otherwise
     takes a `_newton_step` on the support plus the Frank-Wolfe vertex
     argmin g (lowest index on ties), or, when that does not move, on the
-    support alone. Stops when neither moves or after _FW_MAX_ITER
-    iterations. Every step conserves sum(p).
+    support alone. Every step conserves sum(p). ValueError, naming the gap
+    and its bound, when neither moves or after _FW_MAX_ITER iterations.
     """
     n, k = rows.shape
     p = np.zeros(n)
     p[_volume_rows(rows)] = 1.0 / k
+    stop = f"iteration cap {_FW_MAX_ITER} reached"
     for _ in range(_FW_MAX_ITER):
         A = rows.T @ (p[:, None] * rows)
         Ainv = np.linalg.inv(A)
         g = _gradient(rows, Ainv, criterion)
-        if p @ g - g.min() <= _SOLVER_RTOL * max(1.0, abs(_fw_objective(A, criterion))):
-            break
+        gap = p @ g - g.min()
+        bound = _SOLVER_RTOL * max(1.0, abs(_fw_objective(A, criterion)))
+        if gap <= bound:
+            return p
         support = np.nonzero(p > 0)[0]
         entering = np.nonzero((p > 0) | (np.arange(n) == np.argmin(g)))[0]
         if not (_newton_step(rows, p, entering, A, Ainv, criterion)
                 or _newton_step(rows, p, support, A, Ainv, criterion)):
+            stop = "neither Newton step moved"
             break
-    return p
+    raise ValueError(f"relaxed {criterion.value.upper()} solve stopped uncertified ({stop}): "
+                     f"duality gap {gap:.3e} above its bound {bound:.3e}")
 
 
 def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
@@ -299,8 +316,8 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     certificate raises ValueError. D/A otherwise run `_solve_fw`: damped
     Newton steps on the support plus the Frank-Wolfe vertex, from uniform
     weight on K rows picked by pivoted Gram-Schmidt, stopping once the
-    duality gap is at most 1e-6 times max(1, |objective|), or after 50,000
-    iterations. Deterministic.
+    duality gap is at most 1e-6 times max(1, |objective|), and raising
+    ValueError if no step moves or 50,000 iterations pass first. Deterministic.
     """
     rows = _as_rows(rows, finite=True)
     n, k = rows.shape
@@ -322,13 +339,18 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     return DesignWeights(p / p.sum())
 
 
+def _grid_budget(budget) -> int:
+    """`_positive(budget)`; ValueError above 2**53, where a grid step
+    1/budget is finer than the weights can resolve."""
+    if (budget := _positive(budget)) > 2**53:
+        raise ValueError(f"budget {budget} is above 2**53, too fine a grid to round to")
+    return budget
+
+
 def _grid_split(weights: DesignWeights, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Split p * budget into its grid floor and the offset above it, with
-    float noise at grid points snapped so exact multiples stay deterministic.
-    ValueError unless budget is a `_positive` integer of at most 2**53: above
-    that a grid step 1/budget is finer than the weights can resolve."""
-    if _positive(budget) > 2**53:
-        raise ValueError(f"budget {budget} is above 2**53, too fine a grid to round to")
+    float noise at grid points snapped so exact multiples stay deterministic."""
+    budget = _grid_budget(budget)
     x = weights.p * budget
     floor = np.floor(x)
     frac = x - floor
@@ -352,15 +374,16 @@ def budget_repair(raw: np.ndarray, weights: DesignWeights, budget: int) -> Sampl
     """Bring one rounding draw's quotas to the budget.
 
     `raw` must be what `quantize_raw` draws: one integer per weight with
-    |m_i - p_i budget| < 1 (ValueError otherwise). Each residual
-    m_i/budget - p_i then lies in (-1/budget, 1/budget) and they sum to
+    |m_i - p_i budget| < 1 for a `_grid_budget` budget (ValueError
+    otherwise). Each residual m_i/budget - p_i then lies in
+    (-1/budget, 1/budget) and they sum to
     (sum(m) - budget)/budget, so one unit comes off each of the
     sum(m) - budget largest residuals, or goes onto each of the
     budget - sum(m) smallest, ties to the lowest index. No node moves twice,
     so this is moving one unit at a time to or from the largest remaining
     residual.
     """
-    budget = _positive(budget)
+    budget = _grid_budget(budget)
     p = weights.p
     m = _integers(raw, "raw quotas")
     if m.shape != p.shape or not (np.abs(m - p * budget) < 1).all():
@@ -378,11 +401,11 @@ def budget_repair(raw: np.ndarray, weights: DesignWeights, budget: int) -> Sampl
 
 def _quantized_eigenvalues(rows: np.ndarray, alloc: SampleAllocation) -> np.ndarray:
     """Eigenvalues of the sampled Gram sum_i m_i u_i u_i^T (M times the
-    quantized information matrix) by `_sampled_eigh`, as BLUE factors it on
-    the allocation's sequence; the caller applies the rank rule."""
+    quantized information matrix) by `_sampled_eigh` on `alloc.indices`, as
+    BLUE factors it; the caller applies the rank rule."""
     if len(alloc.m) != len(rows):
         raise ValueError(f"{len(rows)} rows but {len(alloc.m)} quotas")
-    return _sampled_eigh(rows, np.repeat(np.arange(len(alloc.m)), alloc.m))[1]
+    return _sampled_eigh(rows, alloc.indices)[1]
 
 
 def quantized_information_matrix(rows: np.ndarray, alloc: SampleAllocation) -> np.ndarray:
@@ -464,16 +487,16 @@ def perturbation_norm(rows: np.ndarray, delta_p: np.ndarray) -> tuple[float, flo
     max |dp_i| when R has orthonormal columns (R^T R = I), as the rows from
     `design_rows` do. Row norms <= 1 alone are not enough.
     Raises ValueError when the norm exceeds the bound, which means the rows
-    break that precondition.
+    break that precondition, and unless rows and residual are finite.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = _as_rows(rows, finite=True)
     dp = np.asarray(delta_p, dtype=float)
-    if rows.shape[0] != dp.shape[0]:
-        raise ValueError("residual length does not match row count")
+    if dp.shape != rows.shape[:1] or not np.isfinite(dp).all():
+        raise ValueError("residual must be finite, one entry per row")
     dA = rows.T @ (dp[:, None] * rows)
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(dA)))) if dA.size else 0.0
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(dA))))
     bound = float(np.max(np.abs(dp))) if dp.size else 0.0
-    if norm > bound + 1e-10:
+    if not norm <= bound + 1e-10:
         raise ValueError(
             f"perturbation norm {norm:.3e} exceeds max |dp_i| = {bound:.3e}; "
             "the bound needs rows with orthonormal columns (rows^T rows = I)"

@@ -6,28 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import SampleAllocation, _integers
+from .design import SampleAllocation
 from .exceptions import RankDeficientSampling
 from .spectral import SpectralBasis, _band, _rank_deficient, _sampled_eigh
-
-
-@dataclass(frozen=True)
-class SamplingSequence:
-    """Ordered node indices to measure; repeats allowed."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = _integers(self.indices, "node indices")
-        if idx.ndim != 1 or len(idx) < 1:
-            raise ValueError("sampling sequence must be a nonempty vector")
-        if (idx < 0).any():
-            raise ValueError("negative node index")
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self):
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -41,11 +22,6 @@ class EstimateResult:
     coeff_estimate: np.ndarray
     signal_estimate: np.ndarray
     error_l2: float | None = None
-
-
-def sequence_from_allocation(alloc: SampleAllocation) -> SamplingSequence:
-    """Expand quotas into a sequence: node i repeated m_i times, ascending."""
-    return SamplingSequence(np.repeat(np.arange(len(alloc.m)), alloc.m))
 
 
 def _snr_power_ratio(snr_db: float) -> float:
@@ -82,10 +58,10 @@ def noise_std_for_snr(signal: np.ndarray, snr_db: float) -> float:
 
 
 def sample_with_noise(
-    f: np.ndarray, seq: SamplingSequence, snr_db: float, seed=None
+    f: np.ndarray, seq: SampleAllocation, snr_db: float, seed=None
 ) -> NoisySamples:
-    """Observe f at the sequence nodes with additive iid Gaussian noise drawn
-    from `seed`. ValueError unless f is finite."""
+    """Observe f at `seq.indices`, each node m_i times, with additive iid
+    Gaussian noise drawn from `seed`. ValueError unless f is finite."""
     f = np.asarray(f, dtype=float)
     if not np.isfinite(f).all():
         raise ValueError("signal values must be finite")
@@ -100,7 +76,7 @@ def sample_with_noise(
 def blue_estimate(
     basis: SpectralBasis,
     bandwidth: int,
-    seq: SamplingSequence,
+    seq: SampleAllocation,
     y: np.ndarray,
     f_true: np.ndarray | None = None,
 ) -> EstimateResult:
@@ -108,7 +84,7 @@ def blue_estimate(
     y = np.asarray(y, dtype=float)
     if y.shape != seq.indices.shape:
         raise ValueError("observation length does not match sequence")
-    # least squares through the normal equations; a repeated sequence reuses
+    # least squares through the normal equations; a repeated allocation reuses
     # the memoized factorization of its Gram, the rank test runs every call
     V_K = _band(basis, bandwidth)
     V_mk, w, Q = _sampled_eigh(V_K, seq.indices)

@@ -12,7 +12,7 @@ import numpy as np
 
 _DEGENERACY_TOL = 1e-8
 _EIGEN_MEMO_SIZE = 32
-_SINGULARITY_RTOL = 1e-12  # rank rule: lambda_min <= rtol * lambda_max is singular
+_SINGULARITY_RTOL = 1e-12  # rank rule: singular unless lambda_min > rtol * lambda_max
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,10 @@ def design_rows(basis: SpectralBasis, k: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_EIGEN_MEMO_SIZE)
 def _memo_eigh(gram: bytes, k: int):
-    w, Q = np.linalg.eigh(np.frombuffer(gram).reshape(k, k))
+    G = np.frombuffer(gram).reshape(k, k)
+    if not np.isfinite(G).all():
+        raise ValueError("sampled Gram is not finite: non-finite or overflowing rows")
+    w, Q = np.linalg.eigh(G)
     w.flags.writeable = Q.flags.writeable = False
     return w, Q
 
@@ -120,7 +123,7 @@ def _memo_eigh(gram: bytes, k: int):
 def _sampled_eigh(V_K: np.ndarray, indices: np.ndarray):
     """V_S = V_K[indices] and the read-only eigh (w, Q) of V_S^T V_S, memoized
     on the Gram's bytes (the last _EIGEN_MEMO_SIZE), so an allocation's rank
-    check and BLUE on its sequence factor it once. Errors are not cached."""
+    check and BLUE on its `indices` factor it once. Errors are not cached."""
     if indices.size and indices.max() >= len(V_K):
         raise ValueError("sampling index out of range for basis")
     V_S = V_K[indices]
@@ -130,5 +133,5 @@ def _sampled_eigh(V_K: np.ndarray, indices: np.ndarray):
 
 def _rank_deficient(w: np.ndarray):
     """The rank rule on ascending eigenvalues `w`, or on each row of a stack
-    of them; true whenever lambda_max <= 0. `w.T[0]` is cheap on 1-D `w`."""
-    return w.T[0] <= _SINGULARITY_RTOL * w.T[-1]
+    of them; true if lambda_max <= 0 or an end is NaN. `w.T[0]` is cheap on 1-D `w`."""
+    return ~(w.T[0] > _SINGULARITY_RTOL * w.T[-1])

@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from gsample import graphs, spectral
+from gsample.design import SampleAllocation
+
+
+def sampling(nodes, n):
+    """The allocation that samples each entry of `nodes` once (a node listed
+    twice gets quota 2) on an n-node graph; its `indices` are `nodes` sorted."""
+    nodes = np.asarray(nodes)
+    return SampleAllocation(np.bincount(nodes, minlength=n), len(nodes))
 
 
 def random_orthonormal_rows(n, k, rng):

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from conftest import random_orthonormal_rows
+from conftest import random_orthonormal_rows, sampling
 from gsample import baselines, bench, cli, design, estimation, graphs, spectral
 from gsample.design import Criterion, DesignWeights
 from gsample.exceptions import FallbackExhausted
@@ -79,7 +79,7 @@ def test_criterion_2_mse_identity():
     for _ in range(5):
         k = int(rng.integers(2, 6))
         m = 4 * k
-        seq = estimation.SamplingSequence(rng.choice(basis.n, size=m, replace=True))
+        seq = sampling(rng.choice(basis.n, size=m, replace=True), basis.n)
         V = basis.eigenvectors[:, :k][seq.indices]
         tr = design.criterion_value(V.T @ V, Criterion.A_OPT)
         pinv = np.linalg.pinv(V)
@@ -251,7 +251,7 @@ def test_criterion_8_noiseless_exactness():
     weights = design.solve_relaxed(rows, Criterion.A_OPT)
     alloc, _ = design.allocate_from_weights(rows, weights, budget, seed=0)
     sequences = {
-        "proposed": estimation.sequence_from_allocation(alloc),
+        "proposed": alloc,
         "m1": baselines.greedy_sigma_min(rows, budget),
         "m3": baselines.top_m_selection(weights, budget),
     }

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_orthonormal_rows
 from gsample import baselines, graphs, spectral
-from gsample.design import DesignWeights
+from gsample.design import DesignWeights, SampleAllocation
 
 
 def svd_greedy(rows, budget):
@@ -285,6 +285,24 @@ class TestGreedySigmaMin:
         params = inspect.signature(baselines.greedy_sigma_min).parameters
         assert list(params) == ["rows", "budget"]
         assert "np.linalg.svd" not in inspect.getsource(baselines)
+
+
+class TestBaselineAllocations:
+    """Both baselines sample each pick once: quotas of 0 or 1 whose
+    `indices` are the picks in ascending order."""
+
+    def test_greedy_quotas_are_the_picks(self, rng):
+        rows = random_orthonormal_rows(12, 3, rng)
+        alloc = baselines.greedy_sigma_min(rows, 5)
+        assert isinstance(alloc, SampleAllocation) and alloc.budget == 5
+        assert alloc.m.shape == (12,) and set(alloc.m.tolist()) == {0, 1}
+        assert np.array_equal(alloc.indices, np.flatnonzero(alloc.m))
+
+    def test_top_m_quotas_are_the_picks(self):
+        alloc = baselines.top_m_selection(DesignWeights(np.array([0.1, 0.4, 0.2, 0.3])), 2)
+        assert isinstance(alloc, SampleAllocation) and alloc.budget == 2
+        assert alloc.m.tolist() == [0, 1, 0, 1]
+        assert alloc.indices.tolist() == [1, 3]
 
 
 class TestTopMSelection:

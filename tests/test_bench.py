@@ -354,7 +354,7 @@ class TestRunScenario:
             gi = points.index((rec.bandwidth, rec.snr_db))
             coeffs, z = bench.trial_inputs(cfg, gi, rec.bandwidth, rec.budget, rec.trial)
             f = spectral.synthesize_bandlimited(basis, coeffs)
-            y = f[seq.indices] + estimation.noise_std_for_snr(f, rec.snr_db) * z[: len(seq)]
+            y = f[seq.indices] + estimation.noise_std_for_snr(f, rec.snr_db) * z[: seq.budget]
             ref = blue_fn(basis, rec.bandwidth, seq, y, f_true=f)
             assert rec.status == "ok" and rec.error_l2 == ref.error_l2
 
@@ -454,7 +454,7 @@ class TestBenchmarkHooks:
         (design, "solve_relaxed"), (design, "duality_gap"),
         (design, "allocate_from_weights"), (baselines, "greedy_sigma_min"),
         (baselines, "top_m_selection"), (estimation, "sample_with_noise"),
-        (estimation, "blue_estimate"), (estimation, "sequence_from_allocation"),
+        (estimation, "blue_estimate"),
         (bench, "trial_inputs"), (bench, "run_scenario"), (bench, "summarize"),
         (bench, "write_records_csv"), (bench, "write_summary_csv"),
     ])

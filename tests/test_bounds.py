@@ -117,6 +117,17 @@ class TestPerturbationNorm:
         with pytest.raises(ValueError, match="orthonormal"):
             design.perturbation_norm(rows, dp)
 
+    @pytest.mark.parametrize("rows, dp", [
+        pytest.param(np.ones(3), np.zeros(3), id="1-D-rows"),
+        pytest.param([[1.0, 0.0], [np.nan, 0.0]], [0.1, 0.0], id="nan-row"),
+        pytest.param([[1.0, 0.0], [np.inf, 0.0]], [0.0, 0.0], id="inf-row"),
+        pytest.param(np.eye(2), [np.nan, 0.0], id="nan-residual"),
+        pytest.param(np.eye(2), [np.inf, 0.0], id="inf-residual"),
+    ])
+    def test_non_finite_input_rejected(self, rows, dp):
+        with pytest.raises(ValueError, match="finite"):
+            design.perturbation_norm(np.array(rows), np.array(dp))
+
 
 class TestResidualVariance:
     def test_empirical_variance_disagrees_with_analytic_cubic(self):

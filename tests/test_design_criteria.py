@@ -127,6 +127,18 @@ class TestCriterionValue:
         with pytest.raises(SingularInformationMatrix):
             design.criterion_value(np.diag([1.0, 0.0]), Criterion.A_OPT)
 
+    @pytest.mark.parametrize("crit", list(Criterion))
+    @pytest.mark.parametrize("A", [
+        pytest.param([[np.nan]], id="nan"),
+        pytest.param([[np.inf, 0.0], [0.0, 1.0]], id="inf"),
+        pytest.param(np.zeros((0, 0)), id="empty"),
+        pytest.param(np.ones((2, 3)), id="not-square"),
+        pytest.param(np.ones(3), id="1-D"),
+    ])
+    def test_non_finite_or_non_square_matrix_rejected(self, A, crit):
+        with pytest.raises(ValueError, match="must be finite, square and non-empty"):
+            design.criterion_value(A, crit)
+
 
 class TestCriterionGradient:
     def test_bandwidth_one_gradient_constant(self):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import sampling
 from gsample import design, estimation, graphs, spectral
 from gsample.design import DesignWeights, SampleAllocation
-from gsample.estimation import SamplingSequence
 from gsample.exceptions import (
     FallbackExhausted,
     RankDeficientSampling,
@@ -32,9 +32,9 @@ def cold_memo():
 
 
 def repeated_sequence(n, k, rng):
-    """A full-rank sequence of 3K samples in which some nodes repeat."""
+    """A full-rank allocation of 3K samples in which some nodes repeat."""
     distinct = rng.choice(n, size=k, replace=False)
-    return SamplingSequence(np.concatenate([distinct, rng.choice(distinct, size=2 * k)]))
+    return sampling(np.concatenate([distinct, rng.choice(distinct, size=2 * k)]), n)
 
 
 def sampled_gram(basis, k, seq):
@@ -76,7 +76,7 @@ class TestBitwiseEqual:
         k = 4
         seq = repeated_sequence(basis.n, k, rng)
         for _ in range(5):
-            estimation.blue_estimate(basis, k, seq, rng.standard_normal(len(seq)))
+            estimation.blue_estimate(basis, k, seq, rng.standard_normal(seq.budget))
         assert len(calls) == 1
 
 
@@ -88,7 +88,7 @@ class TestBlue:
         seq = repeated_sequence(basis.n, k, rng)
         V_mk = basis.eigenvectors[:, :k][seq.indices]
         for _ in range(2):
-            y = rng.standard_normal(len(seq))
+            y = rng.standard_normal(seq.budget)
             est = estimation.blue_estimate(basis, k, seq, y)
             expected = np.linalg.lstsq(V_mk, y, rcond=None)[0]
             assert np.abs(est.coeff_estimate - expected).max() <= 1e-8
@@ -99,14 +99,13 @@ def quantized_and_blue_raise(rows, m):
     quotas `m` on `rows`, both taken as the first K eigenvectors."""
     alloc = SampleAllocation(m=m, budget=int(np.sum(m)))
     basis = spectral.SpectralBasis(np.arange(float(len(rows))), rows)
-    seq = estimation.sequence_from_allocation(alloc)
     try:
         design.quantized_information_matrix(rows, alloc)
         qim = False
     except SingularInformationMatrix:
         qim = True
     try:
-        estimation.blue_estimate(basis, rows.shape[1], seq, np.zeros(len(seq)))
+        estimation.blue_estimate(basis, rows.shape[1], alloc, np.zeros(alloc.budget))
         blue = False
     except RankDeficientSampling:
         blue = True
@@ -154,18 +153,17 @@ class TestOneRankDecision:
         rows = basis.eigenvectors[:, :k].copy()
         weights = DesignWeights(np.full(basis.n, 1.0 / basis.n))
         alloc, _ = design.allocate_from_weights(rows, weights, 3 * k, seed=0)
-        seq = estimation.sequence_from_allocation(alloc)
-        estimation.blue_estimate(basis, k, seq, np.ones(len(seq)))
+        estimation.blue_estimate(basis, k, alloc, np.ones(alloc.budget))
         assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 class TestFailuresNotCached:
     def test_rank_deficient_sequence_raises_every_call(self, basis):
         # three distinct nodes, each sampled twice, cannot span K = 4
-        seq = SamplingSequence(np.array([0, 0, 5, 5, 9, 9]))
+        seq = sampling([0, 0, 5, 5, 9, 9], basis.n)
         for _ in range(3):
             with pytest.raises(RankDeficientSampling):
-                estimation.blue_estimate(basis, 4, seq, np.zeros(len(seq)))
+                estimation.blue_estimate(basis, 4, seq, np.zeros(seq.budget))
 
     def test_singular_allocation_raises_every_call(self, basis):
         rows = basis.eigenvectors[:, :3]
@@ -187,6 +185,15 @@ class TestFailuresNotCached:
 
 
 class TestMemoSafety:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gram_refused_every_call(self, value):
+        V = np.eye(3)
+        V[1] = value
+        for _ in range(2):
+            with pytest.raises(ValueError, match="sampled Gram is not finite"):
+                spectral._sampled_eigh(V, np.arange(3))
+        assert spectral._memo_eigh.cache_info().currsize == 0
+
     def test_results_are_read_only(self, basis, rng):
         k = 4
         seq = repeated_sequence(basis.n, k, rng)
@@ -213,6 +220,13 @@ eigenvalues = st.lists(
     st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12])),
     min_size=1, max_size=6,
 ).map(sorted).map(np.array)
+
+
+@pytest.mark.parametrize("w", [[np.nan], [np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]])
+def test_rank_rule_calls_a_nan_end_singular(w):
+    w = np.array(w)
+    assert spectral._rank_deficient(w)
+    assert spectral._rank_deficient(np.stack([w, w])).all()
 
 
 @settings(max_examples=500, deadline=None)

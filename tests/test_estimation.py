@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import sampling
 from gsample import design, estimation, graphs, spectral
 from gsample.design import Criterion, SampleAllocation
-from gsample.estimation import SamplingSequence
 from gsample.exceptions import RankDeficientSampling
 
 
@@ -17,6 +17,9 @@ def basis():
 
 
 class TestSamplingSequence:
+    """The sampling sequence is `SampleAllocation.indices`: the quotas it
+    expands are checked as integers, copied, and the sequence is read-only."""
+
     @pytest.mark.parametrize(
         "indices",
         [
@@ -25,43 +28,70 @@ class TestSamplingSequence:
         ],
     )
     def test_non_integral_indices_rejected(self, indices):
-        with pytest.raises(ValueError, match="node indices must be integers"):
-            SamplingSequence(indices)
+        with pytest.raises(ValueError, match="quotas must be integers"):
+            SampleAllocation(indices, 2)
 
     def test_integral_floats_accepted(self):
-        seq = SamplingSequence([1.0, 2.0, 2.0])
+        seq = SampleAllocation([0.0, 1.0, 2.0], 3)
         assert seq.indices.dtype.kind == "i"
         assert seq.indices.tolist() == [1, 2, 2]
 
     def test_integer_input_copied_and_frozen(self):
-        idx = np.array([3, 1, 3], dtype=np.int32)
-        seq = SamplingSequence(idx)
-        idx[0] = 0
-        assert seq.indices.tolist() == [3, 1, 3]
+        m = np.array([0, 1, 0, 2], dtype=np.int32)
+        seq = SampleAllocation(m, 3)
+        m[0] = 5
+        assert seq.indices.tolist() == [1, 3, 3]
         assert not seq.indices.flags.writeable
+        with pytest.raises(ValueError):
+            seq.indices[0] = 0
+
+    def test_expanded_once_per_allocation(self, monkeypatch):
+        repeat, calls = np.repeat, []
+        monkeypatch.setattr(np, "repeat", lambda *a: calls.append(1) or repeat(*a))
+        seq = SampleAllocation([2, 0, 1], 3)
+        assert calls == []  # computed on first use
+        assert seq.indices is seq.indices
+        assert len(calls) == 1
+
+    def test_proposed_trial_expands_once(self, basis, monkeypatch):
+        # allocation's rank check, the observation and BLUE read one sequence
+        k = 4
+        rows = spectral.design_rows(basis, k)
+        weights = design.DesignWeights(np.full(basis.n, 1.0 / basis.n))
+        repeat, calls = np.repeat, []
+        monkeypatch.setattr(np, "repeat", lambda *a: calls.append(1) or repeat(*a))
+        seq, _ = design.allocate_from_weights(rows, weights, 3 * k, seed=0)
+        f = spectral.synthesize_bandlimited(basis, np.ones(k))
+        y = estimation.sample_with_noise(f, seq, 10.0, seed=1).y
+        estimation.blue_estimate(basis, k, seq, y, f_true=f)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [[0, 0, 0], []])
+    def test_empty_sequence_rejected(self, m):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            SampleAllocation(m, 0)
 
 
 class TestSequenceFromAllocation:
     def test_expands_in_node_order(self):
         alloc = SampleAllocation(m=np.array([2, 0, 1]), budget=3)
-        seq = estimation.sequence_from_allocation(alloc)
-        assert np.array_equal(seq.indices, [0, 0, 2])
+        assert np.array_equal(alloc.indices, [0, 0, 2])
 
     def test_point_mass(self):
         alloc = SampleAllocation(m=np.array([0, 4, 0]), budget=4)
-        seq = estimation.sequence_from_allocation(alloc)
-        assert np.array_equal(seq.indices, [1, 1, 1, 1])
+        assert np.array_equal(alloc.indices, [1, 1, 1, 1])
 
     def test_round_trip_counts(self, rng):
         m = rng.multinomial(12, np.ones(5) / 5)
-        seq = estimation.sequence_from_allocation(SampleAllocation(m=m, budget=12))
+        seq = SampleAllocation(m=m, budget=12)
         assert np.array_equal(np.bincount(seq.indices, minlength=5), m)
+        assert np.array_equal(sampling(seq.indices, 5).m, m)
 
 
 class TestSampleWithNoise:
     def test_infinite_snr_is_exact(self, rng):
         f = rng.standard_normal(10)
-        seq = SamplingSequence(np.array([0, 3, 3, 7]))
+        seq = sampling([0, 3, 3, 7], 10)
         samples = estimation.sample_with_noise(f, seq, np.inf, seed=1)
         assert np.array_equal(samples.y, f[[0, 3, 3, 7]])
         assert samples.noise_std == 0.0
@@ -90,7 +120,7 @@ class TestSampleWithNoise:
             assert estimation.noise_std_for_snr(np.array(signal), np.inf) == 0.0
 
     def test_zero_signal_convention(self):
-        seq = SamplingSequence(np.array([0, 1]))
+        seq = sampling([0, 1], 4)
         samples = estimation.sample_with_noise(np.zeros(4), seq, 10.0, seed=1)
         assert np.array_equal(samples.y, [0.0, 0.0])
 
@@ -98,7 +128,7 @@ class TestSampleWithNoise:
         # 10 dB on a constant signal c means sigma = c / sqrt(10)
         c = 2.0
         f = np.full(6, c)
-        seq = SamplingSequence(np.arange(6))
+        seq = sampling(np.arange(6), 6)
         rng = np.random.default_rng(0)
         draws = np.concatenate(
             [
@@ -112,7 +142,7 @@ class TestSampleWithNoise:
         assert list(inspect.signature(estimation.sample_with_noise).parameters) == [
             "f", "seq", "snr_db", "seed"]
         f = np.arange(5.0)
-        seq = SamplingSequence(np.array([1, 2]))
+        seq = sampling([1, 2], 5)
         z = np.random.default_rng(7).standard_normal(2)
         samples = estimation.sample_with_noise(f, seq, 0.0, seed=7)
         assert np.array_equal(samples.y, f[[1, 2]] + estimation.noise_std_for_snr(f, 0.0) * z)
@@ -122,7 +152,7 @@ class TestSampleWithNoise:
         f = np.ones(4)
         f[2] = value
         with pytest.raises(ValueError, match="finite"):
-            estimation.sample_with_noise(f, SamplingSequence([0, 1]), 10.0, seed=1)
+            estimation.sample_with_noise(f, sampling([0, 1], 4), 10.0, seed=1)
 
 
 class TestBlueEstimate:
@@ -131,7 +161,7 @@ class TestBlueEstimate:
         i, j = np.triu_indices(4, 1)
         L = graphs.laplacian(graphs.WeightedGraph(4, i, j, np.ones(i.size)))
         basis = spectral.eigendecompose(L)
-        seq = SamplingSequence(np.array([0, 0]))
+        seq = sampling([0, 0], 4)
         est = estimation.blue_estimate(basis, 1, seq, np.array([3.0, 5.0]))
         assert est.coeff_estimate[0] == pytest.approx(8.0, abs=1e-10)
         assert np.allclose(est.signal_estimate, 4.0, atol=1e-10)
@@ -139,19 +169,19 @@ class TestBlueEstimate:
     def test_noiseless_recovery(self, basis, rng):
         k = 4
         f = spectral.synthesize_bandlimited(basis, rng.standard_normal(k))
-        seq = SamplingSequence(rng.choice(basis.n, size=3 * k, replace=False))
+        seq = sampling(rng.choice(basis.n, size=3 * k, replace=False), basis.n)
         est = estimation.blue_estimate(basis, k, seq, f[seq.indices], f_true=f)
         assert est.error_l2 <= 1e-8
 
     def test_underdetermined_rejected(self, basis):
-        seq = SamplingSequence(np.array([0, 1]))
+        seq = sampling([0, 1], basis.n)
         with pytest.raises(RankDeficientSampling):
             estimation.blue_estimate(basis, 3, seq, np.zeros(2))
 
     def test_estimate_lies_in_band(self, basis, rng):
         k = 4
         f = spectral.synthesize_bandlimited(basis, rng.standard_normal(k))
-        seq = SamplingSequence(rng.choice(basis.n, size=12, replace=True))
+        seq = sampling(rng.choice(basis.n, size=12, replace=True), basis.n)
         y = estimation.sample_with_noise(f, seq, 5.0, seed=2).y
         est = estimation.blue_estimate(basis, k, seq, y)
         tail = spectral.gft(basis, est.signal_estimate)[k:]
@@ -161,10 +191,10 @@ class TestBlueEstimate:
         k = 3
         coeffs = rng.standard_normal(k)
         f = spectral.synthesize_bandlimited(basis, coeffs)
-        seq = SamplingSequence(rng.choice(basis.n, size=9, replace=False))
+        seq = sampling(rng.choice(basis.n, size=9, replace=False), basis.n)
         sigma = 0.5
         draws = 10_000
-        z = rng.standard_normal((draws, len(seq)))
+        z = rng.standard_normal((draws, seq.budget))
         V_mk = basis.eigenvectors[:, :k][seq.indices]
         ys = f[seq.indices][:, None] + sigma * z.T
         ests = np.linalg.lstsq(V_mk, ys, rcond=None)[0]
@@ -189,7 +219,7 @@ class TestErrorCovariance:
 
     def test_bandwidth_one_trace(self, basis):
         alloc = SampleAllocation(m=np.array([3] + [0] * (basis.n - 1)), budget=3)
-        G = sampled_gram(basis, 1, estimation.sequence_from_allocation(alloc))
+        G = sampled_gram(basis, 1, alloc)
         # the constant first eigenvector gives the 1x1 Gram 3 / N
         value = {c: design.criterion_value(G, c) for c in Criterion}
         assert value[Criterion.A_OPT] == pytest.approx(basis.n / 3, rel=1e-9)
@@ -201,25 +231,25 @@ class TestErrorCovariance:
         basis = spectral.SpectralBasis(
             eigenvalues=np.array([0.0, 2.0]), eigenvectors=np.eye(2)
         )
-        seq = SamplingSequence(np.array([0, 1]))
+        seq = sampling([0, 1], 2)
         tr = design.criterion_value(sampled_gram(basis, 2, seq), Criterion.A_OPT)
         assert tr == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_monte_carlo(self, basis, rng):
         k = 3
-        seq = SamplingSequence(rng.choice(basis.n, size=10, replace=True))
+        seq = sampling(rng.choice(basis.n, size=10, replace=True), basis.n)
         tr = design.criterion_value(sampled_gram(basis, k, seq), Criterion.A_OPT)
         V_mk = basis.eigenvectors[:, :k][seq.indices]
         pinv = np.linalg.pinv(V_mk)
-        z = rng.standard_normal((20_000, len(seq)))
+        z = rng.standard_normal((20_000, seq.budget))
         errs = (z @ pinv.T) ** 2
         assert errs.sum(axis=1).mean() == pytest.approx(tr, rel=0.05)
 
     def test_repetition_scales_trace(self, basis, rng):
         m = np.zeros(basis.n, dtype=int)
         m[rng.choice(basis.n, size=5, replace=False)] = 1
-        seq1 = estimation.sequence_from_allocation(SampleAllocation(m=m, budget=5))
-        seq3 = estimation.sequence_from_allocation(SampleAllocation(m=3 * m, budget=15))
+        seq1 = SampleAllocation(m=m, budget=5)
+        seq3 = SampleAllocation(m=3 * m, budget=15)
         tr1 = design.criterion_value(sampled_gram(basis, 3, seq1), Criterion.A_OPT)
         tr3 = design.criterion_value(sampled_gram(basis, 3, seq3), Criterion.A_OPT)
         assert tr3 == pytest.approx(tr1 / 3, rel=1e-9)

@@ -42,7 +42,7 @@ class TestDesignPipeline:
     def test_bandwidth_one_any_budget(self, basis):
         result = design.design_pipeline(basis, 1, 3, Criterion.A_OPT, seed=0)
         assert result.allocation.m.sum() == 3
-        seq = estimation.sequence_from_allocation(result.allocation)
+        seq = result.allocation
         f = spectral.synthesize_bandlimited(basis, np.array([2.0]))
         est = estimation.blue_estimate(basis, 1, seq, f[seq.indices], f_true=f)
         assert est.error_l2 <= 1e-8

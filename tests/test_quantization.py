@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthonormal_rows
-from gsample import design, estimation
+from gsample import design
 from gsample.design import Criterion, DesignWeights, SampleAllocation
 from gsample.exceptions import SingularInformationMatrix
 
@@ -132,7 +132,7 @@ class TestBudgetRepair:
                               unit_steps_repair(raw, w, budget))
 
     @pytest.mark.parametrize("raw, budget, match", [
-        ([1, 1, 1], 10**20, "rounding draw"),  # would take 1e20 one-unit moves
+        ([1, 1, 1], 2**53, "rounding draw"),  # would take 9e15 one-unit moves
         ([1, 1, 1], 4, "rounding draw"),  # 1 is a full unit below 0.5 * 4
         ([3, 1, 0], 4, "rounding draw"),
         ([1, 1], 3, "rounding draw"),
@@ -217,7 +217,7 @@ class TestQuantizedInformationMatrix:
         budget = int(m.sum())
         alloc = SampleAllocation(m=m, budget=budget)
         A_hat = design.quantized_information_matrix(rows, alloc)
-        V_S = rows[estimation.sequence_from_allocation(alloc).indices]
+        V_S = rows[alloc.indices]
         G = V_S.T @ V_S
         assert np.abs(A_hat * budget - G).max() <= 1e-12 * np.abs(G).max()
         # eigenvalue rounding moves 1/lambda_min by about eps * cond(G)
@@ -248,7 +248,7 @@ BUDGET_USES = {
 
 class TestBudgetRule:
     """Every entry point takes a budget by one rule: an integer, not a bool,
-    at least 1; the rounding also refuses budgets above 2**53."""
+    at least 1; the rounding and its repair also refuse budgets above 2**53."""
 
     @pytest.mark.parametrize("use", BUDGET_USES)
     @pytest.mark.parametrize("budget", [0, -1, True, False, 2.5, 2.0, "2", None])
@@ -266,8 +266,9 @@ class TestBudgetRule:
             design.empirical_residual_variance(W3, 10, draws=draws, seed=0)
 
     @pytest.mark.parametrize("use", ["quantize_raw", "allocate_from_weights",
-                                     "empirical_residual_variance"])
-    @pytest.mark.parametrize("budget", [2**53 + 1, 10**20])
+                                     "empirical_residual_variance", "budget_repair"])
+    @pytest.mark.parametrize("budget", [2**53 + 1, 10**20,
+                                        pytest.param(10**400, id="10**400")])
     def test_rounding_refuses_budgets_beyond_the_weights_resolution(self, use, budget):
         with pytest.raises(ValueError, match=f"budget {budget} is above 2\\*\\*53"):
             BUDGET_USES[use](budget)

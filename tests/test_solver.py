@@ -38,6 +38,8 @@ SHAPE_USES = {
     **{f"duality_gap-{crit.value}": lambda rows, crit=crit: design.duality_gap(rows, THIRDS, crit)
        for crit in Criterion},
 }
+# the entry points that factor a matrix of the rows; information_matrix only forms it
+FINITE_USES = {use: fn for use, fn in SHAPE_USES.items() if use != "information_matrix"}
 
 
 class TestSolveRelaxed:
@@ -99,6 +101,28 @@ class TestSolveRelaxed:
     ])
     def test_non_finite_rows_rejected(self, rows, crit):
         with pytest.raises(ValueError, match="finite"):
+            design.solve_relaxed(rows, crit)
+
+    @pytest.mark.parametrize("use", FINITE_USES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_refused_by_every_entry_point(self, value, use):
+        # no eigensolver sees a non-finite matrix, whose spectrum LAPACK may
+        # return as NaN, as finite garbage or as a convergence error
+        rows = np.eye(3)
+        rows[1] = value
+        with pytest.raises(ValueError, match="finite"):
+            FINITE_USES[use](rows)
+
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    def test_uncertified_stop_raises(self, crit, rng, monkeypatch):
+        rows = random_orthonormal_rows(20, 4, rng)  # its K-row start is not optimal
+        with monkeypatch.context() as m:
+            m.setattr(design, "_newton_step", lambda *args: False)
+            with pytest.raises(ValueError, match=r"\(neither Newton step moved\): "
+                               r"duality gap \S+ above its bound \S+"):
+                design.solve_relaxed(rows, crit)
+        monkeypatch.setattr(design, "_FW_MAX_ITER", 1)
+        with pytest.raises(ValueError, match=r"\(iteration cap 1 reached\)"):
             design.solve_relaxed(rows, crit)
 
     @pytest.mark.parametrize("use", SHAPE_USES)

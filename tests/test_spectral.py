@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import sampling
 from gsample import estimation, graphs, spectral
-from gsample.estimation import SamplingSequence
 
 
 def complete_graph(n):
@@ -112,7 +112,7 @@ class TestBandlimited:
 def test_bandwidth_must_be_an_integer(small_world_basis, bandwidth):
     with pytest.raises(ValueError, match="bandwidth must be an integer"):
         spectral.design_rows(small_world_basis, bandwidth)
-    seq = SamplingSequence(np.arange(4))
+    seq = sampling(np.arange(4), small_world_basis.n)
     with pytest.raises(ValueError, match="bandwidth must be an integer"):
         estimation.blue_estimate(small_world_basis, bandwidth, seq, np.zeros(4))
 
