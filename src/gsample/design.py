@@ -364,9 +364,13 @@ def _grid_split(weights: DesignWeights, budget: int) -> tuple[np.ndarray, np.nda
 def quantize_raw(weights: DesignWeights, budget: int, rng) -> np.ndarray:
     """One independent draw of the two-point randomized rounding of each p_i
     to an adjacent multiple of 1/budget. Unbiased; the draws need not sum
-    to the budget."""
-    rng = np.random.default_rng(rng)
+    to the budget. When no p_i * budget has a fractional part the draw is
+    the floor and nothing is random: no generator is built from `rng`, and
+    a passed Generator is not advanced."""
     floor, frac = _grid_split(weights, budget)
+    if not frac.any():
+        return floor.astype(int)
+    rng = np.random.default_rng(rng)
     return (floor + (rng.random(len(frac)) < frac)).astype(int)
 
 
@@ -411,9 +415,10 @@ def _quantized_eigenvalues(rows: np.ndarray, alloc: SampleAllocation) -> np.ndar
 def quantized_information_matrix(rows: np.ndarray, alloc: SampleAllocation) -> np.ndarray:
     """Information matrix of the quantized design sum_i (m_i/M) u_i u_i^T.
 
-    Raises SingularInformationMatrix when the quantized design lost rank.
+    Raises SingularInformationMatrix when the quantized design lost rank,
+    ValueError unless the rows are finite.
     """
-    rows = _as_rows(rows)
+    rows = _as_rows(rows, finite=True)
     _checked(_quantized_eigenvalues(rows, alloc))
     p = alloc.m / alloc.budget
     return rows.T @ (p[:, None] * rows)
@@ -508,18 +513,19 @@ def allocate_from_weights(
     rows: np.ndarray,
     weights: DesignWeights,
     budget: int,
-    seed=None,
+    raw: np.ndarray,
 ) -> tuple[SampleAllocation, int]:
-    """Quantize a relaxed design to quotas: one randomized rounding
-    (`quantize_raw`, drawn from `seed`) followed by `budget_repair`. When the
-    quantized matrix comes out singular, shifts one budget unit at a time
-    from the most-sampled node to the unsampled node with largest weight, at
-    most K times for K = rows.shape[1].
+    """Quotas for one rounding draw `raw` of a relaxed design, as
+    `quantize_raw` draws it: `budget_repair`, then, while the quantized
+    matrix comes out singular, one budget unit shifted from the most-sampled
+    node to the unsampled node with largest weight, at most K times for
+    K = rows.shape[1]. A pure function of its arguments, so equal draws give
+    equal allocations. ValueError unless the rows are finite.
 
     Returns the allocation and the number of shifts applied.
     """
-    rows = _as_rows(rows)
-    alloc = budget_repair(quantize_raw(weights, budget, seed), weights, budget)
+    rows = _as_rows(rows, finite=True)
+    alloc = budget_repair(raw, weights, budget)
     shifts = 0
     while _rank_deficient(_quantized_eigenvalues(rows, alloc)):
         if shifts >= rows.shape[1]:
@@ -565,7 +571,8 @@ def design_pipeline(
         )
     rows = design_rows(basis, bandwidth)
     weights = solve_relaxed(rows, criterion)
-    alloc, fallback_moves = allocate_from_weights(rows, weights, budget, seed=seed)
+    alloc, fallback_moves = allocate_from_weights(
+        rows, weights, budget, quantize_raw(weights, budget, seed))
     w = _checked(np.linalg.eigvalsh(information_matrix(rows, weights)))
     w_hat = _checked(_quantized_eigenvalues(rows, alloc)) / budget
     diagnostics = {

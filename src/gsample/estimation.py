@@ -61,13 +61,14 @@ def sample_with_noise(
     f: np.ndarray, seq: SampleAllocation, snr_db: float, seed=None
 ) -> NoisySamples:
     """Observe f at `seq.indices`, each node m_i times, with additive iid
-    Gaussian noise drawn from `seed`. ValueError unless f is finite."""
+    Gaussian noise drawn from `seed`. ValueError unless f is finite and has
+    one value per quota."""
     f = np.asarray(f, dtype=float)
     if not np.isfinite(f).all():
         raise ValueError("signal values must be finite")
+    if f.shape != seq.m.shape:
+        raise ValueError(f"signal has {f.size} values but the allocation {len(seq.m)} quotas")
     idx = seq.indices
-    if idx.max() >= len(f):
-        raise ValueError("sampling index out of range for signal")
     sigma = noise_std_for_snr(f, snr_db)
     noise = np.random.default_rng(seed).standard_normal(len(idx))
     return NoisySamples(y=f[idx] + sigma * noise, noise_std=sigma)
@@ -80,7 +81,10 @@ def blue_estimate(
     y: np.ndarray,
     f_true: np.ndarray | None = None,
 ) -> EstimateResult:
-    """Least-squares estimate of the bandlimited coefficients and signal."""
+    """Least-squares estimate of the bandlimited coefficients and signal.
+    ValueError unless the allocation has one quota per node of the basis."""
+    if len(seq.m) != basis.n:
+        raise ValueError(f"basis has {basis.n} nodes but the allocation {len(seq.m)} quotas")
     y = np.asarray(y, dtype=float)
     if y.shape != seq.indices.shape:
         raise ValueError("observation length does not match sequence")

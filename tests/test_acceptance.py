@@ -55,7 +55,7 @@ def test_criterion_1_relaxation_bound_chain():
             for seed in range(10):
                 try:
                     alloc, _ = design.allocate_from_weights(
-                        rows, weights, budget, seed=seed
+                        rows, weights, budget, design.quantize_raw(weights, budget, seed)
                     )
                     quantized = crit_at(rows, alloc.m / budget, crit)
                     break
@@ -249,7 +249,8 @@ def test_criterion_8_noiseless_exactness():
     coeffs = 1.0 + 0.5 * rng.standard_normal(k)
     f = spectral.synthesize_bandlimited(basis, coeffs)
     weights = design.solve_relaxed(rows, Criterion.A_OPT)
-    alloc, _ = design.allocate_from_weights(rows, weights, budget, seed=0)
+    alloc, _ = design.allocate_from_weights(
+        rows, weights, budget, design.quantize_raw(weights, budget, 0))
     sequences = {
         "proposed": alloc,
         "m1": baselines.greedy_sigma_min(rows, budget),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gsample import baselines, bench, design, estimation, graphs, spectral
+from gsample.exceptions import GSampleError
 
 TINY = {
     "schema": 1,
@@ -380,25 +381,44 @@ class TestRunScenario:
         assert all(math.isnan(r.error_l2) for r in records)
 
 
+def traced_allocation(monkeypatch):
+    """Patch `design.quantize_raw` and `design.allocate_from_weights` to log
+    each rounding draw and each allocation's draw, as (budget, raw bytes),
+    and each allocation's result; returns the three lists."""
+    quantize_fn, alloc_fn = design.quantize_raw, design.allocate_from_weights
+    draws, allocated, results = [], [], []
+
+    def quantize(weights, budget, rng):
+        raw = quantize_fn(weights, budget, rng)
+        draws.append((budget, raw.tobytes()))
+        return raw
+
+    def alloc(rows, weights, budget, raw):
+        allocated.append((budget, raw.tobytes()))
+        results.append(alloc_fn(rows, weights, budget, raw))
+        return results[-1]
+
+    monkeypatch.setattr(design, "quantize_raw", quantize)
+    monkeypatch.setattr(design, "allocate_from_weights", alloc)
+    return draws, allocated, results
+
+
 class TestBenchmarkHooks:
     """The benchmark's tracer times and spot-checks BLUE and the allocation by
     patching these module attributes, so `run_scenario` must reach them
-    through the modules, once per record and once per proposed record."""
+    through the modules, once per record and once per distinct rounding draw
+    of a bandwidth."""
 
     def test_run_scenario_calls_module_attributes(self, monkeypatch):
-        blue_fn, alloc_fn = estimation.blue_estimate, design.allocate_from_weights
-        blue_calls, alloc_calls = [], []
+        blue_fn = estimation.blue_estimate
+        blue_calls = []
 
         def blue(*args, **kwargs):
             blue_calls.append(list(inspect.signature(blue_fn).bind(*args, **kwargs).arguments))
             return blue_fn(*args, **kwargs)
 
-        def alloc(*args, **kwargs):
-            alloc_calls.append(1)
-            return alloc_fn(*args, **kwargs)
-
         monkeypatch.setattr(estimation, "blue_estimate", blue)
-        monkeypatch.setattr(design, "allocate_from_weights", alloc)
+        draws, allocated, _ = traced_allocation(monkeypatch)
         cfg = tiny_config(
             signal={"bandwidth_min": 3, "bandwidth_max": 4, "snr_db_grid": [10.0, 20.0]},
             trials=3,
@@ -408,14 +428,15 @@ class TestBenchmarkHooks:
         assert len(blue_calls) == len(records) == 2 * 2 * 3 * 3
         assert all(names == ["basis", "bandwidth", "seq", "y", "f_true"]
                    for names in blue_calls)
-        assert len(alloc_calls) == sum(r.method == "proposed" for r in records) == 12
+        assert len(draws) == sum(r.method == "proposed" for r in records) == 12
+        assert sorted(allocated) == sorted(set(draws))
 
     def test_traced_names_and_fields(self, monkeypatch, tmp_path):
         """The tracer reads the bound `rows` and `criterion` of each relaxed
         solve and the `.p` of its result, and `result[1]` of each allocation;
         it loads a config with `load_config` and times `build_graph`."""
-        solve_fn, alloc_fn = design.solve_relaxed, design.allocate_from_weights
-        solves, allocs = [], []
+        solve_fn = design.solve_relaxed
+        solves = []
 
         def solve(*args, **kwargs):
             result = solve_fn(*args, **kwargs)
@@ -423,13 +444,8 @@ class TestBenchmarkHooks:
                            result))
             return result
 
-        def alloc(*args, **kwargs):
-            result = alloc_fn(*args, **kwargs)
-            allocs.append(result)
-            return result
-
         monkeypatch.setattr(design, "solve_relaxed", solve)
-        monkeypatch.setattr(design, "allocate_from_weights", alloc)
+        draws, allocated, results = traced_allocation(monkeypatch)
         gpath, cpath = tmp_path / "graph.edges", tmp_path / "cfg.json"
         graphs.save_edge_list(graphs.random_geometric(40, 0.5, 0.25, seed=1), gpath)
         cpath.write_text(json.dumps(dict(
@@ -444,8 +460,9 @@ class TestBenchmarkHooks:
         for call, weights in solves:
             assert call["criterion"].value == "a"
             assert weights.p.shape == (call["rows"].shape[0],)
-        assert len(allocs) == sum(r.method == "proposed" for r in records) == 4
-        assert all(isinstance(result[1], int) for result in allocs)
+        assert len(draws) == sum(r.method == "proposed" for r in records) == 4
+        assert sorted(allocated) == sorted(set(draws))
+        assert all(isinstance(result[1], int) for result in results)
 
     @pytest.mark.parametrize("module, name", [
         (graphs, "load_edge_list"), (graphs, "random_geometric"),
@@ -462,6 +479,77 @@ class TestBenchmarkHooks:
         # the tracer reports each layer metric under the span "<module>.<name>"
         fn = getattr(module, name)
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+GROUPED_SIGNAL = {"bandwidth_min": 3, "bandwidth_max": 4, "snr_db_grid": [10.0, 20.0]}
+
+
+def ungrouped_proposed(cfg):
+    """(K, SNR, trial, error_l2, status) of each proposed record, from a
+    loop that allocates every trial's rounding draw afresh."""
+    basis = spectral.eigendecompose(graphs.laplacian(bench.build_graph(cfg)))
+    criterion = design.Criterion.parse(cfg.criterion)
+    sig = cfg.signal
+    bandwidths = range(sig["bandwidth_min"], sig["bandwidth_max"] + 1, sig["bandwidth_step"])
+    grid = [(k, snr) for k in bandwidths for snr in sig["snr_db_grid"]]
+    mi = cfg.methods.index("proposed")
+    out = []
+    for gi, (k, snr) in enumerate(grid):
+        budget = int(round(cfg.budget_rule * k))
+        rows = spectral.design_rows(basis, k)
+        weights = design.solve_relaxed(rows, criterion)
+        for trial in range(cfg.trials):
+            coeffs, z = bench.trial_inputs(cfg, gi, k, budget, trial)
+            f = spectral.synthesize_bandlimited(basis, coeffs)
+            raw = design.quantize_raw(
+                weights, budget, [cfg.master_seed, bench._ROLE_METHOD, mi, gi, trial])
+            try:
+                alloc, _ = design.allocate_from_weights(rows, weights, budget, raw)
+                y = f[alloc.indices] + estimation.noise_std_for_snr(f, snr) * z
+                err = estimation.blue_estimate(basis, k, alloc, y, f_true=f).error_l2
+                status = "ok"
+            except GSampleError as exc:
+                err, status = math.nan, f"failed:{type(exc).__name__}"
+            out.append((k, snr, trial, err, status))
+    return out
+
+
+class TestTrialGrouping:
+    """Proposed trials of one bandwidth whose rounding draws are equal share
+    one allocation, and their records are those of one allocation per trial."""
+
+    @pytest.mark.parametrize("criterion", ["a", "d", "e"])
+    def test_records_match_one_allocation_per_trial(self, criterion):
+        cfg = tiny_config(criterion=criterion, trials=20, signal=GROUPED_SIGNAL)
+        records = bench.run_scenario(cfg, measure_time=False)
+        proposed = [(r.bandwidth, r.snr_db, r.trial, r.error_l2, r.status)
+                    for r in records if r.method == "proposed"]
+        assert proposed == ungrouped_proposed(cfg)
+        assert all(r.status == "ok" for r in records)
+
+    def test_one_allocation_per_distinct_draw(self, monkeypatch):
+        draws, allocated, results = traced_allocation(monkeypatch)
+        repeat, expanded = np.repeat, []
+        monkeypatch.setattr(np, "repeat", lambda *a: expanded.append(1) or repeat(*a))
+        cfg = tiny_config(criterion="d", trials=20, methods=["proposed"],
+                          signal=GROUPED_SIGNAL)
+        records = bench.run_scenario(cfg, measure_time=False)
+        assert len(draws) == len(records) == 2 * 2 * 20
+        assert sorted(allocated) == sorted(set(draws))
+        assert len(allocated) < len(draws)  # D's draws repeat on this graph
+        # rank check, observation and BLUE of every trial sharing a draw read one sequence
+        assert len(expanded) == len(results)
+
+    def test_failing_draw_fails_every_trial_that_shares_it(self, monkeypatch):
+        # a budget of 2 cannot span K = 4: every draw exhausts its shifts
+        draws, allocated, results = traced_allocation(monkeypatch)
+        cfg = tiny_config(budget_rule=0.5, trials=10, methods=["proposed"],
+                          signal={"bandwidth_min": 4, "bandwidth_max": 4,
+                                  "snr_db_grid": [10.0]})
+        records = bench.run_scenario(cfg, measure_time=False)
+        assert all(r.status == "failed:FallbackExhausted" for r in records)
+        assert len(set(draws)) < len(draws) == len(records)  # some trials share a draw
+        assert allocated == draws and results == []  # a failure is not kept
 
 
 class TestSummarize:

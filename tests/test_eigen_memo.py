@@ -152,7 +152,8 @@ class TestOneRankDecision:
         k = 4
         rows = basis.eigenvectors[:, :k].copy()
         weights = DesignWeights(np.full(basis.n, 1.0 / basis.n))
-        alloc, _ = design.allocate_from_weights(rows, weights, 3 * k, seed=0)
+        alloc, _ = design.allocate_from_weights(
+            rows, weights, 3 * k, design.quantize_raw(weights, 3 * k, 0))
         estimation.blue_estimate(basis, k, alloc, np.ones(alloc.budget))
         assert calls == {"eigh": 1, "eigvalsh": 0}
 
@@ -181,7 +182,8 @@ class TestFailuresNotCached:
         weights = DesignWeights(np.array([1.0, 0.0, 0.0, 0.0]))
         for _ in range(3):
             with pytest.raises(FallbackExhausted):
-                design.allocate_from_weights(rows, weights, 5, seed=0)
+                design.allocate_from_weights(
+                    rows, weights, 5, design.quantize_raw(weights, 5, 0))
 
 
 class TestMemoSafety:

@@ -60,7 +60,8 @@ class TestSamplingSequence:
         weights = design.DesignWeights(np.full(basis.n, 1.0 / basis.n))
         repeat, calls = np.repeat, []
         monkeypatch.setattr(np, "repeat", lambda *a: calls.append(1) or repeat(*a))
-        seq, _ = design.allocate_from_weights(rows, weights, 3 * k, seed=0)
+        seq, _ = design.allocate_from_weights(
+            rows, weights, 3 * k, design.quantize_raw(weights, 3 * k, 0))
         f = spectral.synthesize_bandlimited(basis, np.ones(k))
         y = estimation.sample_with_noise(f, seq, 10.0, seed=1).y
         estimation.blue_estimate(basis, k, seq, y, f_true=f)
@@ -153,6 +154,19 @@ class TestSampleWithNoise:
         f[2] = value
         with pytest.raises(ValueError, match="finite"):
             estimation.sample_with_noise(f, sampling([0, 1], 4), 10.0, seed=1)
+
+
+class TestNodeCount:
+    """An allocation made for another node count is refused, even when its
+    sampled nodes are in range."""
+
+    def test_blue_refuses_it(self, basis):
+        with pytest.raises(ValueError, match="30 nodes but the allocation 3 quotas"):
+            estimation.blue_estimate(basis, 3, SampleAllocation([1, 1, 1], 3), np.zeros(3))
+
+    def test_sampling_refuses_it(self):
+        with pytest.raises(ValueError, match="30 values but the allocation 3 quotas"):
+            estimation.sample_with_noise(np.ones(30), SampleAllocation([1, 1, 1], 3), 10.0)
 
 
 class TestBlueEstimate:

@@ -63,7 +63,8 @@ class TestDesignPipeline:
         )
         gap = design.duality_gap(rows, weights, Criterion.A_OPT)
         comb = combinatorial_optimum(rows, 3, Criterion.A_OPT)
-        alloc, _ = design.allocate_from_weights(rows, weights, 3, seed=5)
+        alloc, _ = design.allocate_from_weights(
+            rows, weights, 3, design.quantize_raw(weights, 3, 5))
         quantized = design.criterion_value(
             design.quantized_information_matrix(rows, alloc), Criterion.A_OPT
         )
@@ -99,7 +100,8 @@ class TestFallback:
         # force raw quotas all on node 0 by monkey-free determinism: budget 2
         # quantizes 0.98*2=1.96 -> 2 almost surely; check the repair path
         for seed in range(10):
-            alloc, shifts = design.allocate_from_weights(rows, weights, 2, seed=seed)
+            alloc, shifts = design.allocate_from_weights(
+                rows, weights, 2, design.quantize_raw(weights, 2, seed))
             A = design.quantized_information_matrix(rows, alloc)
             assert np.linalg.eigvalsh(A)[0] > 0
             assert alloc.m.sum() == 2

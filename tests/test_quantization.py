@@ -13,7 +13,8 @@ def quantize(weights, budget, seed):
     """Quotas from `allocate_from_weights` on one-column rows, which no
     allocation makes singular, so no fallback shift applies."""
     rows = np.ones((len(weights.p), 1))
-    alloc, shifts = design.allocate_from_weights(rows, weights, budget, seed=seed)
+    alloc, shifts = design.allocate_from_weights(
+        rows, weights, budget, design.quantize_raw(weights, budget, seed))
     assert shifts == 0
     return alloc
 
@@ -31,6 +32,15 @@ class TestProbabilisticQuantize:
         for seed in range(20):
             alloc = quantize(w, 4, seed)
             assert np.array_equal(alloc.m, [1, 3])
+
+    def test_grid_point_draw_leaves_the_generator_alone(self):
+        w = DesignWeights(np.array([0.25, 0.75]))
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        assert np.array_equal(design.quantize_raw(w, 4, gen), [1, 3])
+        assert gen.bit_generator.state == state
+        design.quantize_raw(w, 10, gen)  # off the grid: one uniform per node
+        assert gen.bit_generator.state != state
 
     @pytest.mark.parametrize("seed", [0, 7, [3, 1, 4]])
     def test_one_rounding_then_repair(self, seed, rng):
@@ -237,7 +247,7 @@ BUDGET_USES = {
     "quantize_raw": lambda b: design.quantize_raw(W3, b, 0),
     "budget_repair": lambda b: design.budget_repair(np.array([2, 1, 1]), W3, b),
     "allocate_from_weights": lambda b: design.allocate_from_weights(
-        np.ones((3, 1)), W3, b, seed=0),
+        np.ones((3, 1)), W3, b, np.array([2, 1, 1])),
     "invertibility_probability_bound": lambda b: design.invertibility_probability_bound(
         0.1, b, 10),
     "residual_variance_analytic": design.residual_variance_analytic,

@@ -32,7 +32,8 @@ THIRDS = DesignWeights(np.full(3, 1 / 3))
 SHAPE_USES = {
     "information_matrix": lambda rows: design.information_matrix(rows, THIRDS),
     "criterion_gradient": lambda rows: design.criterion_gradient(rows, THIRDS, Criterion.A_OPT),
-    "allocate_from_weights": lambda rows: design.allocate_from_weights(rows, THIRDS, 3, 0),
+    "allocate_from_weights": lambda rows: design.allocate_from_weights(
+        rows, THIRDS, 3, design.quantize_raw(THIRDS, 3, 0)),
     "quantized_information_matrix": lambda rows: design.quantized_information_matrix(
         rows, design.SampleAllocation(m=[1, 1, 1], budget=3)),
     **{f"duality_gap-{crit.value}": lambda rows, crit=crit: design.duality_gap(rows, THIRDS, crit)
@@ -112,6 +113,16 @@ class TestSolveRelaxed:
         rows[1] = value
         with pytest.raises(ValueError, match="finite"):
             FINITE_USES[use](rows)
+
+    @pytest.mark.parametrize("use", ["allocate_from_weights", "quantized_information_matrix"])
+    def test_infinity_beside_a_zero_refused_without_a_warning(self, use):
+        # inf * 0 in the sampled Gram would warn before the Gram is refused
+        rows = np.eye(3)
+        rows[1, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                FINITE_USES[use](rows)
 
     @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
     def test_uncertified_stop_raises(self, crit, rng, monkeypatch):
