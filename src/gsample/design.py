@@ -429,22 +429,6 @@ def residual_variance_analytic(budget: int) -> float:
     return 5 / (192 * _positive(budget) ** 3)  # in integers, a large M's cube cannot overflow
 
 
-def empirical_residual_variance(
-    weights: DesignWeights, budget: int, draws: int = 100_000, seed=None
-) -> np.ndarray:
-    """Monte Carlo per-coordinate variance of the pre-repair rounding error.
-
-    Provided alongside the analytic approximation so the two can be compared;
-    the analytic value assumes p_i uniform within its grid cell.
-    """
-    draws = _positive(draws, "draws")
-    rng = np.random.default_rng(seed)
-    _, frac = _grid_split(weights, budget)
-    up = rng.random((draws, len(frac))) < frac[None, :]
-    delta = (up - frac[None, :]) / budget
-    return delta.var(axis=0)
-
-
 def _check_sample_size_inputs(sigma_min: float, n: int) -> int:
     """`n` as an int; ValueError unless sigma_min is positive and finite and n
     an integer in [1, max double]."""
@@ -457,24 +441,25 @@ def _check_sample_size_inputs(sigma_min: float, n: int) -> int:
 
 
 def invertibility_probability_bound(sigma_min: float, budget: int, n: int) -> float:
-    """Lower bound on P(quantized information matrix stays invertible),
-    using the analytic rounding-error variance 5/(192 M^3)."""
+    """The paper's estimate of P(quantized information matrix stays invertible)
+    from its rounding-variance approximation 5/(192 M^3); not a guarantee."""
     n = _check_sample_size_inputs(sigma_min, n)
     if sigma_min**2 == 0.0:
         raise ValueError(f"sigma_min {sigma_min} squares to 0 in double precision")
-    factor = 1.0 - residual_variance_analytic(budget) / sigma_min**2
-    if factor <= 0.0:
+    v = residual_variance_analytic(budget) / sigma_min**2
+    if v >= 1.0:
         return 0.0
-    return factor**n
+    return math.exp(n * math.log1p(-v))  # (1 - v)**n without rounding 1 - v
 
 
 def min_sample_size(sigma_min: float, n: int, eta: float) -> int:
-    """Smallest budget guaranteeing invertibility with probability eta,
+    """Smallest budget at which the paper's invertibility estimate reaches eta,
     by the ceiling formula (5 / (192 (1 - eta^(1/n)) sigma_min^2))^(1/3)."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0,1), got {eta}")
     n = _check_sample_size_inputs(sigma_min, n)
-    denom = 192.0 * (1.0 - eta ** (1.0 / n)) * sigma_min**2
+    # -expm1(log(eta) / n) is 1 - eta^(1/n) without its cancellation at large n
+    denom = 192.0 * -math.expm1(math.log(eta) / n) * sigma_min**2
     # refused where sigma_min^2 or 1 - eta^(1/n) rounds to 0 or the quotient overflows
     if denom == 0.0 or 5.0 / denom == math.inf:
         raise ValueError(

@@ -1,5 +1,5 @@
-"""Laplacian eigenbasis, graph Fourier transform, bandlimited synthesis, and
-the memoized eigensolver for sampled Gram matrices."""
+"""Laplacian eigenbasis, bandlimited synthesis, and the memoized
+eigensolver for sampled Gram matrices."""
 
 from __future__ import annotations
 
@@ -66,28 +66,10 @@ def eigendecompose(L: np.ndarray) -> SpectralBasis:
     return SpectralBasis(eigenvalues=w, eigenvectors=V)
 
 
-def gft(basis: SpectralBasis, f: np.ndarray) -> np.ndarray:
-    """Forward graph Fourier transform: coefficients V^T f."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (basis.n,):
-        raise ValueError(f"signal length {f.shape} does not match n={basis.n}")
-    return basis.eigenvectors.T @ f
-
-
-def igft(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse graph Fourier transform: signal V coeffs."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (basis.n,):
-        raise ValueError(
-            f"coefficient length {coeffs.shape} does not match n={basis.n}"
-        )
-    return basis.eigenvectors @ coeffs
-
-
 def synthesize_bandlimited(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
     """Signal with the given low-frequency coefficients: f = V_K coeffs.
 
-    Bandwidth is len(coeffs); the resulting GFT vanishes at indices >= K.
+    Bandwidth is len(coeffs); V^T f vanishes at indices >= K.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     return _band(basis, coeffs.shape[0]) @ coeffs

@@ -6,6 +6,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import random_orthonormal_rows, sampling
 from gsample import baselines, bench, cli, design, estimation, graphs, spectral
@@ -267,3 +268,31 @@ def test_criterion_8_noiseless_exactness():
     report("8 noiseless exactness",
            "errors " + ", ".join(f"{k}={v:.2e}" for k, v in errors.items())
            + f", {elapsed:.1f}s")
+
+
+def test_criterion_e_path_end_to_end():
+    # on a connected graph's basis the E-optimal relaxed design is uniform;
+    # the quantized design is reported, not bounded (it rounds badly)
+    t0 = time.time()
+    cfg = bench.preset_config("g2-f2-desk")
+    basis = spectral.eigendecompose(graphs.laplacian(bench.build_graph(cfg)))
+    k, budget = 15, 60
+    rng = np.random.default_rng(1009)
+    ratios = []
+    for seed in range(5):
+        result = design.design_pipeline(basis, k, budget, Criterion.E_OPT, seed=seed)
+        diag = result.diagnostics
+        p = result.weights.p
+        assert (p == p[0]).all() and p[0] == pytest.approx(1 / basis.n, rel=1e-12)
+        assert diag["duality_gap"] <= 1e-6 * max(1.0, abs(diag["relaxed_objective"]))
+        assert diag["relaxed_objective"] == pytest.approx(basis.n, rel=1e-12)
+        f = spectral.synthesize_bandlimited(basis, rng.standard_normal(k))
+        alloc = result.allocation
+        est = estimation.blue_estimate(basis, k, alloc, f[alloc.indices], f_true=f)
+        assert est.error_l2 <= 1e-8 * np.linalg.norm(f)
+        ratios.append(diag["quantized_objective"] / diag["relaxed_objective"])
+    elapsed = time.time() - t0
+    report("E path end to end",
+           f"N={basis.n}, K={k}, M={budget}: uniform weights, relaxed objective N, "
+           f"noiseless BLUE exact over 5 seeds; quantized/relaxed objective "
+           f"{min(ratios):.3g}-{max(ratios):.3g}, {elapsed:.1f}s")

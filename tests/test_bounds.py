@@ -29,7 +29,7 @@ class TestInvertibilityBound:
             design.invertibility_probability_bound(0.0, 10, 5)
 
     def test_rejects_n_beyond_double_range(self):
-        # factor**n would raise OverflowError
+        # n * log1p(-v) would raise OverflowError
         with pytest.raises(ValueError, match="n 1000.* is beyond double precision"):
             design.invertibility_probability_bound(0.1, 10, 10**400)
 
@@ -72,14 +72,14 @@ class TestMinSampleSize:
             design.min_sample_size(-1.0, 10, 0.5)
 
     def test_rejects_n_beyond_double_range(self):
-        # 1.0 / n would raise OverflowError
+        # log(eta) / n would raise OverflowError
         with pytest.raises(ValueError, match="n 1000.* is beyond double precision"):
             design.min_sample_size(0.1, 10**400, 0.9)
 
     def test_consistent_with_probability_bound(self):
         # the bound evaluated at the recommended budget reaches eta
         for eta in [0.5, 0.8, 0.9, 0.95, 0.99]:
-            for n in [2, 10, 50]:
+            for n in [2, 10, 50, 10**11, 10**13, 10**15]:
                 for sigma in [0.05, 0.1, 0.3]:
                     m_star = design.min_sample_size(sigma, n, eta)
                     bound = design.invertibility_probability_bound(sigma, m_star, n)
@@ -130,23 +130,24 @@ class TestPerturbationNorm:
 
 
 class TestResidualVariance:
-    def test_empirical_variance_disagrees_with_analytic_cubic(self):
-        # the analytic approximation decays like 1/M^3; a direct Monte Carlo
-        # estimate of the rounding error decays like 1/M^2 and sits far above
-        # it for interior weights. Both are exposed; the bound operations use
-        # the analytic value.
+    def test_rounding_variance_far_above_analytic_cubic(self):
+        # the paper's approximation 5/(192 M^3) decays like 1/M^3; the raw
+        # rounding error m_i/M - p_i is a two-point variable with variance
+        # frac (1 - frac) / M^2, which sits far above it for interior weights.
+        # The bound operations use the paper's value.
         rng = np.random.default_rng(3)
         p = rng.dirichlet(np.ones(8))
-        budget = 20
-        emp = design.empirical_residual_variance(
-            DesignWeights(p), budget, draws=200_000, seed=1
-        )
-        analytic = design.residual_variance_analytic(budget)
-        # per-coordinate truth: frac(1-frac)/M^2 with frac the grid offset
+        budget, draws = 20, 20_000
+        gen = np.random.default_rng(1)
+        delta = np.array([design.quantize_raw(DesignWeights(p), budget, gen)
+                          for _ in range(draws)]) / budget - p
+        emp = delta.var(axis=0)
         frac = p * budget - np.floor(p * budget)
         truth = frac * (1 - frac) / budget**2
-        assert np.allclose(emp, truth, rtol=0.02, atol=1e-6)
-        assert emp.max() > 10 * analytic
+        # standard error of a two-point sample variance: sqrt((mu4 - var^2) / draws)
+        mu4 = truth * (1 - 3 * frac + 3 * frac**2) / budget**2
+        assert (np.abs(emp - truth) <= 5 * np.sqrt((mu4 - truth**2) / draws) + 1e-15).all()
+        assert emp.max() > 10 * design.residual_variance_analytic(budget)
 
     @pytest.mark.parametrize(
         "p, budget, quotas",
@@ -159,8 +160,6 @@ class TestResidualVariance:
     )
     def test_grid_point_weights_round_deterministically(self, p, budget, quotas):
         w = DesignWeights(np.array(p))
-        emp = design.empirical_residual_variance(w, budget, draws=1000, seed=0)
-        assert np.array_equal(emp, np.zeros(len(p)))
         rng = np.random.default_rng(0)
         for _ in range(200):
             assert design.quantize_raw(w, budget, rng).tolist() == quotas

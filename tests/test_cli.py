@@ -55,7 +55,8 @@ class TestBound:
     @pytest.mark.parametrize("sigma_min, n, eta", [
         ("1e-200", "10", "0.9"),  # sigma_min^2 underflows to 0
         ("1e-160", "10", "0.9"),  # the quotient overflows
-        ("0.1", "1000000000000", "0.99999999"),  # eta^(1/n) rounds to 1
+        pytest.param("0.1", str(10**308), "0.9999999999999999",
+                     id="1-eta^(1/n)-rounds-to-0"),
         ("nan", "10", "0.9"),
         ("inf", "10", "0.9"),
     ])

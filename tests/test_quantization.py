@@ -127,6 +127,9 @@ class TestBudgetRepair:
         assert (alloc.m >= 0).all()
         # repair moves each quota by whole grid steps only
         assert (np.abs(alloc.m - raw) <= max(abs(raw.sum() - budget), 1)).all()
+        # every repaired quota stays within one grid step of its weight, which
+        # Weyl's inequality turns into invertibility once M >= 1/sigma_min
+        assert (np.abs(alloc.m / budget - p) < 1 / budget).all()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -251,8 +254,6 @@ BUDGET_USES = {
     "invertibility_probability_bound": lambda b: design.invertibility_probability_bound(
         0.1, b, 10),
     "residual_variance_analytic": design.residual_variance_analytic,
-    "empirical_residual_variance": lambda b: design.empirical_residual_variance(
-        W3, b, draws=10, seed=0),
 }
 
 
@@ -270,13 +271,7 @@ class TestBudgetRule:
     def test_numpy_integer_budget_accepted(self, use):
         BUDGET_USES[use](np.int64(4))
 
-    @pytest.mark.parametrize("draws", [0, -1, True, 2.5, 10.0])
-    def test_bad_draw_count_rejected(self, draws):
-        with pytest.raises(ValueError, match="draws"):
-            design.empirical_residual_variance(W3, 10, draws=draws, seed=0)
-
-    @pytest.mark.parametrize("use", ["quantize_raw", "allocate_from_weights",
-                                     "empirical_residual_variance", "budget_repair"])
+    @pytest.mark.parametrize("use", ["quantize_raw", "allocate_from_weights", "budget_repair"])
     @pytest.mark.parametrize("budget", [2**53 + 1, 10**20,
                                         pytest.param(10**400, id="10**400")])
     def test_rounding_refuses_budgets_beyond_the_weights_resolution(self, use, budget):

@@ -55,37 +55,6 @@ class TestEigendecompose:
             spectral.eigendecompose(graphs.laplacian(g))
 
 
-class TestTransforms:
-    def test_gft_of_eigenvector_is_unit_coordinate(self, small_world_basis):
-        f = small_world_basis.eigenvectors[:, 0]
-        coeffs = spectral.gft(small_world_basis, f)
-        expected = np.zeros(small_world_basis.n)
-        expected[0] = 1.0
-        assert np.allclose(coeffs, expected, atol=1e-10)
-
-    def test_gft_of_zero(self, small_world_basis):
-        assert np.allclose(spectral.gft(small_world_basis, np.zeros(40)), 0.0)
-
-    def test_gft_matches_linear_solve(self, rng):
-        basis = spectral.eigendecompose(graphs.laplacian(path_graph(6)))
-        f = rng.standard_normal(6)
-        expected = np.linalg.solve(basis.eigenvectors, f)
-        assert np.allclose(spectral.gft(basis, f), expected, atol=1e-10)
-
-    def test_round_trip_and_parseval(self, small_world_basis, rng):
-        for _ in range(100):
-            f = rng.standard_normal(small_world_basis.n)
-            coeffs = spectral.gft(small_world_basis, f)
-            assert np.allclose(spectral.igft(small_world_basis, coeffs), f, atol=1e-8)
-            assert np.isclose(np.linalg.norm(f), np.linalg.norm(coeffs), atol=1e-8)
-
-    def test_dimension_mismatch(self, small_world_basis):
-        with pytest.raises(ValueError):
-            spectral.gft(small_world_basis, np.zeros(7))
-        with pytest.raises(ValueError):
-            spectral.igft(small_world_basis, np.zeros(7))
-
-
 class TestBandlimited:
     def test_constant_signal_for_bandwidth_one(self, small_world_basis):
         n = small_world_basis.n
@@ -96,9 +65,9 @@ class TestBandlimited:
         f = spectral.synthesize_bandlimited(small_world_basis, np.zeros(4))
         assert np.allclose(f, 0.0)
 
-    def test_gft_tail_vanishes(self, geometric_basis, rng):
+    def test_tail_above_band_vanishes(self, geometric_basis, rng):
         f = spectral.synthesize_bandlimited(geometric_basis, rng.standard_normal(3))
-        coeffs = spectral.gft(geometric_basis, f)
+        coeffs = geometric_basis.eigenvectors.T @ f
         assert np.abs(coeffs[3:]).max() <= 1e-10
 
     def test_bandwidth_out_of_range(self, small_world_basis):
