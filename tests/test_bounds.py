@@ -130,14 +130,15 @@ class TestPerturbationNorm:
 
 
 class TestResidualVariance:
-    def test_rounding_variance_far_above_analytic_cubic(self):
+    @pytest.mark.parametrize("budget", [7, 20, 100])
+    def test_rounding_variance_far_above_analytic_cubic(self, budget):
         # the paper's approximation 5/(192 M^3) decays like 1/M^3; the raw
         # rounding error m_i/M - p_i is a two-point variable with variance
         # frac (1 - frac) / M^2, which sits far above it for interior weights.
         # The bound operations use the paper's value.
         rng = np.random.default_rng(3)
         p = rng.dirichlet(np.ones(8))
-        budget, draws = 20, 20_000
+        draws = 20_000
         gen = np.random.default_rng(1)
         delta = np.array([design.quantize_raw(DesignWeights(p), budget, gen)
                           for _ in range(draws)]) / budget - p
