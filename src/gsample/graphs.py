@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import bisect
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +12,8 @@ import numpy as np
 from .exceptions import EdgeListFormatError, GraphConnectivityError
 
 EDGE_LIST_HEADER = "# gsample-graph v1"
+_CANONICAL_HEADER = re.compile(re.escape(EDGE_LIST_HEADER) + r" n=([0-9]+)")
+_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _CONNECTIVITY_RETRIES = 100
 _MAX_INDEX = int(np.iinfo(np.intp).max)
 
@@ -80,7 +84,12 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     W[g.i, g.j] = g.w
     W[g.j, g.i] = g.w
     with np.errstate(over="ignore"):
-        return np.diag(W.sum(axis=1)) - W
+        degree = W.sum(axis=1)
+    # D - W in W's own memory; 0 - W, not -W, which writes -0.0 off the
+    # edges and changes eigh's output in its last bits
+    L = np.subtract(0.0, W, out=W)
+    np.fill_diagonal(L, degree)
+    return L
 
 
 def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
@@ -180,7 +189,30 @@ def save_edge_list(g: WeightedGraph, path) -> None:
 
 def load_edge_list(path) -> WeightedGraph:
     """Parse the edge-list format written by save_edge_list. An error about
-    one line, including a WeightedGraph rule an edge or n breaks, names it."""
+    one line, including a WeightedGraph rule an edge or n breaks, names it.
+
+    A file with the canonical header on line 1 and `i j w` rows below it is
+    parsed in bulk. Any other file, and any file the bulk pass cannot take
+    whole (a parse error, a warning or a broken graph rule), goes through the
+    per-line pass, which alone raises errors.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # a warning (an empty body; on older NumPy, float text read as an
+            # integer) leaves the file to the per-line pass
+            warnings.simplefilter("error")
+            header = _CANONICAL_HEADER.fullmatch(fh.readline().strip())
+            if header is not None:
+                rows = np.loadtxt(fh, dtype=_EDGE_ROW, comments=None, ndmin=1)
+                return WeightedGraph(int(header[1]), rows["i"], rows["j"], rows["w"])
+    except (ValueError, Warning):
+        pass
+    return _load_edge_list_by_line(path)
+
+
+def _load_edge_list_by_line(path) -> WeightedGraph:
+    """load_edge_list one line at a time: the reference parse, and the only
+    one that raises, so every error names the line at fault."""
     n = header = None
     edges, gaps = [], []  # gaps: the edge count at each line without an edge
     with open(path, encoding="utf-8") as fh:

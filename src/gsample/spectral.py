@@ -54,14 +54,16 @@ def eigendecompose(L: np.ndarray) -> SpectralBasis:
         raise ValueError(f"expected a square matrix, got shape {L.shape}")
     if not np.isfinite(L).all():
         raise ValueError("Laplacian has a non-finite entry")
-    if not np.allclose(L, L.T, atol=1e-10):
+    # exact equality first: graphs.laplacian is symmetric bit for bit, and
+    # array_equal skips allclose's N x N temporaries
+    if not (np.array_equal(L, L.T) or np.allclose(L, L.T, atol=1e-10)):
         raise ValueError("Laplacian must be symmetric")
     w, V = np.linalg.eigh(L)
     # fix signs: largest-|entry| of each column nonnegative
     pivot = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[pivot, np.arange(V.shape[1])])
     signs[signs == 0] = 1.0
-    V = V * signs
+    V *= signs
     w.flags.writeable = V.flags.writeable = False
     return SpectralBasis(eigenvalues=w, eigenvectors=V)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,34 @@ class TestPerturbationNorm:
     def test_non_finite_input_rejected(self, rows, dp):
         with pytest.raises(ValueError, match="finite"):
             design.perturbation_norm(np.array(rows), np.array(dp))
+
+
+class TestInvertibilityCertificate:
+    # budget_repair keeps |m/M - p| < 1/M, so by Weyl's inequality and
+    # perturbation_norm lambda_min(A(m/M)) > lambda_min(A(p)) - 1/M >= 0
+    # whenever M >= 1/lambda_min(A(p)): such a design is never singular
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=11),
+        k=st.integers(min_value=1, max_value=5),
+        source=st.sampled_from(["simplex", "a", "d"]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_budget_of_one_over_lambda_min_is_always_invertible(self, n, k, source, seed):
+        rng = np.random.default_rng(seed)
+        rows = random_orthonormal_rows(n, min(k, n), rng)
+        weights = (DesignWeights(rng.dirichlet(np.ones(n))) if source == "simplex"
+                   else design.solve_relaxed(rows, design.Criterion.parse(source)))
+        lam = np.linalg.eigvalsh(design.information_matrix(rows, weights))[0]
+        least = math.ceil(1 / lam)
+        for budget in (least, least + 1, least + int(rng.integers(2, 3 * least + 3))):
+            for _ in range(20):
+                raw = design.quantize_raw(weights, budget, rng)
+                alloc = design.budget_repair(raw, weights, budget)
+                # raises SingularInformationMatrix when the design fails the rank rule
+                A = design.quantized_information_matrix(rows, alloc)
+                shift = np.abs(alloc.m / budget - weights.p).max()
+                assert np.linalg.eigvalsh(A)[0] >= lam - shift - 1e-12
 
 
 class TestResidualVariance:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,6 +356,136 @@ def test_loader_names_the_faulty_line(tmp_path_factory, case):
     with pytest.raises(EdgeListFormatError) as info:
         graphs.load_edge_list(path)
     assert info.value.line_number == line
+
+
+_FULL_WIDTH = str.maketrans("0123456789.", "０１２３４５６７８９．")
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _index_tokens(v):
+    """Spellings of node index v: ones both parsers read as v, and ones only
+    Python's int reads (underscores, non-ASCII digits) or neither reads."""
+    return [str(v), f"+{v}", f"0{v}", f"{v}.0", str(v).translate(_FULL_WIDTH),
+            str(v).translate(_ARABIC_INDIC), "1_0", "-1", "12345678901234567890"]
+
+
+_PLAIN_WEIGHTS = ["1.0", "0.25", "3", "+2.5", ".5", "1."]
+_WEIGHT_TOKENS = _PLAIN_WEIGHTS + ["1e0", "1_0.5", "Infinity", "nan", "-1", "0",
+                                   "2.5".translate(_FULL_WIDTH)]
+_SEPARATORS = [" ", "\t", "  ", "\x0c", "\xa0"]
+_LINE_ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text on a connected graph: the canonical header, then one
+    `i j w` row per edge in plain spellings, with up to two tokens respelled
+    in ways the bulk and per-line parsers might read differently, up to two
+    blank, comment, header or inline-comment additions anywhere (line 1
+    included), and mixed separators and line endings."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True, max_size=6)) if others else []
+    edges = [pair[::-1] if draw(st.booleans()) else pair
+             for pair in draw(st.permutations(tree + extra))]
+    rows = [[str(i), str(j), draw(st.sampled_from(_PLAIN_WEIGHTS))] for i, j in edges]
+    for _ in range(draw(st.integers(0, 2))):
+        r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        rows[r][c] = draw(st.sampled_from(
+            _index_tokens(edges[r][c]) if c < 2 else _WEIGHT_TOKENS))
+    lines = [f"{graphs.EDGE_LIST_HEADER} n={n}"]
+    lines += [draw(st.sampled_from(_SEPARATORS)).join(row) for row in rows]
+    filler = ["", "   ", "# a comment", "#", f"{graphs.EDGE_LIST_HEADER} n={n}",
+              f"{graphs.EDGE_LIST_HEADER} n={n + 1}"]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        if k and draw(st.booleans()):
+            lines[k - 1] += " # inline comment"
+        else:
+            lines.insert(k, draw(st.sampled_from(filler)))
+    ending = draw(st.sampled_from(_LINE_ENDINGS))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def load_outcome(load, path):
+    """What `load` makes of `path`: the graph's n and each array's dtype and
+    bytes, or the EdgeListFormatError's text and line number."""
+    try:
+        g = load(path)
+    except EdgeListFormatError as exc:
+        return "error", str(exc), exc.line_number
+    return "graph", g.n, *((a.dtype.str, a.tobytes()) for a in (g.i, g.j, g.w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edge_list_texts())
+def test_loader_matches_per_line_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("edges") / "g.edges"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_outcome(graphs.load_edge_list, path) == load_outcome(
+        graphs._load_edge_list_by_line, path)
+
+
+class TestBulkEdgeListParse:
+    def test_canonical_file_needs_no_per_line_pass(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"# gsample-graph v1 n=3\r\n+2\x0c1 0.5\r\n\r\n0\t1 3\r\n")
+
+        def per_line(_):
+            raise AssertionError("per-line pass used")
+
+        monkeypatch.setattr(graphs, "_load_edge_list_by_line", per_line)
+        g = graphs.load_edge_list(path)
+        assert g.n == 3
+        assert g.i.tolist() == [1, 0] and g.j.tolist() == [2, 1]
+        assert g.w.tolist() == [0.5, 3.0]
+
+    def test_edgeless_file_loads_without_warning(self, tmp_path):
+        # NumPy warns "input contained no data" on an empty body; recorded,
+        # not raised, that warning would let an unchecked bulk result through
+        path = tmp_path / "g.edges"
+        path.write_text("# gsample-graph v1 n=1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = graphs.load_edge_list(path)
+        assert caught == []
+        assert g.n == 1 and g.i.size == g.j.size == g.w.size == 0
+
+    def test_a_parse_that_warns_is_not_accepted(self, tmp_path, monkeypatch):
+        # older NumPy reads float text in an integer column with a
+        # DeprecationWarning instead of an error; the file must still be
+        # refused on the line the per-line pass names
+        path = tmp_path / "g.edges"
+        path.write_text("# gsample-graph v1 n=2\n1.0 0 1.0\n")
+
+        def lenient_loadtxt(fh, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            rows = [tuple(float(x) for x in line.split()) for line in fh if line.strip()]
+            return np.array(rows, dtype=dtype)
+
+        monkeypatch.setattr(graphs.np, "loadtxt", lenient_loadtxt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EdgeListFormatError, match="unparseable edge") as info:
+                graphs.load_edge_list(path)
+        assert info.value.line_number == 2
+        assert caught == []
+
+    def test_round_trip_at_benchmark_scale(self, tmp_path):
+        # a path plus chords to the nodes 2..26 ahead: 51,649 edges on 2,000
+        # nodes, near the benchmark's 68,386-edge file
+        n = 2000
+        i = np.concatenate([np.arange(n - d) for d in range(1, 27)])
+        j = np.concatenate([np.arange(d, n) for d in range(1, 27)])
+        g = graphs.WeightedGraph(n, i, j, np.random.default_rng(3).random(i.size) + 0.01)
+        assert g.w.size > 50_000
+        path = tmp_path / "g.edges"
+        graphs.save_edge_list(g, path)
+        back = graphs.load_edge_list(path)
+        assert back.n == n
+        assert all(np.array_equal(getattr(back, f), getattr(g, f)) for f in "ijw")
 
 
 @settings(max_examples=25, deadline=None)
