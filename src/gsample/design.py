@@ -204,6 +204,24 @@ def _fw_objective(A, criterion):
     return float((np.linalg.inv(L) ** 2).sum())
 
 
+def _fw_change(Linv, E, criterion):
+    """f(A + E) - f(A) for the `_fw_objective` f, given Linv = L^-1 for the
+    Cholesky factor L of A; +inf when A + E is not positive definite.
+
+    With A + E = L (I + M) L^T, M = Linv E Linv^T = W diag(mu) W^T, the change
+    is -sum log1p(mu) (D) or -sum_j mu_j / (1 + mu_j) |Linv^T w_j|^2 (A). It
+    keeps its relative accuracy when it is far below the rounding error of
+    f(A) itself, where f(A + E) - f(A) is noise: near an ill-conditioned
+    optimum a Newton step's decrease is that small.
+    """
+    mu, W = np.linalg.eigh(Linv @ E @ Linv.T)
+    if not mu.min() > -1.0:
+        return math.inf
+    if criterion is Criterion.D_OPT:
+        return float(-np.log1p(mu).sum())
+    return float(-(mu / (1.0 + mu)) @ ((W.T @ Linv) ** 2).sum(axis=1))
+
+
 def _newton_step(rows, p, S, A, Ainv, criterion):
     """One damped Newton step on the node set S, in place.
 
@@ -212,9 +230,10 @@ def _newton_step(rows, p, S, A, Ainv, criterion):
     g = -diag(X X^T), H = 2 P∘(X X^T) (A). The KKT system [[H, 1], [1^T, 0]]
     gives a direction d with sum(d) = 0; a ratio test keeps p >= 0 (a node
     the full ratio step empties gets exactly 0) and Armijo backtracking
-    (1e-4, halving) accepts the step. Returns False, leaving p unchanged,
-    when the KKT matrix is singular, d does not descend, d shrinks a node
-    already at weight 0, or no step length passes.
+    (1e-4, halving) on `_fw_change` accepts the step. Returns False, leaving
+    p unchanged, when A is not numerically positive definite, the KKT matrix
+    is singular, d does not descend, d shrinks a node already at weight 0,
+    or no step length passes.
     """
     U = rows[S]
     X = U @ Ainv
@@ -242,9 +261,12 @@ def _newton_step(rows, p, S, A, Ainv, criterion):
         return False
     t = min(1.0, t_block)
     blocked = S[shrink][np.argmin(ratios)] if t_block <= 1.0 else None
-    f0 = _fw_objective(A, criterion)
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(A))
+    except np.linalg.LinAlgError:
+        return False
     for _ in range(60):  # t is below 1e-18 by the last try
-        if _fw_objective(A + t * (U.T * d) @ U, criterion) <= f0 + 1e-4 * t * slope:
+        if _fw_change(Linv, t * (U.T * d) @ U, criterion) <= 1e-4 * t * slope:
             p[S] += t * d
             if blocked is not None:
                 p[blocked] = 0.0

@@ -359,6 +359,38 @@ class TestNewtonSolver:
         assert not design._newton_step(rows, q, np.arange(3), A, np.linalg.inv(A), crit)
         assert np.array_equal(q, p)
 
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    def test_change_matches_the_objective_difference(self, crit):
+        # on well-conditioned matrices, where the difference of two
+        # objectives is accurate, _fw_change agrees with it
+        rng = np.random.default_rng(7)
+        for k in (1, 3, 6):
+            B = rng.standard_normal((2 * k, k))
+            A = B.T @ B
+            C = rng.standard_normal((k, k))
+            E = 0.1 * (C + C.T)
+            Linv = np.linalg.inv(np.linalg.cholesky(A))
+            want = design._fw_objective(A + E, crit) - design._fw_objective(A, crit)
+            assert design._fw_change(Linv, E, crit) == pytest.approx(want, rel=1e-8, abs=1e-12)
+            assert design._fw_change(Linv, -2.0 * A, crit) == math.inf
+
+    def test_ill_conditioned_square_rows_are_certified(self):
+        # six of the rows of a 23 x 6 orthonormal basis, lambda_min(U^T U)
+        # about 1e-5: the A-optimal weights are p_i ~ sqrt(c_i), c_i the
+        # squared norm of column i of U^-1. Near that optimum a Newton step
+        # lowers tr(A^-1) ~ 4e5 by about 3e-8, below the rounding error of
+        # tr(A^-1) itself, and the solve must still reach its certificate
+        rng = np.random.default_rng(407891878)
+        rows = random_orthonormal_rows(23, 6, rng)
+        U = rows[np.sort(rng.choice(23, size=int(rng.integers(6, 24)), replace=False))]
+        assert U.shape == (6, 6)
+        assert np.linalg.eigvalsh(U.T @ U)[0] < 2e-5
+        c = (np.linalg.inv(U) ** 2).sum(axis=0)
+        w = design.solve_relaxed(U, Criterion.A_OPT)
+        np.testing.assert_allclose(w.p, np.sqrt(c) / np.sqrt(c).sum(), rtol=1e-6)
+        f = objective(U, w, Criterion.A_OPT)
+        assert design.duality_gap(U, w, Criterion.A_OPT) <= design._SOLVER_RTOL * f
+
 
 def start_rows(kind, seed):
     """Rows that stress the K-row start: a random orthonormal basis with
