@@ -192,21 +192,9 @@ def duality_gap(
     return float(weights.p @ g - g.min())
 
 
-def _fw_objective(A, criterion):
-    """-log det A (D) or tr(A^-1) (A) through a Cholesky factor; +inf when A
-    is not numerically positive definite."""
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return math.inf
-    if criterion is Criterion.D_OPT:
-        return float(-2.0 * np.log(np.diag(L)).sum())
-    return float((np.linalg.inv(L) ** 2).sum())
-
-
 def _fw_change(Linv, E, criterion):
-    """f(A + E) - f(A) for the `_fw_objective` f, given Linv = L^-1 for the
-    Cholesky factor L of A; +inf when A + E is not positive definite.
+    """f(A + E) - f(A) for f = -log det A (D) or tr(A^-1) (A), given Linv =
+    L^-1 for the Cholesky factor L of A; +inf unless A + E is positive definite.
 
     With A + E = L (I + M) L^T, M = Linv E Linv^T = W diag(mu) W^T, the change
     is -sum log1p(mu) (D) or -sum_j mu_j / (1 + mu_j) |Linv^T w_j|^2 (A). It
@@ -222,7 +210,7 @@ def _fw_change(Linv, E, criterion):
     return float(-(mu / (1.0 + mu)) @ ((W.T @ Linv) ** 2).sum(axis=1))
 
 
-def _newton_step(rows, p, S, A, Ainv, criterion):
+def _newton_step(rows, p, S, Ainv, Linv, criterion):
     """One damped Newton step on the node set S, in place.
 
     With U the rows of S, X = U A^-1 and P = X U^T, the criterion's
@@ -230,10 +218,10 @@ def _newton_step(rows, p, S, A, Ainv, criterion):
     g = -diag(X X^T), H = 2 P∘(X X^T) (A). The KKT system [[H, 1], [1^T, 0]]
     gives a direction d with sum(d) = 0; a ratio test keeps p >= 0 (a node
     the full ratio step empties gets exactly 0) and Armijo backtracking
-    (1e-4, halving) on `_fw_change` accepts the step. Returns False, leaving
-    p unchanged, when A is not numerically positive definite, the KKT matrix
-    is singular, d does not descend, d shrinks a node already at weight 0,
-    or no step length passes.
+    (1e-4, halving) on `_fw_change` accepts the step. Ainv = A^-1 and
+    Linv = L^-1 come from `_solve_fw`'s one factorization A = L L^T. Returns
+    False, leaving p unchanged, when the KKT matrix is singular, d does not
+    descend, d shrinks a node already at weight 0, or no step length passes.
     """
     U = rows[S]
     X = U @ Ainv
@@ -261,10 +249,6 @@ def _newton_step(rows, p, S, A, Ainv, criterion):
         return False
     t = min(1.0, t_block)
     blocked = S[shrink][np.argmin(ratios)] if t_block <= 1.0 else None
-    try:
-        Linv = np.linalg.inv(np.linalg.cholesky(A))
-    except np.linalg.LinAlgError:
-        return False
     for _ in range(60):  # t is below 1e-18 by the last try
         if _fw_change(Linv, t * (U.T * d) @ U, criterion) <= 1e-4 * t * slope:
             p[S] += t * d
@@ -298,29 +282,39 @@ def _solve_fw(rows, criterion):
 
     Starts from uniform weight on the K rows `_volume_rows` picks, the
     core-set start for D-optimal design (Kumar & Yildirim 2005). Each
-    iteration recomputes A, A^-1 and the gradient g from p, stops once the
-    duality gap is at most _SOLVER_RTOL * max(1, |objective|), and otherwise
-    takes a `_newton_step` on the support plus the Frank-Wolfe vertex
-    argmin g (lowest index on ties), or, when that does not move, on the
-    support alone. Every step conserves sum(p). ValueError, naming the gap
-    and its bound, when neither moves or after _FW_MAX_ITER iterations.
+    iteration factors A(p) = L L^T once: the stop bound's objective comes
+    from L, the gradient g from A^-1, and both Newton tries share A^-1 and
+    L^-1. It stops once the duality gap is at most _SOLVER_RTOL * max(1,
+    |objective|), and otherwise takes a `_newton_step` on the support plus
+    the Frank-Wolfe vertex argmin g (lowest index on ties), or, when that
+    does not move, on the support alone. ValueError, naming the gap and its
+    bound, when A is not positive definite, neither step moves or
+    _FW_MAX_ITER iterations pass.
     """
     n, k = rows.shape
     p = np.zeros(n)
     p[_volume_rows(rows)] = 1.0 / k
+    gap = bound = math.nan  # until an iterate is factored
     stop = f"iteration cap {_FW_MAX_ITER} reached"
     for _ in range(_FW_MAX_ITER):
         A = rows.T @ (p[:, None] * rows)
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            stop = "information matrix not positive definite"
+            break
+        Linv = np.linalg.inv(L)
         Ainv = np.linalg.inv(A)
         g = _gradient(rows, Ainv, criterion)
         gap = p @ g - g.min()
-        bound = _SOLVER_RTOL * max(1.0, abs(_fw_objective(A, criterion)))
+        f = -2.0 * np.log(np.diag(L)).sum() if criterion is Criterion.D_OPT else (Linv**2).sum()
+        bound = _SOLVER_RTOL * max(1.0, abs(f))
         if gap <= bound:
             return p
         support = np.nonzero(p > 0)[0]
         entering = np.nonzero((p > 0) | (np.arange(n) == np.argmin(g)))[0]
-        if not (_newton_step(rows, p, entering, A, Ainv, criterion)
-                or _newton_step(rows, p, support, A, Ainv, criterion)):
+        if not (_newton_step(rows, p, entering, Ainv, Linv, criterion)
+                or _newton_step(rows, p, support, Ainv, Linv, criterion)):
             stop = "neither Newton step moved"
             break
     raise ValueError(f"relaxed {criterion.value.upper()} solve stopped uncertified ({stop}): "
@@ -337,9 +331,10 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     connected graph) always does for E, it is returned. E without that
     certificate raises ValueError. D/A otherwise run `_solve_fw`: damped
     Newton steps on the support plus the Frank-Wolfe vertex, from uniform
-    weight on K rows picked by pivoted Gram-Schmidt, stopping once the
-    duality gap is at most 1e-6 times max(1, |objective|), and raising
-    ValueError if no step moves or 50,000 iterations pass first. Deterministic.
+    weight on K rows picked by pivoted Gram-Schmidt, stopping once the duality
+    gap is at most 1e-6 times max(1, |objective|), and raising ValueError if
+    A(p) is not positive definite, no step moves or 50,000 iterations pass
+    first. Deterministic.
     """
     rows = _as_rows(rows, finite=True)
     n, k = rows.shape
@@ -357,7 +352,7 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
             "E-optimal design needs rows whose uniform design is certified "
             f"optimal, such as rows with a constant column; gap is {gap:.3e}"
         )
-    p = np.maximum(_solve_fw(rows, criterion), 0.0)
+    p = _solve_fw(rows, criterion)
     return DesignWeights(p / p.sum())
 
 
@@ -572,11 +567,12 @@ def design_pipeline(
     `seed` drives the randomized rounding; the relaxed solve is deterministic.
     A singular quantized design gets `allocate_from_weights`'s budget shifts.
     """
+    budget = _grid_budget(budget)
+    rows = design_rows(basis, bandwidth)
     if budget < bandwidth:
         raise ValueError(
             f"budget {budget} below bandwidth {bandwidth}; design cannot be full rank"
         )
-    rows = design_rows(basis, bandwidth)
     weights = solve_relaxed(rows, criterion)
     alloc, fallback_moves = allocate_from_weights(
         rows, weights, budget, quantize_raw(weights, budget, seed))

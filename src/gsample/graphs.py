@@ -212,7 +212,9 @@ def load_edge_list(path) -> WeightedGraph:
 
 def _load_edge_list_by_line(path) -> WeightedGraph:
     """load_edge_list one line at a time: the reference parse, and the only
-    one that raises, so every error names the line at fault."""
+    one that raises, so every error names the line at fault. A line that
+    starts with the header text must be the whole canonical header and come
+    once, before the first edge row; comment and blank lines may precede it."""
     n = header = None
     edges, gaps = [], []  # gaps: the edge count at each line without an edge
     with open(path, encoding="utf-8") as fh:
@@ -221,10 +223,11 @@ def _load_edge_list_by_line(path) -> WeightedGraph:
             if not line or line.startswith("#"):
                 gaps.append(len(edges))
                 if line.startswith(EDGE_LIST_HEADER):
-                    try:
-                        n, header = int(line.split("n=")[1]), lineno
-                    except (IndexError, ValueError):
+                    if (match := _CANONICAL_HEADER.fullmatch(line)) is None:
                         raise EdgeListFormatError("malformed header", lineno)
+                    if header is not None or edges:
+                        raise EdgeListFormatError("header must come once, before the edges", lineno)
+                    n, header = int(match[1]), lineno
                 continue
             parts = line.split()
             if len(parts) != 3:

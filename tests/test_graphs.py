@@ -308,6 +308,25 @@ class TestEdgeListIO:
         with pytest.raises(EdgeListFormatError, match="header"):
             graphs.load_edge_list(path)
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("# gsample-graph v12 n=2\n0 1 1.0\n", "malformed header", 1),
+        ("# gsample-graph v1 n=2\n0 1 1.0\n# gsample-graph v1 n=3\n1 2 1.0\n",
+         "header must come once, before the edges", 3),
+        ("0 1 1.0\n# gsample-graph v1 n=2\n", "header must come once, before the edges", 2),
+    ], ids=["other-version", "second-header", "header-after-edges"])
+    def test_header_rule(self, tmp_path, text, message, line):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(EdgeListFormatError, match=message) as info:
+            graphs.load_edge_list(path)
+        assert info.value.line_number == line
+
+    def test_comment_before_the_header_is_allowed(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("# written by hand\n# gsample-graph v1 n=3\n0 1 1.0\n1 2 2.0\n")
+        g = graphs.load_edge_list(path)
+        assert g.n == 3 and g.w.tolist() == [1.0, 2.0]
+
 
 _FILLER = st.sampled_from(["", "   ", "# a comment", "#"])
 

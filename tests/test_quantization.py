@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthonormal_rows
-from gsample import design
+from gsample import design, graphs, spectral
 from gsample.design import Criterion, DesignWeights, SampleAllocation
 from gsample.exceptions import SingularInformationMatrix
 
@@ -246,6 +246,7 @@ class TestQuantizedInformationMatrix:
 
 
 W3 = DesignWeights(np.array([0.5, 0.3, 0.2]))
+RING = spectral.eigendecompose(graphs.laplacian(graphs.watts_strogatz(10, 2, 0.0, seed=0)))
 BUDGET_USES = {
     "quantize_raw": lambda b: design.quantize_raw(W3, b, 0),
     "budget_repair": lambda b: design.budget_repair(np.array([2, 1, 1]), W3, b),
@@ -254,6 +255,7 @@ BUDGET_USES = {
     "invertibility_probability_bound": lambda b: design.invertibility_probability_bound(
         0.1, b, 10),
     "residual_variance_analytic": design.residual_variance_analytic,
+    "design_pipeline": lambda b: design.design_pipeline(RING, 1, b, seed=0),
 }
 
 
@@ -270,6 +272,10 @@ class TestBudgetRule:
     @pytest.mark.parametrize("use", BUDGET_USES)
     def test_numpy_integer_budget_accepted(self, use):
         BUDGET_USES[use](np.int64(4))
+
+    def test_pipeline_takes_bandwidth_by_the_integer_rule(self):
+        with pytest.raises(ValueError, match="bandwidth must be an integer"):
+            design.design_pipeline(RING, "5", 20)
 
     @pytest.mark.parametrize("use", ["quantize_raw", "allocate_from_weights", "budget_repair"])
     @pytest.mark.parametrize("budget", [2**53 + 1, 10**20,

@@ -136,6 +136,38 @@ class TestSolveRelaxed:
         with pytest.raises(ValueError, match=r"\(iteration cap 1 reached\)"):
             design.solve_relaxed(rows, crit)
 
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    def test_failed_factorization_never_certifies(self, crit, rng, monkeypatch):
+        # a stop bound taken from a failed factorization would be +inf and
+        # pass any gap; the solve must end uncertified instead
+        rows = random_orthonormal_rows(12, 3, rng)
+
+        def cholesky(A):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        with pytest.raises(ValueError, match=r"\(information matrix not positive definite\)"):
+            design.solve_relaxed(rows, crit)
+
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    def test_one_factorization_per_iteration(self, crit, rng, monkeypatch):
+        # each iteration factors A once and takes one gradient; the uniform
+        # design's certificate check takes one gradient before the first
+        rows = random_orthonormal_rows(20, 4, rng)
+        calls = {"cholesky": 0, "gradient": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(design, "_gradient", counted("gradient", design._gradient))
+        design.solve_relaxed(rows, crit)
+        assert calls["cholesky"] >= 2
+        assert calls["cholesky"] == calls["gradient"] - 1
+
     @pytest.mark.parametrize("use", SHAPE_USES)
     @pytest.mark.parametrize("rows", BAD_SHAPES)
     def test_rows_of_bad_shape_rejected_by_every_entry_point(self, rows, use):
@@ -216,6 +248,11 @@ def pairwise_only(rows, crit):
     return DesignWeights(np.maximum(p, 0.0) / np.maximum(p, 0.0).sum())
 
 
+def factors(A):
+    """The `_newton_step` inputs A^-1 and L^-1, for the Cholesky factor L of A."""
+    return np.linalg.inv(A), np.linalg.inv(np.linalg.cholesky(A))
+
+
 def check_newton_step(seed):
     """One `_newton_step` from a random design on at most 3K of N + 3 random
     orthonormal rows: it keeps the weights on the simplex and off the nodes
@@ -232,13 +269,13 @@ def check_newton_step(seed):
         return
     for crit in (Criterion.A_OPT, Criterion.D_OPT):
         q = p.copy()
-        moved = design._newton_step(rows, q, np.nonzero(p)[0], A, np.linalg.inv(A), crit)
+        moved = design._newton_step(rows, q, np.nonzero(p)[0], *factors(A), crit)
         assert abs(q.sum() - 1.0) <= 1e-12
         assert (q >= 0).all() and (q[p == 0] == 0).all()
         if moved:
-            f0 = design._fw_objective(A, crit)
+            f0 = design.criterion_value(A, crit)
             after = rows.T @ (q[:, None] * rows)
-            assert design._fw_objective(after, crit) <= f0 + 1e-12 * abs(f0)
+            assert design.criterion_value(after, crit) <= f0 + 1e-12 * abs(f0)
         else:
             assert np.array_equal(q, p)
 
@@ -296,7 +333,7 @@ class TestNewtonSolver:
                     p[off] = eps
                     p /= p.sum()
                     A = rows.T @ (p[:, None] * rows)
-                    assert design._newton_step(rows, p, np.nonzero(p)[0], A, np.linalg.inv(A), crit)
+                    assert design._newton_step(rows, p, np.nonzero(p)[0], *factors(A), crit)
                     assert p[off] == 0.0
                     assert abs(p.sum() - 1.0) <= 1e-12
 
@@ -322,7 +359,7 @@ class TestNewtonSolver:
             for off in np.nonzero(optimum == 0)[0]:
                 p = optimum.copy()
                 S = np.union1d(np.nonzero(p)[0], off)
-                assert not design._newton_step(rows, p, S, A, np.linalg.inv(A), crit)
+                assert not design._newton_step(rows, p, S, *factors(A), crit)
                 assert np.array_equal(p, optimum)
 
     @settings(max_examples=60, deadline=None)
@@ -339,15 +376,15 @@ class TestNewtonSolver:
             p = np.zeros(k + extra)
             p[sub] = design.solve_relaxed(rows[sub], crit).p
             A = rows.T @ (p[:, None] * rows)
-            Ainv = np.linalg.inv(A)
+            Ainv, Linv = factors(A)
             g = design._gradient(rows, Ainv, crit)
-            f = design._fw_objective(A, crit)
+            f = design.criterion_value(A, crit)
             if p @ g - g.min() <= design._SOLVER_RTOL * max(1.0, abs(f)):
                 continue
             j = int(np.argmin(g))
-            assert design._newton_step(rows, p, np.union1d(np.nonzero(p)[0], j), A, Ainv, crit)
+            assert design._newton_step(rows, p, np.union1d(np.nonzero(p)[0], j), Ainv, Linv, crit)
             assert p[j] > 0
-            assert design._fw_objective(rows.T @ (p[:, None] * rows), crit) <= f
+            assert design.criterion_value(rows.T @ (p[:, None] * rows), crit) <= f
 
     @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
     def test_singular_kkt_leaves_p_unchanged(self, crit):
@@ -356,7 +393,7 @@ class TestNewtonSolver:
         p = np.array([0.2, 0.3, 0.5])
         A = rows.T @ (p[:, None] * rows)
         q = p.copy()
-        assert not design._newton_step(rows, q, np.arange(3), A, np.linalg.inv(A), crit)
+        assert not design._newton_step(rows, q, np.arange(3), *factors(A), crit)
         assert np.array_equal(q, p)
 
     @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
@@ -370,7 +407,7 @@ class TestNewtonSolver:
             C = rng.standard_normal((k, k))
             E = 0.1 * (C + C.T)
             Linv = np.linalg.inv(np.linalg.cholesky(A))
-            want = design._fw_objective(A + E, crit) - design._fw_objective(A, crit)
+            want = design.criterion_value(A + E, crit) - design.criterion_value(A, crit)
             assert design._fw_change(Linv, E, crit) == pytest.approx(want, rel=1e-8, abs=1e-12)
             assert design._fw_change(Linv, -2.0 * A, crit) == math.inf
 
