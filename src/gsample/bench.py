@@ -216,17 +216,17 @@ def trial_inputs(cfg: ScenarioConfig, grid_index: int, bandwidth: int,
 def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRecord]:
     """Run the full Monte Carlo protocol and return one record per grid
     point, trial and method, in that nesting order. Module errors become
-    failed records. Each proposed trial makes one rounding draw; trials of
-    one bandwidth whose draws are equal share one allocation, so a record
-    that reuses one times no allocation in `wall_ms`."""
+    failed records. Each bandwidth's design and baselines are solved right
+    before its trials, so a solve that raises ends the run after the
+    earlier bandwidths' trials. Each proposed trial makes one rounding draw;
+    trials of one bandwidth whose draws are equal share one allocation, so
+    a record that reuses one times no allocation in `wall_ms`."""
     basis = spectral.eigendecompose(graphs.laplacian(build_graph(cfg)))
     criterion = design.Criterion.parse(cfg.criterion)
     sig = cfg.signal
-    bandwidths = range(sig["bandwidth_min"], sig["bandwidth_max"] + 1, sig["bandwidth_step"])
-    # per bandwidth, what depends on neither the trial nor the SNR: the
-    # budget, rows, relaxed weights and gap, and the baselines' allocations
-    fixed = {}
-    for k in bandwidths:
+    records = []
+    gi = 0
+    for k in range(sig["bandwidth_min"], sig["bandwidth_max"] + 1, sig["bandwidth_step"]):
         budget = int(round(cfg.budget_rule * k))
         rows = spectral.design_rows(basis, k)
         weights = design.solve_relaxed(rows, criterion)
@@ -236,45 +236,40 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
             seqs["m1"] = baselines.greedy_sigma_min(rows, budget)
         if "m3" in cfg.methods:
             seqs["m3"] = baselines.top_m_selection(weights, budget)
-        fixed[k] = budget, rows, weights, gap, seqs
-
-    records = []
-    grid = [(k, snr) for k in bandwidths for snr in sig["snr_db_grid"]]
-    for gi, (k, snr) in enumerate(grid):
-        budget, rows, weights, gap, seqs = fixed[k]
-        if gi == 0 or grid[gi - 1][0] != k:
-            # this bandwidth's proposed allocations, one per distinct raw
-            # draw (keyed by its bytes); a draw that fails is not kept
-            allocations = {}
-        for trial in range(cfg.trials):
-            coeffs, z = trial_inputs(cfg, gi, k, budget, trial)
-            f = spectral.synthesize_bandlimited(basis, coeffs)
-            # one noise level per trial; every sequence has `budget` entries
-            noise = estimation.noise_std_for_snr(f, snr) * z
-            for mi, method in enumerate(cfg.methods):
-                t0 = time.perf_counter() if measure_time else 0.0
-                try:
-                    if method == "proposed":
-                        raw = design.quantize_raw(
-                            weights, budget, [cfg.master_seed, _ROLE_METHOD, mi, gi, trial])
-                        seq = allocations.get(key := raw.tobytes())
-                        if seq is None:
-                            seq, _ = design.allocate_from_weights(rows, weights, budget, raw)
-                            allocations[key] = seq
-                    else:
-                        seq = seqs[method]
-                    y = f[seq.indices] + noise
-                    est = estimation.blue_estimate(basis, k, seq, y, f_true=f)
-                    err, status = est.error_l2, "ok"
-                except GSampleError as exc:
-                    err, status = math.nan, f"failed:{type(exc).__name__}"
-                wall = (time.perf_counter() - t0) * 1000.0 if measure_time else 0.0
-                records.append(TrialRecord(
-                    scenario=cfg.scenario, method=method, criterion=cfg.criterion,
-                    bandwidth=k, budget=budget, snr_db=snr, trial=trial, error_l2=err,
-                    solver_gap=None if method == "m1" else gap, wall_ms=wall,
-                    status=status,
-                ))
+        # the proposed allocations, one per distinct raw draw (keyed by its
+        # bytes); a draw that fails is not kept
+        allocations = {}
+        for snr in sig["snr_db_grid"]:
+            for trial in range(cfg.trials):
+                coeffs, z = trial_inputs(cfg, gi, k, budget, trial)
+                f = spectral.synthesize_bandlimited(basis, coeffs)
+                # one noise level per trial; every sequence has `budget` entries
+                noise = estimation.noise_std_for_snr(f, snr) * z
+                for mi, method in enumerate(cfg.methods):
+                    t0 = time.perf_counter() if measure_time else 0.0
+                    try:
+                        if method == "proposed":
+                            raw = design.quantize_raw(
+                                weights, budget, [cfg.master_seed, _ROLE_METHOD, mi, gi, trial])
+                            seq = allocations.get(key := raw.tobytes())
+                            if seq is None:
+                                seq, _ = design.allocate_from_weights(rows, weights, budget, raw)
+                                allocations[key] = seq
+                        else:
+                            seq = seqs[method]
+                        y = f[seq.indices] + noise
+                        est = estimation.blue_estimate(basis, k, seq, y, f_true=f)
+                        err, status = est.error_l2, "ok"
+                    except GSampleError as exc:
+                        err, status = math.nan, f"failed:{type(exc).__name__}"
+                    wall = (time.perf_counter() - t0) * 1000.0 if measure_time else 0.0
+                    records.append(TrialRecord(
+                        scenario=cfg.scenario, method=method, criterion=cfg.criterion,
+                        bandwidth=k, budget=budget, snr_db=snr, trial=trial, error_l2=err,
+                        solver_gap=None if method == "m1" else gap, wall_ms=wall,
+                        status=status,
+                    ))
+            gi += 1
     return records
 
 

@@ -216,12 +216,12 @@ def _newton_step(rows, p, S, Ainv, Linv, criterion):
     With U the rows of S, X = U A^-1 and P = X U^T, the criterion's
     gradient and Hessian on S are g = -diag(P), H = P∘P (D) or
     g = -diag(X X^T), H = 2 P∘(X X^T) (A). The KKT system [[H, 1], [1^T, 0]]
-    gives a direction d with sum(d) = 0; a ratio test keeps p >= 0 (a node
-    the full ratio step empties gets exactly 0) and Armijo backtracking
-    (1e-4, halving) on `_fw_change` accepts the step. Ainv = A^-1 and
-    Linv = L^-1 come from `_solve_fw`'s one factorization A = L L^T. Returns
-    False, leaving p unchanged, when the KKT matrix is singular, d does not
-    descend, d shrinks a node already at weight 0, or no step length passes.
+    gives a direction d, centred so sum(d) = 0; a ratio test keeps p >= 0
+    (a node the full ratio step empties gets exactly 0) and Armijo
+    backtracking (1e-4, halving) on `_fw_change` accepts the step. Ainv =
+    A^-1 and Linv = L^-1 come from `_solve_fw`'s one factorization A = L L^T.
+    Returns False, leaving p unchanged, when the KKT matrix is singular, d
+    does not descend, d shrinks a node at weight 0, or no step length passes.
     """
     U = rows[S]
     X = U @ Ainv
@@ -239,6 +239,7 @@ def _newton_step(rows, p, S, Ainv, Linv, criterion):
         d = np.linalg.solve(kkt, np.append(-g, 0.0))[:s]
     except np.linalg.LinAlgError:
         return False
+    d -= d.sum() / s
     slope = float(g @ d)
     if not (np.isfinite(d).all() and slope < 0):
         return False

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import re
 import warnings
 from dataclasses import dataclass
@@ -216,12 +215,11 @@ def _load_edge_list_by_line(path) -> WeightedGraph:
     starts with the header text must be the whole canonical header and come
     once, before the first edge row; comment and blank lines may precede it."""
     n = header = None
-    edges, gaps = [], []  # gaps: the edge count at each line without an edge
+    edges, lines = [], []  # lines[k]: the line of edge k
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
-                gaps.append(len(edges))
                 if line.startswith(EDGE_LIST_HEADER):
                     if (match := _CANONICAL_HEADER.fullmatch(line)) is None:
                         raise EdgeListFormatError("malformed header", lineno)
@@ -238,15 +236,13 @@ def _load_edge_list_by_line(path) -> WeightedGraph:
                 edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
             except ValueError:
                 raise EdgeListFormatError(f"unparseable edge {line!r}", lineno)
+            lines.append(lineno)
     if n is None:
         raise EdgeListFormatError("missing header line")
     i, j, w = zip(*edges) if edges else ((), (), ())
     try:
         return WeightedGraph(n, i, j, w)
     except _EdgeFault as exc:
-        # edge k is on line k + 1 plus the lines without an edge before it
-        k = exc.edge
-        line = header if k is None else k + 1 + bisect.bisect_right(gaps, k)
-        raise EdgeListFormatError(str(exc), line)
+        raise EdgeListFormatError(str(exc), header if exc.edge is None else lines[exc.edge])
     except ValueError as exc:
         raise EdgeListFormatError(str(exc))

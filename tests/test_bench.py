@@ -373,6 +373,25 @@ class TestRunScenario:
         assert len(records) == 4 * 3 * 3  # grid points x trials x methods
         assert len(calls) == 4 * 3
 
+    def test_later_solve_failure_ends_the_run(self, monkeypatch):
+        # each bandwidth is solved right before its trials, so a solve that
+        # raises at the second bandwidth ends the run after the first's trials
+        solve_fn, blue_fn, blue_calls = design.solve_relaxed, estimation.blue_estimate, []
+
+        def solve(rows, criterion):
+            if rows.shape[1] == 4:
+                raise ValueError("solve failed")
+            return solve_fn(rows, criterion)
+
+        monkeypatch.setattr(design, "solve_relaxed", solve)
+        monkeypatch.setattr(estimation, "blue_estimate",
+                            lambda *a, **kw: blue_calls.append(a[1]) or blue_fn(*a, **kw))
+        cfg = tiny_config(signal={"bandwidth_min": 3, "bandwidth_max": 4,
+                                  "snr_db_grid": [10.0, 20.0]})
+        with pytest.raises(ValueError, match="solve failed"):
+            bench.run_scenario(cfg, measure_time=False)
+        assert blue_calls == [3] * (2 * 2 * 3)  # snrs x trials x methods
+
     def test_failures_recorded_not_raised(self):
         # budget_rule below 1 starves the baselines of rank
         cfg = tiny_config(budget_rule=0.5, methods=["m1"])

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthonormal_rows
@@ -289,15 +289,20 @@ row_sets = st.builds(
 class TestNewtonSolver:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(1, 8))
+    @example(seed=442406, n=1, k=8)  # cond(A) = 6.4e4: off by 1.05e-12 relative
     def test_gradient_matches_einsum(self, seed, n, k):
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((n + k, k))
         p = rng.dirichlet(np.ones(n + k))
         Ainv = np.linalg.inv(rows.T @ (p[:, None] * rows))
         for crit in (Criterion.A_OPT, Criterion.D_OPT):
+            B = Ainv if crit is Criterion.D_OPT else Ainv @ Ainv
             ref = einsum_gradient(rows, Ainv, crit)
             got = design._gradient(rows, Ainv, crit)
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            # both evaluate u^T B u with the same B, so they differ by rounding
+            # alone: twice k eps S, the rounding bound of each evaluation
+            S = ((np.abs(rows) @ np.abs(B)) * np.abs(rows)).sum(axis=1)
+            assert (np.abs(got - ref) <= 2 * k * np.finfo(float).eps * S).all()
 
     @settings(max_examples=40, deadline=None)
     @given(rows=row_sets)
@@ -311,6 +316,12 @@ class TestNewtonSolver:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    # ill-conditioned starts whose KKT direction sums to more than 1e-12
+    # before it is centred
+    @example(seed=1348750850)
+    @example(seed=1232998535)
+    @example(seed=2248551198)
+    @example(seed=3648740805)
     def test_newton_step_stays_on_simplex(self, seed):
         check_newton_step(seed)
 
