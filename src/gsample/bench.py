@@ -110,6 +110,15 @@ def make_graph(graph: dict, seed) -> graphs.WeightedGraph:
     return getattr(graphs, kind)(**params, seed=seed)
 
 
+def _budget(budget_rule: float, bandwidth: int) -> int:
+    """The budget round(budget_rule * K) at bandwidth K; ValueError naming
+    budget_rule when the product is not finite."""
+    try:
+        return round(budget_rule * bandwidth)
+    except OverflowError:
+        raise ValueError(f"budget_rule {budget_rule} overflows at bandwidth {bandwidth}") from None
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A checked scenario; `config_from_dict` fills in the defaults."""
@@ -151,7 +160,8 @@ class ScenarioConfig:
             raise ValueError("bandwidth_min and bandwidth_step must be >= 1")
         if sig["bandwidth_min"] > sig["bandwidth_max"]:
             raise ValueError("bandwidth_min exceeds bandwidth_max")
-        if round(self.budget_rule * sig["bandwidth_min"]) < 1:
+        _budget(self.budget_rule, sig["bandwidth_max"])
+        if _budget(self.budget_rule, sig["bandwidth_min"]) < 1:
             raise ValueError(
                 f"budget_rule {self.budget_rule} gives a budget below 1 "
                 f"at bandwidth_min {sig['bandwidth_min']}"
@@ -227,7 +237,7 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
     records = []
     gi = 0
     for k in range(sig["bandwidth_min"], sig["bandwidth_max"] + 1, sig["bandwidth_step"]):
-        budget = int(round(cfg.budget_rule * k))
+        budget = _budget(cfg.budget_rule, k)
         rows = spectral.design_rows(basis, k)
         weights = design.solve_relaxed(rows, criterion)
         gap = design.duality_gap(rows, weights, criterion)

@@ -7,6 +7,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -78,7 +79,9 @@ def _cmd_estimate(args):
             f"design {args.design} has quotas for {len(alloc.m)} nodes "
             f"but graph {args.graph} has {basis.n}"
         )
-    f = np.loadtxt(args.signal, ndmin=1)
+    with warnings.catch_warnings():  # an empty file fails the length check below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        f = np.loadtxt(args.signal, ndmin=1)
     snr = math.inf if args.snr_db is None else args.snr_db
     samples = estimation.sample_with_noise(f, alloc, snr, seed=args.seed)
     est = estimation.blue_estimate(basis, bandwidth, alloc, samples.y, f_true=f)

@@ -145,6 +145,7 @@ def criterion_value(A: np.ndarray, criterion: Criterion) -> float:
     """Scalarize the inverse information matrix: -log det A, 1/lambda_min(A),
     or tr(A^-1) for D, E, A optimality respectively. ValueError unless A is
     a non-empty square matrix with finite entries."""
+    criterion = Criterion(criterion)
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0 or not np.isfinite(A).all():
         raise ValueError(f"information matrix must be finite, square and non-empty, got {A.shape}")
@@ -162,6 +163,7 @@ def criterion_gradient(
     rows: np.ndarray, weights: DesignWeights, criterion: Criterion
 ) -> np.ndarray:
     """Gradient of the A or D criterion with respect to p; E has none."""
+    criterion = Criterion(criterion)
     if criterion is Criterion.E_OPT:
         raise ValueError("the E criterion has no gradient")
     rows = _as_rows(rows, finite=True)
@@ -184,6 +186,7 @@ def duality_gap(
     """An upper bound on f(p) - f*. A/D: the Frank-Wolfe linear-minimization
     gap over the simplex. E: 1/lambda_min(A(p)) - 1/_e_bound(rows) (Kiefer's
     equivalence theorem), 0 at the uniform design of a constant-column basis."""
+    criterion = Criterion(criterion)
     rows = _as_rows(rows, finite=True)
     if criterion is Criterion.E_OPT:
         f = criterion_value(information_matrix(rows, weights), criterion)
@@ -337,6 +340,7 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     A(p) is not positive definite, no step moves or 50,000 iterations pass
     first. Deterministic.
     """
+    criterion = Criterion(criterion)
     rows = _as_rows(rows, finite=True)
     n, k = rows.shape
     if n < k:
@@ -419,27 +423,6 @@ def budget_repair(raw: np.ndarray, weights: DesignWeights, budget: int) -> Sampl
         order = np.argsort(-resid if excess > 0 else resid, kind="stable")
         m[order[:abs(excess)]] -= np.sign(excess)
     return SampleAllocation(m=m, budget=budget)
-
-
-def _quantized_eigenvalues(rows: np.ndarray, alloc: SampleAllocation) -> np.ndarray:
-    """Eigenvalues of the sampled Gram sum_i m_i u_i u_i^T (M times the
-    quantized information matrix) by `_sampled_eigh` on `alloc.indices`, as
-    BLUE factors it; the caller applies the rank rule."""
-    if len(alloc.m) != len(rows):
-        raise ValueError(f"{len(rows)} rows but {len(alloc.m)} quotas")
-    return _sampled_eigh(rows, alloc.indices)[1]
-
-
-def quantized_information_matrix(rows: np.ndarray, alloc: SampleAllocation) -> np.ndarray:
-    """Information matrix of the quantized design sum_i (m_i/M) u_i u_i^T.
-
-    Raises SingularInformationMatrix when the quantized design lost rank,
-    ValueError unless the rows are finite.
-    """
-    rows = _as_rows(rows, finite=True)
-    _checked(_quantized_eigenvalues(rows, alloc))
-    p = alloc.m / alloc.budget
-    return rows.T @ (p[:, None] * rows)
 
 
 def residual_variance_analytic(budget: int) -> float:
@@ -530,7 +513,7 @@ def allocate_from_weights(
     rows = _as_rows(rows, finite=True)
     alloc = budget_repair(raw, weights, budget)
     shifts = 0
-    while _rank_deficient(_quantized_eigenvalues(rows, alloc)):
+    while _rank_deficient(_sampled_eigh(rows, alloc)[1]):
         if shifts >= rows.shape[1]:
             raise FallbackExhausted(
                 f"quantized design still singular after {shifts} budget shifts"
@@ -568,6 +551,7 @@ def design_pipeline(
     `seed` drives the randomized rounding; the relaxed solve is deterministic.
     A singular quantized design gets `allocate_from_weights`'s budget shifts.
     """
+    criterion = Criterion(criterion)
     budget = _grid_budget(budget)
     rows = design_rows(basis, bandwidth)
     if budget < bandwidth:
@@ -578,7 +562,7 @@ def design_pipeline(
     alloc, fallback_moves = allocate_from_weights(
         rows, weights, budget, quantize_raw(weights, budget, seed))
     w = _checked(np.linalg.eigvalsh(information_matrix(rows, weights)))
-    w_hat = _checked(_quantized_eigenvalues(rows, alloc)) / budget
+    w_hat = _checked(_sampled_eigh(rows, alloc)[1]) / budget
     diagnostics = {
         "relaxed_objective": _scalarized(w, criterion),
         "quantized_objective": _scalarized(w_hat, criterion),

@@ -47,7 +47,7 @@ def noise_std_for_snr(signal: np.ndarray, snr_db: float) -> float:
     """
     ratio = _snr_power_ratio(snr_db)
     with np.errstate(over="ignore"):
-        power = float(np.mean(np.square(signal)))
+        power = float(np.mean(np.square(np.asarray(signal, dtype=float))))
     if power == 0.0 or ratio == np.inf:
         return 0.0
     if power == np.inf:
@@ -81,17 +81,15 @@ def blue_estimate(
     y: np.ndarray,
     f_true: np.ndarray | None = None,
 ) -> EstimateResult:
-    """Least-squares estimate of the bandlimited coefficients and signal.
-    ValueError unless the allocation has one quota per node of the basis."""
-    if len(seq.m) != basis.n:
-        raise ValueError(f"basis has {basis.n} nodes but the allocation {len(seq.m)} quotas")
+    """Least-squares estimate of the bandlimited coefficients and signal. ValueError
+    unless the allocation has one quota per node of the basis and a finite sampled Gram."""
     y = np.asarray(y, dtype=float)
     if y.shape != seq.indices.shape:
         raise ValueError("observation length does not match sequence")
     # least squares through the normal equations; a repeated allocation reuses
     # the memoized factorization of its Gram, the rank test runs every call
     V_K = _band(basis, bandwidth)
-    V_mk, w, Q = _sampled_eigh(V_K, seq.indices)
+    V_mk, w, Q = _sampled_eigh(V_K, seq)
     if len(V_mk) < bandwidth or _rank_deficient(w):
         raise RankDeficientSampling(f"sampled rows have numerical rank below {bandwidth}")
     coeffs = Q @ ((Q.T @ (V_mk.T @ y)) / w)

@@ -104,14 +104,16 @@ def _memo_eigh(gram: bytes, k: int):
     return w, Q
 
 
-def _sampled_eigh(V_K: np.ndarray, indices: np.ndarray):
-    """V_S = V_K[indices] and the read-only eigh (w, Q) of V_S^T V_S, memoized
-    on the Gram's bytes (the last _EIGEN_MEMO_SIZE), so an allocation's rank
-    check and BLUE on its `indices` factor it once. Errors are not cached."""
-    if indices.size and indices.max() >= len(V_K):
-        raise ValueError("sampling index out of range for basis")
-    V_S = V_K[indices]
-    G = V_S.T @ V_S
+def _sampled_eigh(V_K: np.ndarray, alloc):
+    """V_S = V_K[alloc.indices] and the read-only eigh (w, Q) of V_S^T V_S, memoized
+    on the Gram's bytes (the last _EIGEN_MEMO_SIZE), so an allocation's rank check
+    and BLUE on it factor it once. ValueError, not cached and with no warning first,
+    unless `alloc` has one quota per row of V_K and the Gram is finite."""
+    if len(alloc.m) != len(V_K):
+        raise ValueError(f"basis has {len(V_K)} nodes but the allocation {len(alloc.m)} quotas")
+    V_S = V_K[alloc.indices]
+    with np.errstate(over="ignore", invalid="ignore"):  # the memo refuses what these make
+        G = V_S.T @ V_S
     return (V_S, *_memo_eigh(G.tobytes(), G.shape[0]))
 
 

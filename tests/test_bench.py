@@ -192,11 +192,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             bench.config_from_dict(data)
 
-    @pytest.mark.parametrize("rule", [0, -4.0, 0.1])
+    @pytest.mark.parametrize("rule", [0, -4.0, 0.1, 1e308])
     def test_budget_below_one_rejected(self, rule):
-        # K = 3: round(0.1 * 3) = 0 samples
+        # K = 3: round(0.1 * 3) = 0 samples, and 1e308 * 3 is no number of samples
         with pytest.raises(ValueError, match="budget_rule"):
             tiny_config(budget_rule=rule)
+
+    def test_budget_rule_checked_at_bandwidth_max(self):
+        # 1e307 * 3 is a budget, 1e307 * 30 overflows
+        signal = {**TINY["signal"], "bandwidth_max": 30}
+        with pytest.raises(ValueError, match=r"budget_rule 1e\+307 .* at bandwidth 30"):
+            tiny_config(budget_rule=1e307, signal=signal)
 
     def test_graph_kind_must_be_a_name(self):
         with pytest.raises(ValueError, match="unknown graph kind"):

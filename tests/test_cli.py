@@ -233,6 +233,14 @@ class TestGraphAndDesign:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "finite" in err
 
+    def test_empty_signal_fails_cleanly(self, capsys, tmp_path):
+        # NumPy warns that the file holds no data; the length check reports it
+        args = estimate_args(tmp_path, DESIGN)
+        (tmp_path / "signal.txt").write_text("")
+        code, out, err = run(capsys, *args)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: signal has 0 values but the allocation 6 quotas"]
+
     def test_integral_float_design_accepted(self, capsys, tmp_path):
         design_json = {"m": [1.0, 1, 1, 0, 0, 0], "budget": 3.0, "bandwidth": 2.0}
         code, out, _ = run(capsys, *estimate_args(tmp_path, design_json))
@@ -240,12 +248,13 @@ class TestGraphAndDesign:
         assert len(json.loads(out)["coeff_estimate"]) == 2
 
 
-def bench_args(tmp_path, snr):
-    """`bench` arguments for a one-trial scenario at the SNR `snr`."""
+def bench_args(tmp_path, snr, **config):
+    """`bench` arguments for a one-trial scenario at the SNR `snr`, with the
+    top-level keys `config` added."""
     cpath = tmp_path / "cfg.json"
     cpath.write_text(json.dumps({
         "graph": {"kind": "watts_strogatz", "n": 20}, "trials": 1,
-        "signal": {"bandwidth_min": 2, "bandwidth_max": 2, "snr_db_grid": [snr]}}))
+        "signal": {"bandwidth_min": 2, "bandwidth_max": 2, "snr_db_grid": [snr]}, **config}))
     return ["bench", "--config", str(cpath), "--no-timing",
             "--out", str(tmp_path / "records.csv")]
 
@@ -261,13 +270,15 @@ def design_args(tmp_path, text):
     (lambda tmp: estimate_args(tmp, DESIGN) + ["--snr-db=-3240"], "SNR -3240.0 dB"),
     (lambda tmp: estimate_args(tmp, DESIGN) + ["--snr-db=-3200"], "SNR -3200.0 dB"),
     (lambda tmp: bench_args(tmp, -3200), "SNR -3200.0 dB"),
+    (lambda tmp: bench_args(tmp, 10.0, budget_rule=1e308), "budget_rule 1e+308"),
     (lambda tmp: design_args(tmp, "# gsample-graph v1 n=3\n1 99999999999999999999 1.0\n"),
      "out of range for n=3 (line 2)"),
     (lambda tmp: design_args(tmp, "# gsample-graph v1 n=99999999999999999999\n0 1 1.0\n"),
      "got 99999999999999999999 (line 1)"),
     (lambda tmp: design_args(tmp, "# gsample-graph v1 n=3\n0 1 1e308\n1 2 1e308\n"),
      "Laplacian has a non-finite entry"),
-], ids=["snr-3240", "snr-3200", "bench-snr-3200", "index", "node-count", "laplacian"])
+], ids=["snr-3240", "snr-3200", "bench-snr-3200", "bench-budget-rule", "index", "node-count",
+        "laplacian"])
 def test_inputs_beyond_double_or_integer_range_fail_cleanly(capsys, tmp_path, argv, words):
     code, out, err = run(capsys, *argv(tmp_path))
     assert code == 1 and out == ""

@@ -2,13 +2,30 @@ import numpy as np
 import pytest
 
 from conftest import random_orthonormal_rows
-from gsample import design
+from gsample import design, spectral
 from gsample.design import Criterion, DesignWeights, SampleAllocation
 from gsample.exceptions import SingularInformationMatrix
 
 
 def uniform(n):
     return DesignWeights(np.full(n, 1.0 / n))
+
+
+def pipeline(basis, c):
+    """Weights, quotas and diagnostics of `design_pipeline` at K = 5, M = 20."""
+    r = design.design_pipeline(basis, 5, 20, c, seed=0)
+    return r.weights.p, r.allocation.m, r.diagnostics
+
+
+# every entry point that takes a criterion, on a basis and its K = 5 design rows
+CRITERION_USES = {
+    "criterion_value": lambda basis, rows, c: design.criterion_value(rows.T @ rows, c),
+    "criterion_gradient": lambda basis, rows, c: design.criterion_gradient(
+        rows, uniform(len(rows)), c),
+    "duality_gap": lambda basis, rows, c: design.duality_gap(rows, uniform(len(rows)), c),
+    "solve_relaxed": lambda basis, rows, c: design.solve_relaxed(rows, c).p,
+    "design_pipeline": lambda basis, rows, c: pipeline(basis, c),
+}
 
 
 class TestValidation:
@@ -65,6 +82,16 @@ class TestValidation:
     )
     def test_criterion_letters_parsed(self, text, crit):
         assert Criterion.parse(text) is crit
+
+    @pytest.mark.parametrize("use", CRITERION_USES)
+    def test_entry_points_take_the_letter_and_refuse_the_rest(self, geometric_basis, use):
+        # a criterion that was not a Criterion used to be solved as A
+        rows = spectral.design_rows(geometric_basis, 5)
+        run = CRITERION_USES[use]
+        np.testing.assert_equal(run(geometric_basis, rows, "d"),
+                                run(geometric_basis, rows, Criterion.D_OPT))
+        with pytest.raises(ValueError, match="zzz"):
+            run(geometric_basis, rows, "zzz")
 
 
 class TestInformationMatrix:

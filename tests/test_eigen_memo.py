@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 from conftest import sampling
 from gsample import design, estimation, graphs, spectral
 from gsample.design import DesignWeights, SampleAllocation
-from gsample.exceptions import (
-    FallbackExhausted,
-    RankDeficientSampling,
-    SingularInformationMatrix,
-)
+from gsample.exceptions import FallbackExhausted, RankDeficientSampling
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +44,8 @@ class TestBitwiseEqual:
         k = 5
         seq = repeated_sequence(basis.n, k, np.random.default_rng(seed))
         V_K = basis.eigenvectors[:, :k]
-        V_S, *cold = spectral._sampled_eigh(V_K, seq.indices)
-        _, *warm = spectral._sampled_eigh(V_K.copy(), seq.indices.copy())
+        V_S, *cold = spectral._sampled_eigh(V_K, seq)
+        _, *warm = spectral._sampled_eigh(V_K.copy(), sampling(seq.indices, basis.n))
         w, Q = np.linalg.eigh(sampled_gram(basis, k, seq))
         assert warm[0] is cold[0] and warm[1] is cold[1]
         assert np.array_equal(cold[0], w) and np.array_equal(cold[1], Q)
@@ -58,16 +54,18 @@ class TestBitwiseEqual:
 
     def test_mutated_input_is_a_new_key(self, rng):
         V = rng.standard_normal((4, 3))
-        idx = np.arange(4)
-        before = spectral._sampled_eigh(V, idx)[1].copy()
+        alloc = sampling(np.arange(4), 4)
+        before = spectral._sampled_eigh(V, alloc)[1].copy()
         V *= 2.0
-        after = spectral._sampled_eigh(V, idx)[1]
+        after = spectral._sampled_eigh(V, alloc)[1]
         assert np.array_equal(after, np.linalg.eigh(V.T @ V)[0])
         assert not np.array_equal(after, before)
 
-    def test_index_past_the_rows_rejected(self, rng):
-        with pytest.raises(ValueError, match="out of range"):
-            spectral._sampled_eigh(rng.standard_normal((4, 2)), np.array([0, 4]))
+    @pytest.mark.parametrize("m", [[1, 1, 0, 0, 0], [1, 1, 0]], ids=["5-quotas", "3-quotas"])
+    def test_allocation_for_another_node_count_rejected(self, rng, m):
+        # its sampled nodes 0 and 1 are rows of V, but it has no quota per row
+        with pytest.raises(ValueError, match=f"4 nodes but the allocation {len(m)} quotas"):
+            spectral._sampled_eigh(rng.standard_normal((4, 2)), SampleAllocation(m, 2))
 
     def test_repeated_sequence_factors_once(self, basis, rng, monkeypatch):
         calls = []
@@ -94,22 +92,24 @@ class TestBlue:
             assert np.abs(est.coeff_estimate - expected).max() <= 1e-8
 
 
-def quantized_and_blue_raise(rows, m):
-    """Whether `quantized_information_matrix` and `blue_estimate` reject the
-    quotas `m` on `rows`, both taken as the first K eigenvectors."""
-    alloc = SampleAllocation(m=m, budget=int(np.sum(m)))
+def allocation_and_blue_refuse(rows, m):
+    """Whether `allocate_from_weights`, on the draw `m` of the design m/M,
+    and `blue_estimate` reject the quotas `m` on `rows`, both taken as the
+    first K eigenvectors. Allocation rejects them by shifting a unit or by
+    running out of shifts."""
+    budget = int(np.sum(m))
+    try:
+        refused = design.allocate_from_weights(rows, DesignWeights(m / budget), budget, m)[1] > 0
+    except FallbackExhausted:
+        refused = True
     basis = spectral.SpectralBasis(np.arange(float(len(rows))), rows)
     try:
-        design.quantized_information_matrix(rows, alloc)
-        qim = False
-    except SingularInformationMatrix:
-        qim = True
-    try:
-        estimation.blue_estimate(basis, rows.shape[1], alloc, np.zeros(alloc.budget))
+        estimation.blue_estimate(
+            basis, rows.shape[1], SampleAllocation(m=m, budget=budget), np.zeros(budget))
         blue = False
     except RankDeficientSampling:
         blue = True
-    return qim, blue
+    return refused, blue
 
 
 class TestOneRankDecision:
@@ -124,8 +124,8 @@ class TestOneRankDecision:
             [-0.8761711170587881, -1.018403718239041],
             [-0.3129927587666398, -0.3638007091124933],
         ])
-        qim, blue = quantized_and_blue_raise(rows, np.array([1, 1, 2, 4]))
-        assert qim == blue
+        refused, blue = allocation_and_blue_refuse(rows, np.array([1, 1, 2, 4]))
+        assert refused == blue
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -139,8 +139,8 @@ class TestOneRankDecision:
         col, noise, m = (np.array(v) for v in zip(*data))
         assume(m.sum() >= 1)
         rows = np.column_stack([col, c * col + 1e-6 * noise])
-        qim, blue = quantized_and_blue_raise(rows, m)
-        assert qim == blue
+        refused, blue = allocation_and_blue_refuse(rows, m)
+        assert refused == blue
 
     def test_allocation_and_blue_share_one_factorization(self, basis, monkeypatch):
         calls = {"eigh": 0, "eigvalsh": 0}
@@ -166,15 +166,6 @@ class TestFailuresNotCached:
             with pytest.raises(RankDeficientSampling):
                 estimation.blue_estimate(basis, 4, seq, np.zeros(seq.budget))
 
-    def test_singular_allocation_raises_every_call(self, basis):
-        rows = basis.eigenvectors[:, :3]
-        m = np.zeros(basis.n, dtype=int)
-        m[[2, 7]] = [3, 2]  # two nodes cannot span K = 3
-        alloc = SampleAllocation(m=m, budget=5)
-        for _ in range(3):
-            with pytest.raises(SingularInformationMatrix):
-                design.quantized_information_matrix(rows, alloc)
-
     def test_point_mass_design_exhausts_fallback_every_call(self):
         # every node but 0 has zero weight, so each draw quantizes to
         # m = (5, 0, 0, 0) and the one-unit shifts never reach rank 2
@@ -193,24 +184,25 @@ class TestMemoSafety:
         V[1] = value
         for _ in range(2):
             with pytest.raises(ValueError, match="sampled Gram is not finite"):
-                spectral._sampled_eigh(V, np.arange(3))
+                spectral._sampled_eigh(V, sampling(np.arange(3), 3))
         assert spectral._memo_eigh.cache_info().currsize == 0
 
     def test_results_are_read_only(self, basis, rng):
         k = 4
         seq = repeated_sequence(basis.n, k, rng)
         V_K = basis.eigenvectors[:, :k]
-        _, w, Q = spectral._sampled_eigh(V_K, seq.indices)
+        _, w, Q = spectral._sampled_eigh(V_K, seq)
         for a in (w, Q):
             with pytest.raises(ValueError):
                 a[0] = 0.0
         G = sampled_gram(basis, k, seq)
-        assert np.array_equal(spectral._sampled_eigh(V_K, seq.indices)[1], np.linalg.eigh(G)[0])
+        assert np.array_equal(spectral._sampled_eigh(V_K, seq)[1], np.linalg.eigh(G)[0])
 
     def test_bounded_capacity(self, rng):
         size = spectral._EIGEN_MEMO_SIZE
         for _ in range(3 * size):
-            spectral._sampled_eigh(rng.standard_normal((4, 3)), rng.integers(4, size=5))
+            V = rng.standard_normal((4, 3))
+            spectral._sampled_eigh(V, sampling(rng.integers(4, size=5), 4))
         info = spectral._memo_eigh.cache_info()
         assert info.maxsize == size
         assert info.currsize == size

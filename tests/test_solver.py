@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthonormal_rows
-from gsample import design, graphs, spectral
+from gsample import design, estimation, graphs, spectral
 from gsample.design import Criterion, DesignWeights
 from gsample.exceptions import SingularInformationMatrix
 
@@ -34,8 +34,6 @@ SHAPE_USES = {
     "criterion_gradient": lambda rows: design.criterion_gradient(rows, THIRDS, Criterion.A_OPT),
     "allocate_from_weights": lambda rows: design.allocate_from_weights(
         rows, THIRDS, 3, design.quantize_raw(THIRDS, 3, 0)),
-    "quantized_information_matrix": lambda rows: design.quantized_information_matrix(
-        rows, design.SampleAllocation(m=[1, 1, 1], budget=3)),
     **{f"duality_gap-{crit.value}": lambda rows, crit=crit: design.duality_gap(rows, THIRDS, crit)
        for crit in Criterion},
 }
@@ -114,15 +112,24 @@ class TestSolveRelaxed:
         with pytest.raises(ValueError, match="finite"):
             FINITE_USES[use](rows)
 
-    @pytest.mark.parametrize("use", ["allocate_from_weights", "quantized_information_matrix"])
-    def test_infinity_beside_a_zero_refused_without_a_warning(self, use):
-        # inf * 0 in the sampled Gram would warn before the Gram is refused
-        rows = np.eye(3)
-        rows[1, 0] = np.inf
+    @pytest.mark.parametrize("use", ["allocate_from_weights", "blue_estimate"])
+    @pytest.mark.parametrize("rows", [
+        pytest.param(np.array([[1.0, 0, 0], [np.inf, 1, 0], [0, 0, 1]]), id="inf-beside-zero"),
+        pytest.param(np.array([[1e200, 1], [1, 1e200], [1, 1]]), id="finite-overflowing"),
+    ])
+    def test_infinity_beside_a_zero_refused_without_a_warning(self, use, rows):
+        # inf * 0, or a product beyond the double range, in the sampled Gram
+        # would warn before the Gram is refused
+        refuse = {
+            "allocate_from_weights": FINITE_USES["allocate_from_weights"],
+            "blue_estimate": lambda rows: estimation.blue_estimate(
+                spectral.SpectralBasis(np.arange(3.0), rows), rows.shape[1],
+                design.SampleAllocation(m=[1, 1, 1], budget=3), np.zeros(3)),
+        }[use]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
-                FINITE_USES[use](rows)
+                refuse(rows)
 
     @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
     def test_uncertified_stop_raises(self, crit, rng, monkeypatch):
