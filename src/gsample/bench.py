@@ -168,7 +168,7 @@ class ScenarioConfig:
             )
         object.__setattr__(self, "signal", sig)
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "criterion", design.Criterion.parse(self.criterion).value)
+        object.__setattr__(self, "criterion", design.Criterion(self.criterion).value)
 
 
 # slots: a run holds one record per method, grid point and trial
@@ -232,7 +232,7 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
     trials of one bandwidth whose draws are equal share one allocation, so
     a record that reuses one times no allocation in `wall_ms`."""
     basis = spectral.eigendecompose(graphs.laplacian(build_graph(cfg)))
-    criterion = design.Criterion.parse(cfg.criterion)
+    criterion = design.Criterion(cfg.criterion)
     sig = cfg.signal
     records = []
     gi = 0

@@ -28,7 +28,7 @@ def _load_basis(path):
 
 
 def _write_json(payload, out):
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -55,7 +55,7 @@ def _read_design(path):
 
 def _cmd_design(args):
     basis = _load_basis(args.graph)
-    criterion = design.Criterion.parse(args.criterion)
+    criterion = design.Criterion(args.criterion)
     result = design.design_pipeline(
         basis, args.bandwidth, args.budget, criterion, seed=args.seed
     )

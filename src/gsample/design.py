@@ -1,5 +1,5 @@
 """Relaxed experimental design on the simplex, probabilistic quantization to
-integer sample quotas, and the perturbation / sample-size analysis."""
+integer sample quotas, and the sample-size analysis."""
 
 from __future__ import annotations
 
@@ -24,11 +24,13 @@ class Criterion(enum.Enum):
     E_OPT = "e"
 
     @classmethod
-    def parse(cls, text: str) -> "Criterion":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown criterion {text!r}; expected a, d or e") from None
+    def _missing_(cls, value):
+        """`Criterion(text)` takes a letter in any case, whitespace ignored."""
+        text = value.strip().lower() if isinstance(value, str) else None
+        for member in cls:
+            if member.value == text:
+                return member
+        raise ValueError(f"unknown criterion {value!r}; expected a, d or e")
 
 
 @dataclass(frozen=True)
@@ -425,11 +427,6 @@ def budget_repair(raw: np.ndarray, weights: DesignWeights, budget: int) -> Sampl
     return SampleAllocation(m=m, budget=budget)
 
 
-def residual_variance_analytic(budget: int) -> float:
-    """The uniform-distribution variance approximation 5 / (192 M^3)."""
-    return 5 / (192 * _positive(budget) ** 3)  # in integers, a large M's cube cannot overflow
-
-
 def _check_sample_size_inputs(sigma_min: float, n: int) -> int:
     """`n` as an int; ValueError unless sigma_min is positive and finite and n
     an integer in [1, max double]."""
@@ -447,7 +444,8 @@ def invertibility_probability_bound(sigma_min: float, budget: int, n: int) -> fl
     n = _check_sample_size_inputs(sigma_min, n)
     if sigma_min**2 == 0.0:
         raise ValueError(f"sigma_min {sigma_min} squares to 0 in double precision")
-    v = residual_variance_analytic(budget) / sigma_min**2
+    budget = _positive(budget)
+    v = 5 / (192 * budget**3) / sigma_min**2  # in integers, a large M's cube cannot overflow
     if v >= 1.0:
         return 0.0
     return math.exp(n * math.log1p(-v))  # (1 - v)**n without rounding 1 - v
@@ -468,31 +466,6 @@ def min_sample_size(sigma_min: float, n: int, eta: float) -> int:
             "beyond double precision"
         )
     return max(1, math.ceil((5.0 / denom) ** (1.0 / 3.0)))
-
-
-def perturbation_norm(rows: np.ndarray, delta_p: np.ndarray) -> tuple[float, float]:
-    """Spectral norm of the information-matrix perturbation and its bound.
-
-    For a quantization residual delta_p = m/M - p, the perturbation
-    sum_i dp_i u_i u_i^T = R^T diag(dp) R has spectral norm at most
-    max |dp_i| when R has orthonormal columns (R^T R = I), as the rows from
-    `design_rows` do. Row norms <= 1 alone are not enough.
-    Raises ValueError when the norm exceeds the bound, which means the rows
-    break that precondition, and unless rows and residual are finite.
-    """
-    rows = _as_rows(rows, finite=True)
-    dp = np.asarray(delta_p, dtype=float)
-    if dp.shape != rows.shape[:1] or not np.isfinite(dp).all():
-        raise ValueError("residual must be finite, one entry per row")
-    dA = rows.T @ (dp[:, None] * rows)
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(dA))))
-    bound = float(np.max(np.abs(dp))) if dp.size else 0.0
-    if not norm <= bound + 1e-10:
-        raise ValueError(
-            f"perturbation norm {norm:.3e} exceeds max |dp_i| = {bound:.3e}; "
-            "the bound needs rows with orthonormal columns (rows^T rows = I)"
-        )
-    return norm, bound
 
 
 def allocate_from_weights(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,4 +105,11 @@ def reconstruction_error(f_true: np.ndarray, f_est: np.ndarray) -> float:
     f_est = np.asarray(f_est, dtype=float)
     if f_true.shape != f_est.shape:
         raise ValueError("signal lengths differ")
-    return float(np.linalg.norm(f_est - f_true))
+    d = f_est - f_true
+    # np.linalg.norm's own sum of squares, without its per-call overhead; it
+    # overflows once the norm passes about 1.3e154, and then d is max-scaled
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(d.dot(d))
+        if norm == math.inf and (s := np.abs(d).max()) < math.inf:
+            norm = s * np.linalg.norm(d / s)
+    return float(norm)

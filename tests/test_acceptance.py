@@ -198,7 +198,8 @@ def test_criterion_6_perturbation_inequality():
         for _ in range(200):
             raw = design.quantize_raw(weights, budget, gen)
             dp = raw / budget - weights.p
-            norm, bound = design.perturbation_norm(rows, dp)
+            norm = np.abs(np.linalg.eigvalsh(rows.T @ (dp[:, None] * rows))).max()
+            bound = np.abs(dp).max()
             assert norm <= bound + 1e-10  # zero violations allowed
             hits += norm < sigma_min
             deltas.append(dp)

@@ -513,7 +513,7 @@ def ungrouped_proposed(cfg):
     """(K, SNR, trial, error_l2, status) of each proposed record, from a
     loop that allocates every trial's rounding draw afresh."""
     basis = spectral.eigendecompose(graphs.laplacian(bench.build_graph(cfg)))
-    criterion = design.Criterion.parse(cfg.criterion)
+    criterion = design.Criterion(cfg.criterion)
     sig = cfg.signal
     bandwidths = range(sig["bandwidth_min"], sig["bandwidth_max"] + 1, sig["bandwidth_step"])
     grid = [(k, snr) for k in bandwidths for snr in sig["snr_db_grid"]]

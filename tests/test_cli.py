@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,19 @@ def test_inputs_beyond_double_or_integer_range_fail_cleanly(capsys, tmp_path, ar
     code, out, err = run(capsys, *argv(tmp_path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and words in err
+
+
+def test_non_finite_estimate_fails_without_writing(capsys, tmp_path):
+    # BLUE overflows on a signal at the double limit and returns NaN; the CLI
+    # refuses to write it as a NaN token, which is not JSON
+    args = estimate_args(tmp_path, DESIGN)
+    np.savetxt(tmp_path / "signal.txt", np.full(6, 1.7e308))
+    epath = tmp_path / "estimate.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(capsys, *args, "--out", str(epath))
+    assert code == 1 and out == "" and not epath.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "JSON" in err
 
 
 def test_overflowing_snr_is_noiseless(capsys, tmp_path):

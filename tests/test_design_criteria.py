@@ -75,23 +75,25 @@ class TestValidation:
     @pytest.mark.parametrize("text", ["dog", "apple", "exp", "", "ad", "x"])
     def test_unknown_criterion_rejected(self, text):
         with pytest.raises(ValueError, match="unknown criterion"):
-            Criterion.parse(text)
+            Criterion(text)
 
     @pytest.mark.parametrize(
         "text, crit", [("a", Criterion.A_OPT), (" D ", Criterion.D_OPT), ("E", Criterion.E_OPT)]
     )
     def test_criterion_letters_parsed(self, text, crit):
-        assert Criterion.parse(text) is crit
+        assert Criterion(text) is crit
 
     @pytest.mark.parametrize("use", CRITERION_USES)
     def test_entry_points_take_the_letter_and_refuse_the_rest(self, geometric_basis, use):
         # a criterion that was not a Criterion used to be solved as A
         rows = spectral.design_rows(geometric_basis, 5)
         run = CRITERION_USES[use]
-        np.testing.assert_equal(run(geometric_basis, rows, "d"),
-                                run(geometric_basis, rows, Criterion.D_OPT))
-        with pytest.raises(ValueError, match="zzz"):
-            run(geometric_basis, rows, "zzz")
+        expected = run(geometric_basis, rows, Criterion.D_OPT)
+        for text in ("d", " D "):
+            np.testing.assert_equal(run(geometric_basis, rows, text), expected)
+        for value in ("zzz", None, 5):
+            with pytest.raises(ValueError, match=f"unknown criterion {value!r}"):
+                run(geometric_basis, rows, value)
 
 
 class TestInformationMatrix:

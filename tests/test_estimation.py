@@ -294,3 +294,8 @@ class TestReconstructionError:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             estimation.reconstruction_error(np.zeros(3), np.zeros(4))
+
+    def test_norm_whose_square_overflows(self):
+        # the sum of squares, 3e615, is beyond the double range; the norm is not
+        err = estimation.reconstruction_error(np.full(30, 1e307), np.zeros(30))
+        assert err == pytest.approx(np.sqrt(30) * 1e307, rel=1e-15)

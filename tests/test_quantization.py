@@ -232,7 +232,6 @@ BUDGET_USES = {
         np.ones((3, 1)), W3, b, np.array([2, 1, 1])),
     "invertibility_probability_bound": lambda b: design.invertibility_probability_bound(
         0.1, b, 10),
-    "residual_variance_analytic": design.residual_variance_analytic,
     "design_pipeline": lambda b: design.design_pipeline(RING, 1, b, seed=0),
 }
 
@@ -267,5 +266,4 @@ class TestBudgetRule:
         assert np.abs(raw - W3.p * 2**53).max() <= 1
 
     def test_analytic_variance_takes_any_integer_budget(self):
-        assert design.residual_variance_analytic(10**400) == 0.0
         assert design.invertibility_probability_bound(0.1, 10**400, 10) == 1.0
