@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,9 +79,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown criterion"):
             Criterion(text)
 
-    @pytest.mark.parametrize(
-        "text, crit", [("a", Criterion.A_OPT), (" D ", Criterion.D_OPT), ("E", Criterion.E_OPT)]
-    )
+    @pytest.mark.parametrize("value", [None, 5, 2.5, True, b"a"])
+    def test_non_string_criterion_rejected(self, value):
+        with pytest.raises(ValueError, match=f"unknown criterion {re.escape(repr(value))}; "
+                                             "expected a, d or e"):
+            Criterion(value)
+
+    @pytest.mark.parametrize("text, crit", [
+        ("a", Criterion.A_OPT), (" D ", Criterion.D_OPT), ("E", Criterion.E_OPT),
+        ("A", Criterion.A_OPT), ("d", Criterion.D_OPT), ("\te\n", Criterion.E_OPT),
+        (Criterion.E_OPT, Criterion.E_OPT),
+    ])
     def test_criterion_letters_parsed(self, text, crit):
         assert Criterion(text) is crit
 

@@ -295,7 +295,29 @@ class TestReconstructionError:
         with pytest.raises(ValueError):
             estimation.reconstruction_error(np.zeros(3), np.zeros(4))
 
-    def test_norm_whose_square_overflows(self):
-        # the sum of squares, 3e615, is beyond the double range; the norm is not
-        err = estimation.reconstruction_error(np.full(30, 1e307), np.zeros(30))
-        assert err == pytest.approx(np.sqrt(30) * 1e307, rel=1e-15)
+    @pytest.mark.parametrize("d, expected", [
+        pytest.param(np.full(30, 1e307), np.sqrt(30) * 1e307, id="thirty-1e307"),
+        pytest.param(np.full(30, -1e307), np.sqrt(30) * 1e307, id="negative"),
+        pytest.param(np.array([1e200, 3.0, 4.0]), 1e200, id="one-huge-entry"),
+        pytest.param(np.array([1e300, -1e300]), np.sqrt(2) * 1e300, id="mixed-signs"),
+    ])
+    def test_norm_whose_square_overflows(self, d, expected):
+        # the sum of squares (3e615 for thirty 1e307) is beyond the double
+        # range; the norm is not
+        err = estimation.reconstruction_error(np.zeros(len(d)), d)
+        assert err == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("d", [
+        pytest.param(np.arange(-3.0, 5.0), id="small"),
+        pytest.param(np.full(4, 1e150), id="square-near-limit"),
+        pytest.param(np.full(3, 1e-100), id="tiny"),
+    ])
+    def test_finite_norm_keeps_numpy_bits(self, d):
+        assert estimation.reconstruction_error(np.zeros(len(d)), d) == np.linalg.norm(d)
+
+    @pytest.mark.parametrize("bad, check", [
+        pytest.param(-np.inf, np.isposinf, id="inf"),
+        pytest.param(np.nan, np.isnan, id="nan"),
+    ])
+    def test_non_finite_difference_passes_through(self, bad, check):
+        assert check(estimation.reconstruction_error(np.zeros(3), np.array([1.0, bad, 2.0])))
