@@ -228,9 +228,10 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
     point, trial and method, in that nesting order. Module errors become
     failed records. Each bandwidth's design and baselines are solved right
     before its trials, so a solve that raises ends the run after the
-    earlier bandwidths' trials. Each proposed trial makes one rounding draw;
-    trials of one bandwidth whose draws are equal share one allocation, so
-    a record that reuses one times no allocation in `wall_ms`."""
+    earlier bandwidths' trials. Each proposed trial makes one systematic
+    rounding draw, so a bandwidth's trials draw at most support + 1 distinct
+    quotas; trials whose draws are equal share one allocation, so a record
+    that reuses one times no allocation in `wall_ms`."""
     basis = spectral.eigendecompose(graphs.laplacian(build_graph(cfg)))
     criterion = design.Criterion(cfg.criterion)
     sig = cfg.signal

@@ -113,6 +113,8 @@ def _cmd_bench(args):
 def _cmd_bound(args):
     m_star = design.min_sample_size(args.sigma_min, args.n, args.eta)
     print(f"M = {m_star}")
+    print(f"certified invertible (every quota within 1 of p_i*M) at M >= "
+          f"{math.ceil(1 / args.sigma_min)}")
     budget = args.budget if args.budget is not None else m_star
     prob = design.invertibility_probability_bound(args.sigma_min, budget, args.n)
     print(f"invertibility bound at M={budget}: {prob:.6f}")

@@ -385,46 +385,32 @@ def _grid_split(weights: DesignWeights, budget: int) -> tuple[np.ndarray, np.nda
     return floor, frac
 
 
+def _systematic(floor: np.ndarray, frac: np.ndarray, budget: int, u: float) -> np.ndarray:
+    """floor + diff(floor([0, C] + u)) for u in [0, 1), C the running sum of
+    the nonzero `frac` clipped at r = budget - sum(floor) and ending at r
+    (where r + u rounds up too): every node gains 0 or 1, the gains sum to r
+    for any u, and a node with no fractional part gains nothing."""
+    on = np.flatnonzero(frac)
+    r = budget - floor.sum()
+    k = np.minimum(np.floor(np.cumsum(frac[on]) + u), r)
+    k[-1:] = r
+    m = floor.copy()
+    m[on] += np.diff(k, prepend=0.0)
+    return m.astype(int)
+
+
 def quantize_raw(weights: DesignWeights, budget: int, rng) -> np.ndarray:
-    """One independent draw of the two-point randomized rounding of each p_i
-    to an adjacent multiple of 1/budget. Unbiased; the draws need not sum
-    to the budget. When no p_i * budget has a fractional part the draw is
-    the floor and nothing is random: no generator is built from `rng`, and
-    a passed Generator is not advanced."""
+    """One systematic-sampling draw (Madow 1949): one uniform U from `rng`
+    rounds each p_i * budget, in node-index order, up with probability its
+    fractional part and down otherwise, and the quotas sum to the budget, so
+    one design's draws take at most support + 1 distinct values. When no
+    p_i * budget has a fractional part the draw is the floor and nothing is
+    random: no generator is built from `rng`, and a passed Generator is not
+    advanced."""
     floor, frac = _grid_split(weights, budget)
     if not frac.any():
         return floor.astype(int)
-    rng = np.random.default_rng(rng)
-    return (floor + (rng.random(len(frac)) < frac)).astype(int)
-
-
-def budget_repair(raw: np.ndarray, weights: DesignWeights, budget: int) -> SampleAllocation:
-    """Bring one rounding draw's quotas to the budget.
-
-    `raw` must be what `quantize_raw` draws: one integer per weight with
-    |m_i - p_i budget| < 1 for a `_grid_budget` budget (ValueError
-    otherwise). Each residual m_i/budget - p_i then lies in
-    (-1/budget, 1/budget) and they sum to
-    (sum(m) - budget)/budget, so one unit comes off each of the
-    sum(m) - budget largest residuals, or goes onto each of the
-    budget - sum(m) smallest, ties to the lowest index. No node moves twice,
-    so this is moving one unit at a time to or from the largest remaining
-    residual.
-    """
-    budget = _grid_budget(budget)
-    p = weights.p
-    m = _integers(raw, "raw quotas")
-    if m.shape != p.shape or not (np.abs(m - p * budget) < 1).all():
-        raise ValueError(
-            f"raw quotas must be one rounding draw of the {len(p)} weights, "
-            "each within 1 of p_i * budget"
-        )
-    excess = int(m.sum()) - budget
-    if excess:
-        resid = m / budget - p
-        order = np.argsort(-resid if excess > 0 else resid, kind="stable")
-        m[order[:abs(excess)]] -= np.sign(excess)
-    return SampleAllocation(m=m, budget=budget)
+    return _systematic(floor, frac, budget, np.random.default_rng(rng).random())
 
 
 def _check_sample_size_inputs(sigma_min: float, n: int) -> int:
@@ -475,16 +461,22 @@ def allocate_from_weights(
     raw: np.ndarray,
 ) -> tuple[SampleAllocation, int]:
     """Quotas for one rounding draw `raw` of a relaxed design, as
-    `quantize_raw` draws it: `budget_repair`, then, while the quantized
-    matrix comes out singular, one budget unit shifted from the most-sampled
-    node to the unsampled node with largest weight, at most K times for
-    K = rows.shape[1]. A pure function of its arguments, so equal draws give
-    equal allocations. ValueError unless the rows are finite.
+    `quantize_raw` draws it, then, while the quantized matrix comes out
+    singular, one budget unit shifted from the most-sampled node to the
+    unsampled node with largest weight, at most K times for K =
+    rows.shape[1]. A pure function of its arguments, so equal draws give
+    equal allocations. ValueError unless the rows are finite and `raw` is a
+    draw: integer quotas summing to the budget, each within 1 of p_i budget.
 
     Returns the allocation and the number of shifts applied.
     """
     rows = _as_rows(rows, finite=True)
-    alloc = budget_repair(raw, weights, budget)
+    budget = _grid_budget(budget)
+    m = _integers(raw, "raw quotas")
+    if m.shape != weights.p.shape or not (np.abs(m - weights.p * budget) < 1).all():
+        raise ValueError(f"raw quotas must be one rounding draw of the {len(weights.p)} "
+                         "weights, each within 1 of p_i * budget")
+    alloc = SampleAllocation(m=m, budget=budget)
     shifts = 0
     while _rank_deficient(_sampled_eigh(rows, alloc)[1]):
         if shifts >= rows.shape[1]:
@@ -519,10 +511,12 @@ def design_pipeline(
     criterion: Criterion = Criterion.A_OPT,
     seed=None,
 ) -> PipelineResult:
-    """End-to-end design: rows -> relaxed solve -> quantize -> repair.
+    """End-to-end design: rows -> relaxed solve -> systematic rounding.
 
-    `seed` drives the randomized rounding; the relaxed solve is deterministic.
-    A singular quantized design gets `allocate_from_weights`'s budget shifts.
+    `seed` drives the rounding; the relaxed solve is deterministic. A singular
+    quantized design gets `allocate_from_weights`'s budget shifts. Every quota
+    lies within 1 of p_i * budget, so by Weyl's inequality any budget at or
+    above `certified_budget` = ceil(1 / sigma_min) makes every draw invertible.
     """
     criterion = Criterion(criterion)
     budget = _grid_budget(budget)
@@ -541,6 +535,7 @@ def design_pipeline(
         "quantized_objective": _scalarized(w_hat, criterion),
         "duality_gap": duality_gap(rows, weights, criterion),
         "sigma_min": float(w[0]),
+        "certified_budget": math.ceil(1.0 / w[0]),
         "invertibility_bound": invertibility_probability_bound(
             float(w[0]), budget, len(weights.p)
         ),

@@ -106,7 +106,9 @@ def test_criterion_3_quantization_unbiasedness():
         total = np.zeros(8)
         sq = np.zeros(8)
         for _ in range(draws):
-            q = design.quantize_raw(weights, budget, gen) / budget
+            m = design.quantize_raw(weights, budget, gen)
+            assert m.sum() == budget
+            q = m / budget
             total += q
             sq += q * q
         mean = total / draws
@@ -116,7 +118,8 @@ def test_criterion_3_quantization_unbiasedness():
     elapsed = time.time() - t0
     assert elapsed < 10
     report("3 quantization unbiasedness",
-           f"1e5 pre-repair draws at M=10 and M=50 within 4 stderr, {elapsed:.1f}s")
+           f"1e5 allocations at M=10 and M=50, each summing to M, "
+           f"within 4 stderr, {elapsed:.1f}s")
 
 
 def test_criterion_4_solver_certificate():

@@ -565,6 +565,19 @@ class TestTrialGrouping:
         # rank check, observation and BLUE of every trial sharing a draw read one sequence
         assert len(expanded) == len(results)
 
+    def test_distinct_draws_at_most_support_plus_one(self, monkeypatch):
+        # systematic rounding changes its draw only where U crosses a
+        # breakpoint of the support, so A's off-grid design draws few quotas
+        draws, _, _ = traced_allocation(monkeypatch)
+        cfg = tiny_config(trials=20, methods=["proposed"], signal=GROUPED_SIGNAL)
+        bench.run_scenario(cfg, measure_time=False)
+        basis = spectral.eigendecompose(graphs.laplacian(bench.build_graph(cfg)))
+        for k in (3, 4):
+            weights = design.solve_relaxed(spectral.design_rows(basis, k), "a")
+            seen = {raw for budget, raw in draws if budget == 4 * k}
+            assert (weights.p * 4 * k % 1 > 1e-9).any()  # off the grid
+            assert 1 < len(seen) <= np.count_nonzero(weights.p) + 1
+
     def test_failing_draw_fails_every_trial_that_shares_it(self, monkeypatch):
         # a budget of 2 cannot span K = 4: every draw exhausts its shifts
         draws, allocated, results = traced_allocation(monkeypatch)

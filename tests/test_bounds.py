@@ -89,7 +89,7 @@ class TestMinSampleSize:
 
 
 class TestInvertibilityCertificate:
-    # budget_repair keeps |m/M - p| < 1/M, so by Weyl's inequality and the
+    # every draw keeps |m/M - p| < 1/M, so by Weyl's inequality and the
     # perturbation bound ||sum_i dp_i u_i u_i^T|| <= max |dp_i| for orthonormal
     # columns, lambda_min(A(m/M)) > lambda_min(A(p)) - 1/M >= 0 whenever
     # M >= 1/lambda_min(A(p)): such a design is never singular
@@ -109,12 +109,12 @@ class TestInvertibilityCertificate:
         least = math.ceil(1 / lam)
         for budget in (least, least + 1, least + int(rng.integers(2, 3 * least + 3))):
             for _ in range(20):
-                raw = design.quantize_raw(weights, budget, rng)
-                alloc = design.budget_repair(raw, weights, budget)
-                A = design.information_matrix(rows, DesignWeights(alloc.m / budget))
+                m = design.quantize_raw(weights, budget, rng)
+                assert m.sum() == budget
+                A = design.information_matrix(rows, DesignWeights(m / budget))
                 w = np.linalg.eigvalsh(A)
                 assert not spectral._rank_deficient(w)
-                shift = np.abs(alloc.m / budget - weights.p).max()
+                shift = np.abs(m / budget - weights.p).max()
                 assert w[0] >= lam - shift - 1e-12
 
 

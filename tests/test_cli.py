@@ -38,6 +38,16 @@ class TestBound:
         assert code == 0
         assert "M = 7" in out
 
+    def test_certified_budget(self, capsys):
+        # every quota lies within 1 of p_i * M, so M >= 1 / sigma_min = 10
+        # keeps every draw invertible (Weyl's inequality)
+        code, out, _ = run(
+            capsys, "bound", "--sigma-min", "0.1", "--n", "10", "--eta", "0.9"
+        )
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "certified invertible (every quota within 1 of p_i*M) at M >= 10")
+
     def test_probability_at_budget(self, capsys):
         code, out, _ = run(
             capsys, "bound", "--sigma-min", "0.1", "--n", "5", "--eta", "0.9",

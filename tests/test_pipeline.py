@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -83,11 +84,14 @@ class TestDesignPipeline:
             "quantized_objective",
             "duality_gap",
             "sigma_min",
+            "certified_budget",
             "invertibility_bound",
             "fallback_moves",
         ):
             assert key in result.diagnostics
         assert 0.0 <= result.diagnostics["invertibility_bound"] <= 1.0
+        assert result.diagnostics["certified_budget"] == math.ceil(
+            1 / result.diagnostics["sigma_min"])
 
 
 class TestFallback:
@@ -99,7 +103,7 @@ class TestFallback:
         )
         weights = DesignWeights(np.array([0.98, 0.01, 0.01]))
         # force raw quotas all on node 0 by monkey-free determinism: budget 2
-        # quantizes 0.98*2=1.96 -> 2 almost surely; check the repair path
+        # quantizes 0.98*2=1.96 -> 2 almost surely; check the shift path
         for seed in range(10):
             alloc, shifts = design.allocate_from_weights(
                 rows, weights, 2, design.quantize_raw(weights, 2, seed))

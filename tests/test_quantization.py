@@ -38,16 +38,15 @@ class TestProbabilisticQuantize:
         state = gen.bit_generator.state
         assert np.array_equal(design.quantize_raw(w, 4, gen), [1, 3])
         assert gen.bit_generator.state == state
-        design.quantize_raw(w, 10, gen)  # off the grid: one uniform per node
+        design.quantize_raw(w, 10, gen)  # off the grid: one uniform
         assert gen.bit_generator.state != state
 
     @pytest.mark.parametrize("seed", [0, 7, [3, 1, 4]])
-    def test_one_rounding_then_repair(self, seed, rng):
-        # the allocation is budget_repair of one quantize_raw draw from `seed`
+    def test_allocation_is_the_draw(self, seed, rng):
+        # with no fallback shift the allocation is the quantize_raw draw itself
         w = DesignWeights(rng.dirichlet(np.ones(9)))
         raw = design.quantize_raw(w, 25, seed)
-        expected = design.budget_repair(raw, w, 25)
-        assert np.array_equal(quantize(w, 25, seed).m, expected.m)
+        assert np.array_equal(quantize(w, 25, seed).m, raw)
 
     def test_midpoint_splits_evenly(self):
         # p=0.25 with M=10 sits between 2/10 and 3/10 with equal probability
@@ -58,7 +57,7 @@ class TestProbabilisticQuantize:
         frac_up = np.mean(draws == 3)
         assert abs(frac_up - 0.5) < 0.03
 
-    def test_unbiased_pre_repair(self):
+    def test_unbiased_draws(self):
         rng = np.random.default_rng(7)
         p = rng.dirichlet(np.ones(6))
         w = DesignWeights(p)
@@ -76,7 +75,7 @@ class TestProbabilisticQuantize:
         stderr = np.sqrt(var / draws)
         assert (np.abs(mean - p) <= 4 * stderr + 1e-12).all()
 
-    def test_sum_matches_budget_after_repair(self, rng):
+    def test_draws_sum_to_the_budget(self, rng):
         for _ in range(50):
             n = rng.integers(2, 12)
             p = rng.dirichlet(np.ones(n))
@@ -85,50 +84,7 @@ class TestProbabilisticQuantize:
             delta_p = alloc.m / budget - p
             assert alloc.m.sum() == budget
             assert abs(delta_p.sum()) < 1e-12
-            assert np.abs(delta_p).max() <= 2.0 / budget + 1e-12
-
-
-class TestBudgetRepair:
-    def test_consistent_quotas_unchanged(self):
-        w = DesignWeights(np.array([0.2, 0.3, 0.5]))
-        alloc = design.budget_repair(np.array([2, 3, 5]), w, 10)
-        assert np.array_equal(alloc.m, [2, 3, 5])
-
-    def test_increment_trace(self):
-        # deficits 0.08, 0.07 and 0.05: the two largest gain a unit each
-        w = DesignWeights(np.array([0.18, 0.27, 0.55]))
-        alloc = design.budget_repair(np.array([1, 2, 5]), w, 10)
-        assert np.array_equal(alloc.m, [2, 3, 5])
-
-    def test_decrement_trace(self):
-        # residual 2/4-0.3 beats 3/4-0.7, so index 0 loses the unit
-        w = DesignWeights(np.array([0.3, 0.7]))
-        alloc = design.budget_repair(np.array([2, 3]), w, 4)
-        assert np.array_equal(alloc.m, [1, 3])
-
-    def test_ties_go_to_lowest_index(self):
-        w = DesignWeights(np.array([0.5, 0.5]))
-        alloc = design.budget_repair(np.array([1, 1]), w, 3)
-        assert np.array_equal(alloc.m, [2, 1])
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=10),
-        budget=st.integers(min_value=1, max_value=40),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
-    def test_repair_reaches_budget(self, n, budget, seed):
-        rng = np.random.default_rng(seed)
-        p = rng.dirichlet(np.ones(n))
-        raw = design.quantize_raw(DesignWeights(p), budget, rng)
-        alloc = design.budget_repair(raw, DesignWeights(p), budget)
-        assert alloc.m.sum() == budget
-        assert (alloc.m >= 0).all()
-        # repair moves each quota by whole grid steps only
-        assert (np.abs(alloc.m - raw) <= max(abs(raw.sum() - budget), 1)).all()
-        # every repaired quota stays within one grid step of its weight, which
-        # Weyl's inequality turns into invertibility once M >= 1/sigma_min
-        assert (np.abs(alloc.m / budget - p) < 1 / budget).all()
+            assert (np.abs(delta_p) < 1.0 / budget).all()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -137,44 +93,46 @@ class TestBudgetRepair:
         budget=st.integers(min_value=1, max_value=60),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_matches_one_unit_at_a_time(self, kind, n, budget, seed):
+    def test_enumerated_draws_have_exact_marginals(self, kind, n, budget, seed):
+        # floor(C_i + U) steps where U crosses frac(-C_i), so those points cut
+        # [0, 1) into intervals on each of which the draw is one allocation;
+        # weighted by length, the allocations are the draw's whole law
         w = DesignWeights(fuzzed_weights(kind, n, budget, np.random.default_rng(seed)))
-        raw = design.quantize_raw(w, budget, seed)
-        assert np.array_equal(design.budget_repair(raw, w, budget).m,
-                              unit_steps_repair(raw, w, budget))
+        floor, frac = design._grid_split(w, budget)
+        cuts = np.unique(np.concatenate(([0.0, 1.0], -np.cumsum(frac) % 1.0)))
+        mean, draws = np.zeros(n), set()
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            for u in (lo, np.nextafter(hi, 0.0)):  # both ends of [lo, hi)
+                m = design._systematic(floor, frac, budget, u)
+                assert m.sum() == budget
+                assert (np.abs(m - w.p * budget) < 1).all()
+            m = design._systematic(floor, frac, budget, (lo + hi) / 2)
+            mean += (hi - lo) * m
+            draws.add(m.tobytes())
+        assert np.abs(mean - w.p * budget).max() <= 1e-12
+        assert len(draws) <= np.count_nonzero(w.p) + 1
+        if not frac.any():  # on the grid: one allocation
+            assert len(draws) == 1
 
+
+class TestAllocateFromWeights:
     @pytest.mark.parametrize("raw, budget, match", [
-        ([1, 1, 1], 2**53, "rounding draw"),  # would take 9e15 one-unit moves
+        ([1, 1, 1], 2**53, "rounding draw"),  # 1 is far below 0.5 * 2**53
         ([1, 1, 1], 4, "rounding draw"),  # 1 is a full unit below 0.5 * 4
         ([3, 1, 0], 4, "rounding draw"),
         ([1, 1], 3, "rounding draw"),
         ([[2, 1, 1]], 4, "rounding draw"),
         ([1.5, 1, 1], 3, "integers"),
         (["1", "1", "1"], 3, "integers"),
+        ([2, 2, 1], 4, "quotas sum to 5, expected budget 4"),  # a draw, but not of 4
     ])
     def test_non_draws_rejected(self, raw, budget, match):
         with pytest.raises(ValueError, match=match):
-            design.budget_repair(np.array(raw), W3, budget)
-
-
-def unit_steps_repair(raw, weights, budget):
-    """Repair one grid unit per step: take a unit from the largest residual
-    m_i/M - p_i among m_i >= 1 while over budget, give one to the largest
-    deficit p_i - m_i/M while under it; ties to the lowest index."""
-    m = np.asarray(raw, dtype=int).copy()
-    p = weights.p
-    while m.sum() > budget:
-        resid = m / budget - p
-        resid[m < 1] = -np.inf
-        m[int(np.argmax(resid))] -= 1
-    while m.sum() < budget:
-        deficit = p - m / budget
-        m[int(np.argmax(deficit))] += 1
-    return m
+            design.allocate_from_weights(np.ones((3, 1)), W3, budget, np.array(raw))
 
 
 def fuzzed_weights(kind, n, budget, rng):
-    """Weights that stress the repair: generic, mostly zero, on the grid
+    """Weights that stress the rounding: generic, mostly zero, on the grid
     1/budget, or with repeated values."""
     if kind == "sparse":
         p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.4)
@@ -227,7 +185,6 @@ W3 = DesignWeights(np.array([0.5, 0.3, 0.2]))
 RING = spectral.eigendecompose(graphs.laplacian(graphs.watts_strogatz(10, 2, 0.0, seed=0)))
 BUDGET_USES = {
     "quantize_raw": lambda b: design.quantize_raw(W3, b, 0),
-    "budget_repair": lambda b: design.budget_repair(np.array([2, 1, 1]), W3, b),
     "allocate_from_weights": lambda b: design.allocate_from_weights(
         np.ones((3, 1)), W3, b, np.array([2, 1, 1])),
     "invertibility_probability_bound": lambda b: design.invertibility_probability_bound(
@@ -238,7 +195,7 @@ BUDGET_USES = {
 
 class TestBudgetRule:
     """Every entry point takes a budget by one rule: an integer, not a bool,
-    at least 1; the rounding and its repair also refuse budgets above 2**53."""
+    at least 1; the rounding and the allocation also refuse budgets above 2**53."""
 
     @pytest.mark.parametrize("use", BUDGET_USES)
     @pytest.mark.parametrize("budget", [0, -1, True, False, 2.5, 2.0, "2", None])
@@ -254,7 +211,7 @@ class TestBudgetRule:
         with pytest.raises(ValueError, match="bandwidth must be an integer"):
             design.design_pipeline(RING, "5", 20)
 
-    @pytest.mark.parametrize("use", ["quantize_raw", "allocate_from_weights", "budget_repair"])
+    @pytest.mark.parametrize("use", ["quantize_raw", "allocate_from_weights"])
     @pytest.mark.parametrize("budget", [2**53 + 1, 10**20,
                                         pytest.param(10**400, id="10**400")])
     def test_rounding_refuses_budgets_beyond_the_weights_resolution(self, use, budget):
