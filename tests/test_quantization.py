@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_orthonormal_rows
 from gsample import design, graphs, spectral
 from gsample.design import Criterion, DesignWeights, SampleAllocation
+from gsample.exceptions import FallbackExhausted
 
 
 def quantize(weights, budget, seed):
@@ -115,6 +116,37 @@ class TestProbabilisticQuantize:
             assert len(draws) == 1
 
 
+class TestSystematicDraw:
+    @pytest.mark.parametrize("p, budget, u, expected", [
+        # floor (0, 1, 0), C = (0.5, 1): U in [0, 0.5) rounds the last node up
+        ([0.25, 0.5, 0.25], 2, 0.0, [0, 1, 1]),
+        ([0.25, 0.5, 0.25], 2, 0.2, [0, 1, 1]),
+        ([0.25, 0.5, 0.25], 2, 0.5, [1, 1, 0]),
+        ([0.25, 0.5, 0.25], 2, 0.7, [1, 1, 0]),
+        # floor (0, 0, 0, 1), C = (0.3, 0.9, 1.8, 2): two of the four go up
+        ([0.1, 0.2, 0.3, 0.4], 3, 0.05, [0, 0, 1, 2]),
+        ([0.1, 0.2, 0.3, 0.4], 3, 0.15, [0, 1, 0, 2]),
+        ([0.1, 0.2, 0.3, 0.4], 3, 0.5, [0, 1, 1, 1]),
+        ([0.1, 0.2, 0.3, 0.4], 3, 0.75, [1, 0, 1, 1]),
+    ])
+    def test_hand_worked_draws(self, p, budget, u, expected):
+        floor, frac = design._grid_split(DesignWeights(np.array(p)), budget)
+        assert design._systematic(floor, frac, budget, u).tolist() == expected
+
+    def test_whole_nodes_never_move(self):
+        # p * 8 = (2.4, 2, 2.6, 1): only nodes 0 and 2 have a fractional part
+        w = DesignWeights(np.array([0.3, 0.25, 0.325, 0.125]))
+        draws = {tuple(design.quantize_raw(w, 8, seed)) for seed in range(200)}
+        assert draws == {(2, 2, 3, 1), (3, 2, 2, 1)}
+
+    @pytest.mark.parametrize("seed", [0, 2**40, [3, 1, 4]], ids=["0", "2**40", "list"])
+    def test_same_seed_same_draw(self, seed):
+        w = DesignWeights(np.array([0.1, 0.2, 0.3, 0.4]))
+        first = design.quantize_raw(w, 7, seed)
+        assert np.array_equal(design.quantize_raw(w, 7, seed), first)
+        assert np.array_equal(design.quantize_raw(w, 7, np.random.SeedSequence(seed)), first)
+
+
 class TestAllocateFromWeights:
     @pytest.mark.parametrize("raw, budget, match", [
         ([1, 1, 1], 2**53, "rounding draw"),  # 1 is far below 0.5 * 2**53
@@ -129,6 +161,31 @@ class TestAllocateFromWeights:
     def test_non_draws_rejected(self, raw, budget, match):
         with pytest.raises(ValueError, match=match):
             design.allocate_from_weights(np.ones((3, 1)), W3, budget, np.array(raw))
+
+    @pytest.mark.parametrize("rows, p, budget, raw, expected, shifts", [
+        # donor tie between nodes 0 and 1: the lower index gives the unit
+        ([[1, 0], [1, 0], [0, 1]], [0.45, 0.45, 0.1], 4, [2, 2, 0], [1, 2, 1], 1),
+        # target tie between nodes 2 and 3: the lower index takes it
+        ([[1, 0], [1, 0], [0, 1], [0, 1]], [0.4, 0.4, 0.1, 0.1], 3,
+         [2, 1, 0, 0], [1, 1, 1, 0], 1),
+        # the unsampled node of largest weight takes the unit
+        ([[1, 0], [1, 0], [0, 1], [0, 1]], [0.4, 0.4, 0.05, 0.15], 3,
+         [2, 1, 0, 0], [1, 1, 0, 1], 1),
+        # K = 3: the first shift leaves rank 2, the second reaches rank 3
+        ([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [0.45, 0.45, 0.05, 0.05], 4,
+         [2, 2, 0, 0], [1, 1, 1, 1], 2),
+    ])
+    def test_fallback_shift_trace(self, rows, p, budget, raw, expected, shifts):
+        alloc, n = design.allocate_from_weights(
+            np.array(rows, dtype=float), DesignWeights(np.array(p)), budget, np.array(raw))
+        assert (alloc.m.tolist(), n) == (expected, shifts)
+
+    def test_no_donor_no_shift(self):
+        # each node holds one unit, so no shift can reach node 2
+        with pytest.raises(FallbackExhausted, match="no budget shift available"):
+            design.allocate_from_weights(
+                np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                DesignWeights(np.array([0.45, 0.45, 0.1])), 2, np.array([1, 1, 0]))
 
 
 def fuzzed_weights(kind, n, budget, rng):
