@@ -82,15 +82,19 @@ def _cmd_estimate(args):
     with warnings.catch_warnings():  # an empty file fails the length check below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         f = np.loadtxt(args.signal, ndmin=1)
-    snr = math.inf if args.snr_db is None else args.snr_db
-    samples = estimation.sample_with_noise(f, alloc, snr, seed=args.seed)
-    est = estimation.blue_estimate(basis, bandwidth, alloc, samples.y, f_true=f)
+    if not np.isfinite(f).all():
+        raise ValueError("signal values must be finite")
+    if f.shape != alloc.m.shape:
+        raise ValueError(f"signal has {f.size} values but the allocation {len(alloc.m)} quotas")
+    sigma = estimation.noise_std_for_snr(f, math.inf if args.snr_db is None else args.snr_db)
+    y = f[alloc.indices] + sigma * np.random.default_rng(args.seed).standard_normal(alloc.budget)
+    est = estimation.blue_estimate(basis, bandwidth, alloc, y, f_true=f)
     payload = {
         "schema": 1,
         "coeff_estimate": est.coeff_estimate.tolist(),
         "signal_estimate": est.signal_estimate.tolist(),
         "error_l2": est.error_l2,
-        "noise_std": samples.noise_std,
+        "noise_std": sigma,
     }
     _write_json(payload, args.out)
 
@@ -111,13 +115,13 @@ def _cmd_bench(args):
 
 
 def _cmd_bound(args):
-    m_star = design.min_sample_size(args.sigma_min, args.n, args.eta)
-    print(f"M = {m_star}")
+    m_star = design.paper_min_sample_size(args.sigma_min, args.n, args.eta)
+    print(f"M = {m_star} (the paper's estimate for eta, not a guarantee)")
     print(f"certified invertible (every quota within 1 of p_i*M) at M >= "
           f"{math.ceil(1 / args.sigma_min)}")
     budget = args.budget if args.budget is not None else m_star
-    prob = design.invertibility_probability_bound(args.sigma_min, budget, args.n)
-    print(f"invertibility bound at M={budget}: {prob:.6f}")
+    prob = design.paper_invertibility_estimate(args.sigma_min, budget, args.n)
+    print(f"the paper's invertibility estimate at M={budget}: {prob:.6f} (not a guarantee)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,12 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default=None)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("bound", help="minimum sample size for invertibility")
+    p = sub.add_parser("bound", help="the paper's sample-size estimate and the certified budget")
     p.add_argument("--sigma-min", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--budget", type=int, default=None,
-                   help="evaluate the probability bound at this budget")
+                   help="evaluate the paper's probability estimate at this budget")
     p.set_defaults(func=_cmd_bound)
     return parser
 

@@ -424,7 +424,7 @@ def _check_sample_size_inputs(sigma_min: float, n: int) -> int:
     return n
 
 
-def invertibility_probability_bound(sigma_min: float, budget: int, n: int) -> float:
+def paper_invertibility_estimate(sigma_min: float, budget: int, n: int) -> float:
     """The paper's estimate of P(quantized information matrix stays invertible)
     from its rounding-variance approximation 5/(192 M^3); not a guarantee."""
     n = _check_sample_size_inputs(sigma_min, n)
@@ -437,7 +437,7 @@ def invertibility_probability_bound(sigma_min: float, budget: int, n: int) -> fl
     return math.exp(n * math.log1p(-v))  # (1 - v)**n without rounding 1 - v
 
 
-def min_sample_size(sigma_min: float, n: int, eta: float) -> int:
+def paper_min_sample_size(sigma_min: float, n: int, eta: float) -> int:
     """Smallest budget at which the paper's invertibility estimate reaches eta,
     by the ceiling formula (5 / (192 (1 - eta^(1/n)) sigma_min^2))^(1/3)."""
     if not 0.0 < eta < 1.0:
@@ -536,7 +536,7 @@ def design_pipeline(
         "duality_gap": duality_gap(rows, weights, criterion),
         "sigma_min": float(w[0]),
         "certified_budget": math.ceil(1.0 / w[0]),
-        "invertibility_bound": invertibility_probability_bound(
+        "paper_invertibility_estimate": paper_invertibility_estimate(
             float(w[0]), budget, len(weights.p)
         ),
         "fallback_moves": fallback_moves,

@@ -1,4 +1,4 @@
-"""Sampling with noise and best-linear-unbiased reconstruction."""
+"""Noise levels and best-linear-unbiased reconstruction."""
 
 from __future__ import annotations
 
@@ -10,12 +10,6 @@ import numpy as np
 from .design import SampleAllocation
 from .exceptions import RankDeficientSampling
 from .spectral import SpectralBasis, _band, _rank_deficient, _sampled_eigh
-
-
-@dataclass(frozen=True)
-class NoisySamples:
-    y: np.ndarray
-    noise_std: float
 
 
 @dataclass(frozen=True)
@@ -58,23 +52,6 @@ def noise_std_for_snr(signal: np.ndarray, snr_db: float) -> float:
     return float(np.sqrt(power / ratio))
 
 
-def sample_with_noise(
-    f: np.ndarray, seq: SampleAllocation, snr_db: float, seed=None
-) -> NoisySamples:
-    """Observe f at `seq.indices`, each node m_i times, with additive iid
-    Gaussian noise drawn from `seed`. ValueError unless f is finite and has
-    one value per quota."""
-    f = np.asarray(f, dtype=float)
-    if not np.isfinite(f).all():
-        raise ValueError("signal values must be finite")
-    if f.shape != seq.m.shape:
-        raise ValueError(f"signal has {f.size} values but the allocation {len(seq.m)} quotas")
-    idx = seq.indices
-    sigma = noise_std_for_snr(f, snr_db)
-    noise = np.random.default_rng(seed).standard_normal(len(idx))
-    return NoisySamples(y=f[idx] + sigma * noise, noise_std=sigma)
-
-
 def blue_estimate(
     basis: SpectralBasis,
     bandwidth: int,
@@ -83,7 +60,8 @@ def blue_estimate(
     f_true: np.ndarray | None = None,
 ) -> EstimateResult:
     """Least-squares estimate of the bandlimited coefficients and signal. ValueError
-    unless the allocation has one quota per node of the basis and a finite sampled Gram."""
+    unless the allocation has one quota per node of the basis and a finite sampled
+    Gram, and unless `y` is finite with an estimate inside the double range."""
     y = np.asarray(y, dtype=float)
     if y.shape != seq.indices.shape:
         raise ValueError("observation length does not match sequence")
@@ -91,10 +69,23 @@ def blue_estimate(
     # the memoized factorization of its Gram, the rank test runs every call
     V_K = _band(basis, bandwidth)
     V_mk, w, Q = _sampled_eigh(V_K, seq)
-    if len(V_mk) < bandwidth or _rank_deficient(w):
+    if _rank_deficient(w):
         raise RankDeficientSampling(f"sampled rows have numerical rank below {bandwidth}")
-    coeffs = Q @ ((Q.T @ (V_mk.T @ y)) / w)
-    signal = V_K @ coeffs
+    # a finite estimate keeps its bits; one that overflows is solved again on
+    # y / max|y| and rescaled. V_K has orthonormal columns, so a finite signal
+    # means finite coefficients, and |signal_i| <= |c|: a finite c.c (|c| below
+    # 1.3e154) rules out overflow without the elementwise test
+    with np.errstate(all="ignore"):
+        coeffs = Q @ ((Q.T @ (V_mk.T @ y)) / w)
+        signal = V_K @ coeffs
+        if not math.isfinite(coeffs.dot(coeffs)) and not np.isfinite(signal).all():
+            scale = np.abs(y).max()  # not finite unless y is
+            if np.isfinite(scale):
+                coeffs = scale * (Q @ ((Q.T @ (V_mk.T @ (y / scale))) / w))
+                signal = V_K @ coeffs
+            if not np.isfinite(signal).all():
+                raise ValueError("observations must be finite and give an estimate "
+                                 "within the double range")
     err = None if f_true is None else reconstruction_error(f_true, signal)
     return EstimateResult(coeff_estimate=coeffs, signal_estimate=signal, error_l2=err)
 

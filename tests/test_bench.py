@@ -495,8 +495,7 @@ class TestBenchmarkHooks:
         (spectral, "eigendecompose"), (spectral, "synthesize_bandlimited"),
         (design, "solve_relaxed"), (design, "duality_gap"),
         (design, "allocate_from_weights"), (baselines, "greedy_sigma_min"),
-        (baselines, "top_m_selection"), (estimation, "sample_with_noise"),
-        (estimation, "blue_estimate"),
+        (baselines, "top_m_selection"), (estimation, "blue_estimate"),
         (bench, "trial_inputs"), (bench, "run_scenario"), (bench, "summarize"),
         (bench, "write_records_csv"), (bench, "write_summary_csv"),
     ])

@@ -13,36 +13,36 @@ from gsample.design import DesignWeights
 class TestInvertibilityBound:
     def test_frozen_reference_value(self):
         # (1 - (5/192000)/0.01)^5, evaluated in extended precision
-        bound = design.invertibility_probability_bound(0.1, 10, 5)
+        bound = design.paper_invertibility_estimate(0.1, 10, 5)
         assert bound == pytest.approx(0.9870471, abs=1e-6)
 
     def test_clamps_to_zero(self):
         # variance exceeds sigma^2: the Chebyshev factor goes nonpositive
-        assert design.invertibility_probability_bound(1e-4, 1, 3) == 0.0
+        assert design.paper_invertibility_estimate(1e-4, 1, 3) == 0.0
 
     def test_monotone_decreasing_in_n(self):
         bounds = [
-            design.invertibility_probability_bound(0.1, 10, n) for n in range(1, 30)
+            design.paper_invertibility_estimate(0.1, 10, n) for n in range(1, 30)
         ]
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            design.invertibility_probability_bound(0.0, 10, 5)
+            design.paper_invertibility_estimate(0.0, 10, 5)
 
     def test_rejects_n_beyond_double_range(self):
         # n * log1p(-v) would raise OverflowError
         with pytest.raises(ValueError, match="n 1000.* is beyond double precision"):
-            design.invertibility_probability_bound(0.1, 10, 10**400)
+            design.paper_invertibility_estimate(0.1, 10, 10**400)
 
 
 class TestMinSampleSize:
     def test_frozen_reference_value(self):
         # 5/(192 * (1-0.9^{1/10}) * 0.01) = 248.47, cube root 6.29
-        assert design.min_sample_size(0.1, 10, 0.9) == 7
+        assert design.paper_min_sample_size(0.1, 10, 0.9) == 7
 
     def test_small_eta_clamps_to_one(self):
-        assert design.min_sample_size(10.0, 5, 1e-9) == 1
+        assert design.paper_min_sample_size(10.0, 5, 1e-9) == 1
 
     def test_monotone_in_eta_n_sigma(self):
         etas = [0.5, 0.9, 0.99]
@@ -50,14 +50,14 @@ class TestMinSampleSize:
         sigmas = [0.05, 0.1, 0.5]
         for n in ns:
             for s in sigmas:
-                ms = [design.min_sample_size(s, n, e) for e in etas]
+                ms = [design.paper_min_sample_size(s, n, e) for e in etas]
                 assert ms == sorted(ms)
         for e in etas:
             for s in sigmas:
-                ms = [design.min_sample_size(s, n, e) for n in ns]
+                ms = [design.paper_min_sample_size(s, n, e) for n in ns]
                 assert ms == sorted(ms)
             for n in ns:
-                ms = [design.min_sample_size(s, n, e) for s in sigmas]
+                ms = [design.paper_min_sample_size(s, n, e) for s in sigmas]
                 assert ms == sorted(ms, reverse=True)
 
     def test_sigma_doubling_scales_pre_ceiling_value(self):
@@ -65,26 +65,26 @@ class TestMinSampleSize:
         base = (5.0 / (192.0 * (1 - 0.9 ** (1 / 10)) * 0.1**2)) ** (1 / 3)
         halved = (5.0 / (192.0 * (1 - 0.9 ** (1 / 10)) * 0.2**2)) ** (1 / 3)
         assert halved == pytest.approx(base / 2 ** (2 / 3), rel=1e-12)
-        assert design.min_sample_size(0.2, 10, 0.9) == int(np.ceil(halved))
+        assert design.paper_min_sample_size(0.2, 10, 0.9) == int(np.ceil(halved))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            design.min_sample_size(0.1, 10, 1.0)
+            design.paper_min_sample_size(0.1, 10, 1.0)
         with pytest.raises(ValueError):
-            design.min_sample_size(-1.0, 10, 0.5)
+            design.paper_min_sample_size(-1.0, 10, 0.5)
 
     def test_rejects_n_beyond_double_range(self):
         # log(eta) / n would raise OverflowError
         with pytest.raises(ValueError, match="n 1000.* is beyond double precision"):
-            design.min_sample_size(0.1, 10**400, 0.9)
+            design.paper_min_sample_size(0.1, 10**400, 0.9)
 
     def test_consistent_with_probability_bound(self):
         # the bound evaluated at the recommended budget reaches eta
         for eta in [0.5, 0.8, 0.9, 0.95, 0.99]:
             for n in [2, 10, 50, 10**11, 10**13, 10**15]:
                 for sigma in [0.05, 0.1, 0.3]:
-                    m_star = design.min_sample_size(sigma, n, eta)
-                    bound = design.invertibility_probability_bound(sigma, m_star, n)
+                    m_star = design.paper_min_sample_size(sigma, n, eta)
+                    bound = design.paper_invertibility_estimate(sigma, m_star, n)
                     assert bound >= eta - 1e-12
 
 
@@ -158,6 +158,6 @@ class TestResidualVariance:
 @pytest.mark.parametrize("n", [2.5, 10.0, True, "10", None])
 def test_n_must_be_an_integer(n):
     with pytest.raises(ValueError, match="n must be an integer"):
-        design.min_sample_size(0.1, n, 0.9)
+        design.paper_min_sample_size(0.1, n, 0.9)
     with pytest.raises(ValueError, match="n must be an integer"):
-        design.invertibility_probability_bound(0.1, 10, n)
+        design.paper_invertibility_estimate(0.1, 10, n)

@@ -1,11 +1,10 @@
 import csv
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-from gsample import cli, graphs, spectral
+from gsample import cli, design, estimation, graphs, spectral
 
 
 def run(capsys, *argv):
@@ -244,6 +243,18 @@ class TestGraphAndDesign:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("text, size", [("1 1 1 1 1", 5), ("1 1 1 1 1 1 1", 7),
+                                            ("1 1\n1 1\n1 1\n", 6)],
+                             ids=["5-values", "7-values", "two-columns"])
+    def test_signal_for_another_node_count_rejected(self, capsys, tmp_path, text, size):
+        # one value per node: a 3 x 2 table of six values is refused too
+        args = estimate_args(tmp_path, DESIGN)
+        (tmp_path / "signal.txt").write_text(text)
+        code, out, err = run(capsys, *args, "--snr-db", "10")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: signal has {size} values but the allocation 6 quotas"]
+
     def test_empty_signal_fails_cleanly(self, capsys, tmp_path):
         # NumPy warns that the file holds no data; the length check reports it
         args = estimate_args(tmp_path, DESIGN)
@@ -297,16 +308,40 @@ def test_inputs_beyond_double_or_integer_range_fail_cleanly(capsys, tmp_path, ar
 
 
 def test_non_finite_estimate_fails_without_writing(capsys, tmp_path):
-    # BLUE overflows on a signal at the double limit and returns NaN; the CLI
-    # refuses to write it as a NaN token, which is not JSON
+    # the estimate of a signal at the double limit is beyond the double range
+    # even rescaled; BLUE refuses it, with no warning, and nothing is written
     args = estimate_args(tmp_path, DESIGN)
     np.savetxt(tmp_path / "signal.txt", np.full(6, 1.7e308))
     epath = tmp_path / "estimate.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, out, err = run(capsys, *args, "--out", str(epath))
+    code, out, err = run(capsys, *args, "--out", str(epath))
     assert code == 1 and out == "" and not epath.exists()
-    assert len(err.splitlines()) == 1 and err.startswith("error:") and "JSON" in err
+    assert err.splitlines() == [
+        "error: observations must be finite and give an estimate within the double range"]
+
+
+@pytest.mark.parametrize("extra, snr", [(["--snr-db", "5", "--seed", "3"], 5.0),
+                                        ([], np.inf)], ids=["snr-5-seed-3", "noiseless"])
+def test_estimate_observes_by_the_seed_protocol(capsys, tmp_path, extra, snr):
+    # the observation is f[alloc.indices] plus noise_std_for_snr(f, snr) times
+    # default_rng(--seed)'s first `budget` standard normals
+    args = estimate_args(tmp_path, {"m": [2, 0, 1, 0, 1, 0], "budget": 4, "bandwidth": 2})
+    f = np.array([0.5, -1.0, 2.0, 0.25, 3.0, -2.5])
+    np.savetxt(tmp_path / "signal.txt", f)
+    code, out, _ = run(capsys, *args, *extra)
+    assert code == 0
+    basis = spectral.eigendecompose(graphs.laplacian(graphs.watts_strogatz(6, 2, 0.0, seed=0)))
+    alloc = design.SampleAllocation([2, 0, 1, 0, 1, 0], 4)
+    sigma = estimation.noise_std_for_snr(f, snr)
+    seed = int(extra[-1]) if extra else 0
+    y = f[alloc.indices] + sigma * np.random.default_rng(seed).standard_normal(alloc.budget)
+    est = estimation.blue_estimate(basis, 2, alloc, y, f_true=f)
+    assert json.loads(out) == {
+        "schema": 1,
+        "coeff_estimate": est.coeff_estimate.tolist(),
+        "signal_estimate": est.signal_estimate.tolist(),
+        "error_l2": est.error_l2,
+        "noise_std": sigma,
+    }
 
 
 def test_overflowing_snr_is_noiseless(capsys, tmp_path):

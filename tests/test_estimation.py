@@ -1,8 +1,9 @@
-import inspect
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import sampling
 from gsample import design, estimation, graphs, spectral
@@ -63,7 +64,8 @@ class TestSamplingSequence:
         seq, _ = design.allocate_from_weights(
             rows, weights, 3 * k, design.quantize_raw(weights, 3 * k, 0))
         f = spectral.synthesize_bandlimited(basis, np.ones(k))
-        y = estimation.sample_with_noise(f, seq, 10.0, seed=1).y
+        sigma = estimation.noise_std_for_snr(f, 10.0)
+        y = f[seq.indices] + sigma * np.random.default_rng(1).standard_normal(seq.budget)
         estimation.blue_estimate(basis, k, seq, y, f_true=f)
         assert len(calls) == 1
 
@@ -89,14 +91,7 @@ class TestSequenceFromAllocation:
         assert np.array_equal(sampling(seq.indices, 5).m, m)
 
 
-class TestSampleWithNoise:
-    def test_infinite_snr_is_exact(self, rng):
-        f = rng.standard_normal(10)
-        seq = sampling([0, 3, 3, 7], 10)
-        samples = estimation.sample_with_noise(f, seq, np.inf, seed=1)
-        assert np.array_equal(samples.y, f[[0, 3, 3, 7]])
-        assert samples.noise_std == 0.0
-
+class TestNoiseStdForSnr:
     @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
     def test_undefined_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="SNR"):
@@ -129,39 +124,13 @@ class TestSampleWithNoise:
         assert sigma == estimation.noise_std_for_snr(np.array(signal, dtype=float), 10.0)
 
     def test_zero_signal_convention(self):
-        seq = sampling([0, 1], 4)
-        samples = estimation.sample_with_noise(np.zeros(4), seq, 10.0, seed=1)
-        assert np.array_equal(samples.y, [0.0, 0.0])
+        assert estimation.noise_std_for_snr(np.zeros(4), 10.0) == 0.0
 
     def test_constant_signal_noise_level(self):
         # 10 dB on a constant signal c means sigma = c / sqrt(10)
         c = 2.0
-        f = np.full(6, c)
-        seq = sampling(np.arange(6), 6)
-        rng = np.random.default_rng(0)
-        draws = np.concatenate(
-            [
-                estimation.sample_with_noise(f, seq, 10.0, seed=rng).y - c
-                for _ in range(20000)
-            ]
-        )
-        assert abs(draws.std() - c / np.sqrt(10)) < 0.02 * c / np.sqrt(10)
-
-    def test_noise_drawn_from_seed_only(self):
-        assert list(inspect.signature(estimation.sample_with_noise).parameters) == [
-            "f", "seq", "snr_db", "seed"]
-        f = np.arange(5.0)
-        seq = sampling([1, 2], 5)
-        z = np.random.default_rng(7).standard_normal(2)
-        samples = estimation.sample_with_noise(f, seq, 0.0, seed=7)
-        assert np.array_equal(samples.y, f[[1, 2]] + estimation.noise_std_for_snr(f, 0.0) * z)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_signal_rejected(self, value):
-        f = np.ones(4)
-        f[2] = value
-        with pytest.raises(ValueError, match="finite"):
-            estimation.sample_with_noise(f, sampling([0, 1], 4), 10.0, seed=1)
+        sigma = estimation.noise_std_for_snr(np.full(6, c), 10.0)
+        assert sigma == pytest.approx(c / np.sqrt(10), rel=1e-15)
 
 
 class TestNodeCount:
@@ -171,10 +140,6 @@ class TestNodeCount:
     def test_blue_refuses_it(self, basis):
         with pytest.raises(ValueError, match="30 nodes but the allocation 3 quotas"):
             estimation.blue_estimate(basis, 3, SampleAllocation([1, 1, 1], 3), np.zeros(3))
-
-    def test_sampling_refuses_it(self):
-        with pytest.raises(ValueError, match="30 values but the allocation 3 quotas"):
-            estimation.sample_with_noise(np.ones(30), SampleAllocation([1, 1, 1], 3), 10.0)
 
 
 class TestBlueEstimate:
@@ -195,16 +160,22 @@ class TestBlueEstimate:
         est = estimation.blue_estimate(basis, k, seq, f[seq.indices], f_true=f)
         assert est.error_l2 <= 1e-8
 
-    def test_underdetermined_rejected(self, basis):
-        seq = sampling([0, 1], basis.n)
+    @settings(max_examples=300, deadline=None)
+    @given(design=st.integers(2, 30).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(0, 29), min_size=1, max_size=k - 1))))
+    @example(design=(3, [0, 1]))
+    def test_underdetermined_rejected(self, basis, design):
+        # fewer samples M than coefficients K: the rank rule alone refuses it
+        k, nodes = design
+        seq = sampling(nodes, basis.n)
         with pytest.raises(RankDeficientSampling):
-            estimation.blue_estimate(basis, 3, seq, np.zeros(2))
+            estimation.blue_estimate(basis, k, seq, np.zeros(len(nodes)))
 
     def test_estimate_lies_in_band(self, basis, rng):
         k = 4
         f = spectral.synthesize_bandlimited(basis, rng.standard_normal(k))
         seq = sampling(rng.choice(basis.n, size=12, replace=True), basis.n)
-        y = estimation.sample_with_noise(f, seq, 5.0, seed=2).y
+        y = f[seq.indices] + 0.5 * rng.standard_normal(seq.budget)
         est = estimation.blue_estimate(basis, k, seq, y)
         tail = (basis.eigenvectors.T @ est.signal_estimate)[k:]
         assert np.abs(tail).max() <= 1e-10
@@ -226,6 +197,41 @@ class TestBlueEstimate:
         mean = ests.mean(axis=1)
         stderr = ests.std(axis=1, ddof=1) / np.sqrt(draws)
         assert (np.abs(mean - coeffs) <= 4 * stderr).all()
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(3e307, id="rescaled"), pytest.param(1e200, id="square-overflows")])
+    def test_overflowing_estimate_rescaled(self, value):
+        # a 30-node ring sampled 4 times per node: the constant 3e307 signal's
+        # one coefficient, 3e307 * sqrt(30) = 1.6e308, fits in a double, but
+        # the normal equations' V_S^T y (6.6e308) does not. At 1e200 nothing
+        # overflows but the coefficient's square
+        basis = spectral.eigendecompose(graphs.laplacian(graphs.watts_strogatz(30, 2, 0.0, 0)))
+        seq = SampleAllocation(np.full(30, 4), 120)
+        f = np.full(30, value)
+        y = f[seq.indices]
+        scale = np.abs(y).max()
+        expected = scale * np.linalg.lstsq(basis.eigenvectors[seq.indices, :1], y / scale,
+                                           rcond=None)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimation.blue_estimate(basis, 1, seq, y, f_true=f)
+        assert np.isfinite(est.coeff_estimate).all() and np.isfinite(est.signal_estimate).all()
+        assert est.coeff_estimate == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("y", [
+        pytest.param(np.full(30, 1.7e308), id="estimate-beyond-range"),
+        pytest.param(np.r_[np.nan, np.ones(29)], id="nan"),
+        pytest.param(np.r_[np.ones(29), -np.inf], id="inf"),
+    ])
+    def test_estimate_beyond_double_range_rejected(self, y):
+        # thirty samples on 3 ring nodes: the coefficient of thirty 1.7e308
+        # values is 1.7e308 * sqrt(30), beyond the double range even rescaled
+        basis = spectral.eigendecompose(graphs.laplacian(graphs.watts_strogatz(30, 2, 0.0, 0)))
+        seq = SampleAllocation(np.r_[np.full(3, 10), np.zeros(27, int)], 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="within the double range"):
+                estimation.blue_estimate(basis, 1, seq, y)
 
 
 def sampled_gram(basis, k, seq):

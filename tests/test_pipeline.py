@@ -85,11 +85,11 @@ class TestDesignPipeline:
             "duality_gap",
             "sigma_min",
             "certified_budget",
-            "invertibility_bound",
+            "paper_invertibility_estimate",
             "fallback_moves",
         ):
             assert key in result.diagnostics
-        assert 0.0 <= result.diagnostics["invertibility_bound"] <= 1.0
+        assert 0.0 <= result.diagnostics["paper_invertibility_estimate"] <= 1.0
         assert result.diagnostics["certified_budget"] == math.ceil(
             1 / result.diagnostics["sigma_min"])
 

@@ -244,7 +244,7 @@ BUDGET_USES = {
     "quantize_raw": lambda b: design.quantize_raw(W3, b, 0),
     "allocate_from_weights": lambda b: design.allocate_from_weights(
         np.ones((3, 1)), W3, b, np.array([2, 1, 1])),
-    "invertibility_probability_bound": lambda b: design.invertibility_probability_bound(
+    "paper_invertibility_estimate": lambda b: design.paper_invertibility_estimate(
         0.1, b, 10),
     "design_pipeline": lambda b: design.design_pipeline(RING, 1, b, seed=0),
 }
@@ -280,4 +280,4 @@ class TestBudgetRule:
         assert np.abs(raw - W3.p * 2**53).max() <= 1
 
     def test_analytic_variance_takes_any_integer_budget(self):
-        assert design.invertibility_probability_bound(0.1, 10**400, 10) == 1.0
+        assert design.paper_invertibility_estimate(0.1, 10**400, 10) == 1.0
