@@ -395,7 +395,8 @@ def _systematic(floor: np.ndarray, frac: np.ndarray, budget: int, u: float) -> n
     k = np.minimum(np.floor(np.cumsum(frac[on]) + u), r)
     k[-1:] = r
     m = floor.copy()
-    m[on] += np.diff(k, prepend=0.0)
+    m[on] += k  # the diff in place: small integers in floats, so exact
+    m[on[1:]] -= k[:-1]
     return m.astype(int)
 
 

@@ -37,12 +37,14 @@ def noise_std_for_snr(signal: np.ndarray, snr_db: float) -> float:
     Signal power is the mean square over the whole signal, so the noise level
     depends only on the signal, not on which nodes a method samples; a zero
     signal, or an SNR whose power ratio overflows (as +inf does), yields
-    sigma = 0. ValueError for NaN, -inf, an SNR that leaves sigma infinite
-    and a signal whose power is beyond the double range.
+    sigma = 0. ValueError for an SNR of NaN or -inf or one that leaves sigma
+    infinite, a signal with a NaN and a signal whose power is beyond the double range.
     """
     ratio = _snr_power_ratio(snr_db)
     with np.errstate(over="ignore"):
         power = float(np.mean(np.square(np.asarray(signal, dtype=float))))
+    if math.isnan(power):
+        raise ValueError("signal values must be finite")
     if power == 0.0 or ratio == np.inf:
         return 0.0
     if power == np.inf:
@@ -65,8 +67,8 @@ def blue_estimate(
     y = np.asarray(y, dtype=float)
     if y.shape != seq.indices.shape:
         raise ValueError("observation length does not match sequence")
-    # least squares through the normal equations; a repeated allocation reuses
-    # the memoized factorization of its Gram, the rank test runs every call
+    # least squares through the normal equations; the allocation keeps the
+    # factorization of its Gram, and the rank test runs every call
     V_K = _band(basis, bandwidth)
     V_mk, w, Q = _sampled_eigh(V_K, seq)
     if _rank_deficient(w):

@@ -1,9 +1,8 @@
-"""Laplacian eigenbasis, bandlimited synthesis, and the memoized
-eigensolver for sampled Gram matrices."""
+"""Laplacian eigenbasis, bandlimited synthesis, and the factorization of a
+sampled design's Gram matrix, kept on its allocation."""
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from numbers import Integral
@@ -11,7 +10,6 @@ from numbers import Integral
 import numpy as np
 
 _DEGENERACY_TOL = 1e-8
-_EIGEN_MEMO_SIZE = 32
 _SINGULARITY_RTOL = 1e-12  # rank rule: singular unless lambda_min > rtol * lambda_max
 
 
@@ -94,27 +92,25 @@ def design_rows(basis: SpectralBasis, k: int) -> np.ndarray:
     return V_K.copy()
 
 
-@functools.lru_cache(maxsize=_EIGEN_MEMO_SIZE)
-def _memo_eigh(gram: bytes, k: int):
-    G = np.frombuffer(gram).reshape(k, k)
-    if not np.isfinite(G).all():
-        raise ValueError("sampled Gram is not finite: non-finite or overflowing rows")
-    w, Q = np.linalg.eigh(G)
-    w.flags.writeable = Q.flags.writeable = False
-    return w, Q
-
-
 def _sampled_eigh(V_K: np.ndarray, alloc):
-    """V_S = V_K[alloc.indices] and the read-only eigh (w, Q) of V_S^T V_S, memoized
-    on the Gram's bytes (the last _EIGEN_MEMO_SIZE), so an allocation's rank check
-    and BLUE on it factor it once. ValueError, not cached and with no warning first,
+    """V_S = V_K[alloc.indices] and the eigh (w, Q) of V_S^T V_S, all read-only and kept on
+    `alloc` while a later V_S has the same bits (not -0.0 for 0.0), so an allocation's rank
+    check and BLUE on it factor it once. ValueError, not kept and with no warning first,
     unless `alloc` has one quota per row of V_K and the Gram is finite."""
     if len(alloc.m) != len(V_K):
         raise ValueError(f"basis has {len(V_K)} nodes but the allocation {len(alloc.m)} quotas")
     V_S = V_K[alloc.indices]
-    with np.errstate(over="ignore", invalid="ignore"):  # the memo refuses what these make
+    kept = alloc.__dict__.get("_eigh")
+    if kept is not None and kept[0].tobytes() == V_S.tobytes():
+        return kept
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
         G = V_S.T @ V_S
-    return (V_S, *_memo_eigh(G.tobytes(), G.shape[0]))
+    if not np.isfinite(G).all():
+        raise ValueError("sampled Gram is not finite: non-finite or overflowing rows")
+    w, Q = np.linalg.eigh(G)
+    V_S.flags.writeable = w.flags.writeable = Q.flags.writeable = False
+    alloc.__dict__["_eigh"] = kept = (V_S, w, Q)
+    return kept
 
 
 def _rank_deficient(w: np.ndarray):

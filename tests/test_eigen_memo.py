@@ -1,7 +1,7 @@
-"""The memoized factorization of sampled Grams behind BLUE and the
-quantized-design rank check: results equal a plain LAPACK call bit for bit,
-allocation and BLUE make one rank decision on one factorization, failures are
-raised on every call, and the memo stays bounded and unpoisonable."""
+"""The factorization of a sampled Gram that an allocation keeps, behind BLUE
+and the quantized-design rank check: results equal a plain LAPACK call bit for
+bit, allocation and BLUE make one rank decision on one factorization, failures
+are raised on every call and never kept, and nothing outlives the allocation."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import sampling
-from gsample import design, estimation, graphs, spectral
+from gsample import bench, design, estimation, graphs, spectral
 from gsample.design import DesignWeights, SampleAllocation
 from gsample.exceptions import FallbackExhausted, RankDeficientSampling
 
@@ -18,13 +18,6 @@ from gsample.exceptions import FallbackExhausted, RankDeficientSampling
 def basis():
     g = graphs.random_geometric(30, 0.5, 0.25, seed=3)
     return spectral.eigendecompose(graphs.laplacian(g))
-
-
-@pytest.fixture(autouse=True)
-def cold_memo():
-    spectral._memo_eigh.cache_clear()
-    yield
-    spectral._memo_eigh.cache_clear()
 
 
 def repeated_sequence(n, k, rng):
@@ -44,13 +37,14 @@ class TestBitwiseEqual:
         k = 5
         seq = repeated_sequence(basis.n, k, np.random.default_rng(seed))
         V_K = basis.eigenvectors[:, :k]
-        V_S, *cold = spectral._sampled_eigh(V_K, seq)
-        _, *warm = spectral._sampled_eigh(V_K.copy(), sampling(seq.indices, basis.n))
+        cold = spectral._sampled_eigh(V_K, seq)
+        warm = spectral._sampled_eigh(V_K.copy(), seq)
+        other = spectral._sampled_eigh(V_K, sampling(seq.indices, basis.n))
         w, Q = np.linalg.eigh(sampled_gram(basis, k, seq))
-        assert warm[0] is cold[0] and warm[1] is cold[1]
-        assert np.array_equal(cold[0], w) and np.array_equal(cold[1], Q)
-        assert np.array_equal(V_S, V_K[seq.indices])
-        assert spectral._memo_eigh.cache_info().hits == 1
+        assert warm is cold
+        for V_S, w_S, Q_S in (cold, other):
+            assert np.array_equal(w_S, w) and np.array_equal(Q_S, Q)
+            assert np.array_equal(V_S, V_K[seq.indices])
 
     def test_mutated_input_is_a_new_key(self, rng):
         V = rng.standard_normal((4, 3))
@@ -60,6 +54,12 @@ class TestBitwiseEqual:
         after = spectral._sampled_eigh(V, alloc)[1]
         assert np.array_equal(after, np.linalg.eigh(V.T @ V)[0])
         assert not np.array_equal(after, before)
+        # a sampled 0.0 turned -0.0 leaves every value equal but not every bit
+        V[2, 1] = 0.0
+        spectral._sampled_eigh(V, alloc)
+        V[2, 1] = -0.0
+        V_S = spectral._sampled_eigh(V, alloc)[0]
+        assert V_S.tobytes() == V[alloc.indices].tobytes()
 
     @pytest.mark.parametrize("m", [[1, 1, 0, 0, 0], [1, 1, 0]], ids=["5-quotas", "3-quotas"])
     def test_allocation_for_another_node_count_rejected(self, rng, m):
@@ -182,10 +182,13 @@ class TestMemoSafety:
     def test_non_finite_gram_refused_every_call(self, value):
         V = np.eye(3)
         V[1] = value
+        alloc = sampling(np.arange(3), 3)
         for _ in range(2):
             with pytest.raises(ValueError, match="sampled Gram is not finite"):
-                spectral._sampled_eigh(V, sampling(np.arange(3), 3))
-        assert spectral._memo_eigh.cache_info().currsize == 0
+                spectral._sampled_eigh(V, alloc)
+        V[1] = [0.0, 1.0, 0.0]
+        _, w, Q = spectral._sampled_eigh(V, alloc)
+        assert np.array_equal(w, np.ones(3)) and np.array_equal(np.abs(Q), np.eye(3))
 
     def test_results_are_read_only(self, basis, rng):
         k = 4
@@ -198,15 +201,28 @@ class TestMemoSafety:
         G = sampled_gram(basis, k, seq)
         assert np.array_equal(spectral._sampled_eigh(V_K, seq)[1], np.linalg.eigh(G)[0])
 
-    def test_bounded_capacity(self, rng):
-        size = spectral._EIGEN_MEMO_SIZE
-        for _ in range(3 * size):
-            V = rng.standard_normal((4, 3))
-            spectral._sampled_eigh(V, sampling(rng.integers(4, size=5), 4))
-        info = spectral._memo_eigh.cache_info()
-        assert info.maxsize == size
-        assert info.currsize == size
-        assert info.misses == 3 * size
+    def test_nothing_outlives_a_run(self, monkeypatch):
+        # a factorization kept past its allocation would spare the second run
+        # the eigh calls of every allocation the first one made
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        cfg = bench.config_from_dict({
+            "schema": 1,
+            "scenario": "two-runs",
+            "graph": {"kind": "random_geometric", "n": 40, "radius": 0.5, "kernel_width": 0.25},
+            "signal": {"bandwidth_min": 3, "bandwidth_max": 4, "snr_db_grid": [0, "inf"]},
+            "trials": 3,
+            "methods": ["proposed", "m1", "m3"],
+            "criterion": "a",
+            "master_seed": 42,
+        })
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            bench.run_scenario(cfg, measure_time=False)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 # ascending finite eigenvalues, from negative through subnormal to large

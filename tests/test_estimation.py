@@ -123,6 +123,13 @@ class TestNoiseStdForSnr:
             sigma = estimation.noise_std_for_snr(np.array(signal), 10.0)
         assert sigma == estimation.noise_std_for_snr(np.array(signal, dtype=float), 10.0)
 
+    @pytest.mark.parametrize("snr_db", [10.0, np.inf])
+    def test_nan_signal_rejected(self, snr_db):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="signal values must be finite"):
+                estimation.noise_std_for_snr(np.array([1.0, np.nan]), snr_db)
+
     def test_zero_signal_convention(self):
         assert estimation.noise_std_for_snr(np.zeros(4), 10.0) == 0.0
 
