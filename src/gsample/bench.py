@@ -136,6 +136,8 @@ class ScenarioConfig:
         _checked("config", _SCHEMA["config"],
                  {f.name: getattr(self, f.name) for f in fields(self)})
         design._positive(self.trials, "trials")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed}")
         if not self.methods:
             raise ValueError("need at least one method")
         for i, m in enumerate(self.methods):

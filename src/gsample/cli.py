@@ -116,11 +116,11 @@ def _cmd_bench(args):
 
 def _cmd_bound(args):
     m_star = design.paper_min_sample_size(args.sigma_min, args.n, args.eta)
+    budget = args.budget if args.budget is not None else m_star
+    prob = design.paper_invertibility_estimate(args.sigma_min, budget, args.n)  # before any output
     print(f"M = {m_star} (the paper's estimate for eta, not a guarantee)")
     print(f"certified invertible (every quota within 1 of p_i*M) at M >= "
           f"{math.ceil(1 / args.sigma_min)}")
-    budget = args.budget if args.budget is not None else m_star
-    prob = design.paper_invertibility_estimate(args.sigma_min, budget, args.n)
     print(f"the paper's invertibility estimate at M={budget}: {prob:.6f} (not a guarantee)")
 
 

@@ -124,9 +124,14 @@ def information_matrix(rows: np.ndarray, weights: DesignWeights) -> np.ndarray:
     return rows.T @ (p[:, None] * rows)
 
 
-def _checked(w: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues `w` of an information matrix, or raise
-    SingularInformationMatrix when they fail the rank rule."""
+def _eigenvalues(A) -> np.ndarray:
+    """Ascending eigenvalues of an information matrix A. ValueError unless A
+    is a non-empty square matrix with finite entries; SingularInformationMatrix
+    when the eigenvalues fail the rank rule."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0 or not np.isfinite(A).all():
+        raise ValueError(f"information matrix must be finite, square and non-empty, got {A.shape}")
+    w = np.linalg.eigvalsh(A)
     if _rank_deficient(w):
         raise SingularInformationMatrix(
             f"sigma_min={w[0]:.3e} below threshold for norm {w[-1]:.3e}"
@@ -148,10 +153,7 @@ def criterion_value(A: np.ndarray, criterion: Criterion) -> float:
     or tr(A^-1) for D, E, A optimality respectively. ValueError unless A is
     a non-empty square matrix with finite entries."""
     criterion = Criterion(criterion)
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0 or not np.isfinite(A).all():
-        raise ValueError(f"information matrix must be finite, square and non-empty, got {A.shape}")
-    return _scalarized(_checked(np.linalg.eigvalsh(A)), criterion)
+    return _scalarized(_eigenvalues(A), criterion)
 
 
 def _gradient(rows, Ainv, criterion):
@@ -159,19 +161,6 @@ def _gradient(rows, Ainv, criterion):
     or of tr(A^-1) (B = A^-2), given Ainv = A^-1."""
     B = Ainv if criterion is Criterion.D_OPT else Ainv @ Ainv
     return -((rows @ B) * rows).sum(axis=1)
-
-
-def criterion_gradient(
-    rows: np.ndarray, weights: DesignWeights, criterion: Criterion
-) -> np.ndarray:
-    """Gradient of the A or D criterion with respect to p; E has none."""
-    criterion = Criterion(criterion)
-    if criterion is Criterion.E_OPT:
-        raise ValueError("the E criterion has no gradient")
-    rows = _as_rows(rows, finite=True)
-    A = information_matrix(rows, weights)
-    criterion_value(A, criterion)  # refuses an overflowing or singular A
-    return _gradient(rows, np.linalg.inv(A), criterion)
 
 
 def _e_bound(rows: np.ndarray) -> float:
@@ -182,19 +171,24 @@ def _e_bound(rows: np.ndarray) -> float:
     return float(min(sq.max(axis=0).min(), sq.sum(axis=1).max() / rows.shape[1]))
 
 
-def duality_gap(
-    rows: np.ndarray, weights: DesignWeights, criterion: Criterion
-) -> float:
-    """An upper bound on f(p) - f*. A/D: the Frank-Wolfe linear-minimization
-    gap over the simplex. E: 1/lambda_min(A(p)) - 1/_e_bound(rows) (Kiefer's
-    equivalence theorem), 0 at the uniform design of a constant-column basis."""
-    criterion = Criterion(criterion)
-    rows = _as_rows(rows, finite=True)
+def _evaluate(rows, weights: DesignWeights, criterion: Criterion) -> tuple[np.ndarray, float]:
+    """The ascending eigenvalues of A(p), checked as `criterion_value` checks
+    them, and `duality_gap` at p, from one A(p) for finite `rows`."""
+    A = information_matrix(rows, weights)
+    w = _eigenvalues(A)
     if criterion is Criterion.E_OPT:
-        f = criterion_value(information_matrix(rows, weights), criterion)
-        return f - 1.0 / _e_bound(rows)
-    g = criterion_gradient(rows, weights, criterion)
-    return float(weights.p @ g - g.min())
+        return w, _scalarized(w, criterion) - 1.0 / _e_bound(rows)
+    g = _gradient(rows, np.linalg.inv(A), criterion)
+    return w, float(weights.p @ g - g.min())
+
+
+def duality_gap(rows: np.ndarray, weights: DesignWeights, criterion: Criterion) -> float:
+    """An upper bound on f(p) - f*: the one certificate behind `solve_relaxed`'s
+    uniform return, `design_pipeline`'s `duality_gap` and the bench's
+    `solver_gap`. A/D: the Frank-Wolfe linear-minimization gap over the
+    simplex. E: 1/lambda_min(A(p)) - 1/_e_bound(rows) (Kiefer's equivalence
+    theorem), 0 at the uniform design of a constant-column basis."""
+    return _evaluate(_as_rows(rows, finite=True), weights, Criterion(criterion))[1]
 
 
 def _fw_change(Linv, E, criterion):
@@ -330,17 +324,17 @@ def _solve_fw(rows, criterion):
 def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     """Solve the relaxed design problem min f(A(p)^-1) over the simplex.
 
-    The uniform design is evaluated first, for every criterion: when its
-    information matrix is singular (so every design's is) this raises
-    SingularInformationMatrix, and when `duality_gap` certifies it to 1e-6
-    times max(1, |objective|), as a constant column (the `design_rows` of a
-    connected graph) always does for E, it is returned. E without that
-    certificate raises ValueError. D/A otherwise run `_solve_fw`: damped
-    Newton steps on the support plus the Frank-Wolfe vertex, from uniform
-    weight on K rows picked by pivoted Gram-Schmidt, stopping once the duality
-    gap is at most 1e-6 times max(1, |objective|), and raising ValueError if
-    A(p) is not positive definite, no step moves or 50,000 iterations pass
-    first. Deterministic.
+    The uniform design is evaluated first, for every criterion, from one
+    eigendecomposition of its information matrix: when that is singular (so
+    every design's is) this raises SingularInformationMatrix, and when its
+    `duality_gap` certifies it to 1e-6 times max(1, |objective|), as a
+    constant column (the `design_rows` of a connected graph) always does for
+    E, it is returned. E without that certificate raises ValueError. D/A
+    otherwise run `_solve_fw`: damped Newton steps on the support plus the
+    Frank-Wolfe vertex, from uniform weight on K rows picked by pivoted
+    Gram-Schmidt, stopping once the duality gap is at most 1e-6 times max(1,
+    |objective|), and raising ValueError if A(p) is not positive definite, no
+    step moves or 50,000 iterations pass first. Deterministic.
     """
     criterion = Criterion(criterion)
     rows = _as_rows(rows, finite=True)
@@ -350,9 +344,8 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     p = np.full(n, 1.0 / n)
     p /= p.sum()
     uniform = DesignWeights(p)
-    f = criterion_value(information_matrix(rows, uniform), criterion)
-    gap = duality_gap(rows, uniform, criterion)
-    if gap <= _SOLVER_RTOL * max(1.0, abs(f)):
+    w, gap = _evaluate(rows, uniform, criterion)
+    if gap <= _SOLVER_RTOL * max(1.0, abs(_scalarized(w, criterion))):
         return uniform
     if criterion is Criterion.E_OPT:
         raise ValueError(
@@ -529,12 +522,12 @@ def design_pipeline(
     weights = solve_relaxed(rows, criterion)
     alloc, fallback_moves = allocate_from_weights(
         rows, weights, budget, quantize_raw(weights, budget, seed))
-    w = _checked(np.linalg.eigvalsh(information_matrix(rows, weights)))
-    w_hat = _checked(_sampled_eigh(rows, alloc)[1]) / budget
+    w, gap = _evaluate(rows, weights, criterion)
+    w_hat = _sampled_eigh(rows, alloc)[1] / budget  # full rank: allocate_from_weights checked it
     diagnostics = {
         "relaxed_objective": _scalarized(w, criterion),
         "quantized_objective": _scalarized(w_hat, criterion),
-        "duality_gap": duality_gap(rows, weights, criterion),
+        "duality_gap": gap,
         "sigma_min": float(w[0]),
         "certified_budget": math.ceil(1.0 / w[0]),
         "paper_invertibility_estimate": paper_invertibility_estimate(

@@ -38,9 +38,12 @@ def noise_std_for_snr(signal: np.ndarray, snr_db: float) -> float:
     depends only on the signal, not on which nodes a method samples; a zero
     signal, or an SNR whose power ratio overflows (as +inf does), yields
     sigma = 0. ValueError for an SNR of NaN or -inf or one that leaves sigma
-    infinite, a signal with a NaN and a signal whose power is beyond the double range.
+    infinite, an empty signal, a signal with a NaN and a signal whose power
+    is beyond the double range.
     """
     ratio = _snr_power_ratio(snr_db)
+    if np.size(signal) == 0:
+        raise ValueError("signal must have at least one value")
     with np.errstate(over="ignore"):
         power = float(np.mean(np.square(np.asarray(signal, dtype=float))))
     if math.isnan(power):

@@ -208,6 +208,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown graph kind"):
             tiny_config(graph={"kind": ["file"], "path": "graph.edges"})
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda seed: tiny_config(master_seed=seed), id="config"),
+        pytest.param(lambda seed: bench.preset_config("g2-f1-desk", master_seed=seed), id="preset"),
+    ])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2)])
+    def test_negative_master_seed_rejected(self, make, seed):
+        # NumPy would refuse it only when a trial's generator is built, after
+        # the first bandwidth's solve and greedy
+        with pytest.raises(ValueError, match=rf"master_seed must be an integer >= 0, got {seed}"):
+            make(seed)
+
     def test_integral_and_numeric_types_accepted(self):
         cfg = tiny_config(budget_rule=3, master_seed=np.int64(7),
                           signal={"bandwidth_min": 3, "bandwidth_max": 3,

@@ -76,6 +76,12 @@ class TestBound:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "sigma_min" in err
 
+    def test_budget_below_one_fails_before_any_output(self, capsys):
+        code, out, err = run(capsys, "bound", "--sigma-min", "0.1", "--n", "10",
+                             "--eta", "0.9", "--budget", "0")
+        assert code == 1 and out == ""
+        assert err == "error: budget must be >= 1, got 0\n"
+
     def test_budget_of_401_digits(self, capsys):
         code, out, _ = run(capsys, "bound", "--sigma-min", "0.1", "--n", "10",
                            "--eta", "0.9", "--budget", "1" + "0" * 400)

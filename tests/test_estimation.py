@@ -130,6 +130,12 @@ class TestNoiseStdForSnr:
             with pytest.raises(ValueError, match="signal values must be finite"):
                 estimation.noise_std_for_snr(np.array([1.0, np.nan]), snr_db)
 
+    @pytest.mark.parametrize("signal", [np.array([]), []])
+    def test_empty_signal_rejected(self, signal):
+        # np.mean of no values warns and reads as NaN, a non-finite signal
+        with pytest.raises(ValueError, match="signal must have at least one value"):
+            estimation.noise_std_for_snr(signal, 10.0)
+
     def test_zero_signal_convention(self):
         assert estimation.noise_std_for_snr(np.zeros(4), 10.0) == 0.0
 

@@ -94,6 +94,60 @@ class TestDesignPipeline:
             1 / result.diagnostics["sigma_min"])
 
 
+@pytest.fixture(scope="module")
+def ci_basis():
+    """The graph the CLI's design checks use: random_geometric(200, 0.6, 0.3), seed 0."""
+    g = graphs.random_geometric(200, 0.6, 0.3, seed=0)
+    return spectral.eigendecompose(graphs.laplacian(g))
+
+
+def reference_evaluation(rows, weights, crit):
+    """Objective, sigma_min and duality gap at `weights`, each from its own
+    information_matrix -> eigvalsh and inv -> _gradient."""
+    w = np.linalg.eigvalsh(design.information_matrix(rows, weights))
+    objective = {Criterion.A_OPT: float(np.sum(1.0 / w)),
+                 Criterion.D_OPT: float(-np.sum(np.log(w))),
+                 Criterion.E_OPT: float(1.0 / w[0])}[crit]
+    if crit is Criterion.E_OPT:
+        gap = float(1.0 / w[0]) - 1.0 / design._e_bound(rows)
+    else:
+        Ainv = np.linalg.inv(design.information_matrix(rows, weights))
+        g = design._gradient(rows, Ainv, crit)
+        gap = float(weights.p @ g - g.min())
+    return objective, float(w[0]), gap
+
+
+class TestOneEvaluation:
+    """`duality_gap`, `solve_relaxed`'s uniform check and `design_pipeline`'s
+    diagnostics read one evaluation of A(p); its values keep their bits."""
+
+    @pytest.mark.parametrize("crit", list(Criterion))
+    def test_duality_gap_matches_reference_bit_for_bit(self, ci_basis, crit):
+        rows = spectral.design_rows(ci_basis, 15)
+        uniform = DesignWeights(np.full(len(rows), 1.0 / len(rows)))
+        for weights in (uniform, design.solve_relaxed(rows, crit)):
+            assert design.duality_gap(rows, weights, crit) == reference_evaluation(
+                rows, weights, crit)[2]
+
+    @pytest.mark.parametrize("crit", list(Criterion))
+    def test_pipeline_diagnostics_match_reference_bit_for_bit(self, ci_basis, crit):
+        result = design.design_pipeline(ci_basis, 15, 60, crit, seed=0)
+        diag = result.diagnostics
+        rows = spectral.design_rows(ci_basis, 15)
+        assert (diag["relaxed_objective"], diag["sigma_min"], diag["duality_gap"]) == \
+            reference_evaluation(rows, result.weights, crit)
+
+    @pytest.mark.parametrize("crit", list(Criterion))
+    def test_each_design_factored_once(self, ci_basis, crit, monkeypatch):
+        # one eigvalsh for solve_relaxed's uniform check and one for the
+        # pipeline's relaxed design; the A/D solver itself factors by Cholesky
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(1) or eigvalsh(A))
+        design.design_pipeline(ci_basis, 15, 60, crit, seed=0)
+        assert len(calls) == 2
+
+
 class TestFallback:
     def test_singular_draw_repaired_by_budget_shift(self, rng):
         # a design concentrated on one row of a K=2 problem is singular;

@@ -31,7 +31,6 @@ BAD_SHAPES = [
 THIRDS = DesignWeights(np.full(3, 1 / 3))
 SHAPE_USES = {
     "information_matrix": lambda rows: design.information_matrix(rows, THIRDS),
-    "criterion_gradient": lambda rows: design.criterion_gradient(rows, THIRDS, Criterion.A_OPT),
     "allocate_from_weights": lambda rows: design.allocate_from_weights(
         rows, THIRDS, 3, design.quantize_raw(THIRDS, 3, 0)),
     **{f"duality_gap-{crit.value}": lambda rows, crit=crit: design.duality_gap(rows, THIRDS, crit)
@@ -530,7 +529,7 @@ class TestPairwiseStep:
             p = rng.dirichlet(np.ones(n))
             A = design.information_matrix(rows, DesignWeights(p))
             Ainv = np.linalg.inv(A)
-            g = design.criterion_gradient(rows, DesignWeights(p), crit)
+            g = design._gradient(rows, Ainv, crit)
             # the solver's swap, the scaled-copy pair, and random pairs
             pairs = [(int(np.argmin(g)), int(np.argmax(g))), (0, 1), (1, 0)]
             pairs += [tuple(int(i) for i in rng.choice(n, 2, replace=False)) for _ in range(3)]
