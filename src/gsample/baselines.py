@@ -102,7 +102,7 @@ def greedy_sigma_min(rows: np.ndarray, budget: int) -> SampleAllocation:
     finite 2-D array with a column whose squared Frobenius norm is below a
     quarter of the double range and `budget` an integer in [1, n].
     """
-    rows = _as_rows(rows, finite=True)
+    rows = _as_rows(rows)
     with np.errstate(over="ignore"):
         # ‖rows‖²_F bounds every Gram entry, bound and score formed below
         frobenius_sq = float(np.vdot(rows, rows))

@@ -104,24 +104,13 @@ class SampleAllocation:
         return idx
 
 
-def _as_rows(rows, finite: bool = False) -> np.ndarray:
+def _as_rows(rows) -> np.ndarray:
     """`rows` as a float array; ValueError unless it is 2-D with a column
-    and, when `finite`, every entry is finite."""
+    and every entry is finite."""
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] == 0 or (finite and not np.isfinite(rows).all()):
+    if rows.ndim != 2 or rows.shape[1] == 0 or not np.isfinite(rows).all():
         raise ValueError("design rows must be a finite 2-D array with a column")
     return rows
-
-
-def information_matrix(rows: np.ndarray, weights: DesignWeights) -> np.ndarray:
-    """A = sum_i p_i u_i u_i^T for the design rows u_i."""
-    rows = _as_rows(rows)
-    p = weights.p
-    if rows.shape[0] != p.shape[0]:
-        raise ValueError(
-            f"{rows.shape[0]} rows but {p.shape[0]} weights"
-        )
-    return rows.T @ (p[:, None] * rows)
 
 
 def _eigenvalues(A) -> np.ndarray:
@@ -140,20 +129,13 @@ def _eigenvalues(A) -> np.ndarray:
 
 
 def _scalarized(w: np.ndarray, criterion: Criterion) -> float:
-    """`criterion_value` from the ascending eigenvalues `w` of A."""
+    """The criterion of A from its ascending eigenvalues `w`: -log det A,
+    1/lambda_min(A) or tr(A^-1) for D, E and A optimality respectively."""
     if criterion is Criterion.D_OPT:
         return float(-np.sum(np.log(w)))
     if criterion is Criterion.E_OPT:
         return float(1.0 / w[0])
     return float(np.sum(1.0 / w))
-
-
-def criterion_value(A: np.ndarray, criterion: Criterion) -> float:
-    """Scalarize the inverse information matrix: -log det A, 1/lambda_min(A),
-    or tr(A^-1) for D, E, A optimality respectively. ValueError unless A is
-    a non-empty square matrix with finite entries."""
-    criterion = Criterion(criterion)
-    return _scalarized(_eigenvalues(A), criterion)
 
 
 def _gradient(rows, Ainv, criterion):
@@ -172,14 +154,18 @@ def _e_bound(rows: np.ndarray) -> float:
 
 
 def _evaluate(rows, weights: DesignWeights, criterion: Criterion) -> tuple[np.ndarray, float]:
-    """The ascending eigenvalues of A(p), checked as `criterion_value` checks
-    them, and `duality_gap` at p, from one A(p) for finite `rows`."""
-    A = information_matrix(rows, weights)
+    """The ascending eigenvalues of A(p) = sum_i p_i u_i u_i^T for the finite
+    design rows u_i, checked by `_eigenvalues`, and `duality_gap` at p, from
+    one A(p): the library's one evaluation of a relaxed design."""
+    p = weights.p
+    if rows.shape[0] != p.shape[0]:
+        raise ValueError(f"{rows.shape[0]} rows but {p.shape[0]} weights")
+    A = rows.T @ (p[:, None] * rows)
     w = _eigenvalues(A)
     if criterion is Criterion.E_OPT:
         return w, _scalarized(w, criterion) - 1.0 / _e_bound(rows)
     g = _gradient(rows, np.linalg.inv(A), criterion)
-    return w, float(weights.p @ g - g.min())
+    return w, float(p @ g - g.min())
 
 
 def duality_gap(rows: np.ndarray, weights: DesignWeights, criterion: Criterion) -> float:
@@ -188,7 +174,7 @@ def duality_gap(rows: np.ndarray, weights: DesignWeights, criterion: Criterion) 
     `solver_gap`. A/D: the Frank-Wolfe linear-minimization gap over the
     simplex. E: 1/lambda_min(A(p)) - 1/_e_bound(rows) (Kiefer's equivalence
     theorem), 0 at the uniform design of a constant-column basis."""
-    return _evaluate(_as_rows(rows, finite=True), weights, Criterion(criterion))[1]
+    return _evaluate(_as_rows(rows), weights, Criterion(criterion))[1]
 
 
 def _fw_change(Linv, E, criterion):
@@ -337,7 +323,7 @@ def solve_relaxed(rows: np.ndarray, criterion: Criterion) -> DesignWeights:
     step moves or 50,000 iterations pass first. Deterministic.
     """
     criterion = Criterion(criterion)
-    rows = _as_rows(rows, finite=True)
+    rows = _as_rows(rows)
     n, k = rows.shape
     if n < k:
         raise ValueError(f"need at least K={k} rows, got {n}")
@@ -464,7 +450,7 @@ def allocate_from_weights(
 
     Returns the allocation and the number of shifts applied.
     """
-    rows = _as_rows(rows, finite=True)
+    rows = _as_rows(rows)
     budget = _grid_budget(budget)
     m = _integers(raw, "raw quotas")
     if m.shape != weights.p.shape or not (np.abs(m - weights.p * budget) < 1).all():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gsample import graphs, spectral
-from gsample.design import SampleAllocation
+from gsample import design, graphs, spectral
+from gsample.design import Criterion, SampleAllocation
 
 
 def sampling(nodes, n):
@@ -10,6 +10,12 @@ def sampling(nodes, n):
     twice gets quota 2) on an n-node graph; its `indices` are `nodes` sorted."""
     nodes = np.asarray(nodes)
     return SampleAllocation(np.bincount(nodes, minlength=n), len(nodes))
+
+
+def score(A, crit):
+    """The criterion `crit` of the information matrix A, as the library
+    scores it: `design._eigenvalues`' checks, then `design._scalarized`."""
+    return design._scalarized(design._eigenvalues(A), Criterion(crit))
 
 
 def random_orthonormal_rows(n, k, rng):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal_rows, sampling
+from conftest import random_orthonormal_rows, sampling, score
 from gsample import baselines, bench, cli, design, estimation, graphs, spectral
 from gsample.design import Criterion, DesignWeights
 from gsample.exceptions import FallbackExhausted
@@ -82,7 +82,7 @@ def test_criterion_2_mse_identity():
         m = 4 * k
         seq = sampling(rng.choice(basis.n, size=m, replace=True), basis.n)
         V = basis.eigenvectors[:, :k][seq.indices]
-        tr = design.criterion_value(V.T @ V, Criterion.A_OPT)
+        tr = score(V.T @ V, Criterion.A_OPT)
         pinv = np.linalg.pinv(V)
         z = rng.standard_normal((100_000, m))
         mc = float(np.mean(np.sum((z @ pinv.T) ** 2, axis=1)))
@@ -141,7 +141,7 @@ def test_criterion_4_solver_certificate():
         # gradient vs central finite differences at an interior point
         p = rng.dirichlet(np.ones(n)) * 0.5 + 0.5 / n
         p /= p.sum()
-        A = design.information_matrix(rows, DesignWeights(p))
+        A = rows.T @ (p[:, None] * rows)
         g = design._gradient(rows, np.linalg.inv(A), crit)
         h = 1e-5
         for i in rng.choice(n, size=3, replace=False):
@@ -193,7 +193,7 @@ def test_criterion_6_perturbation_inequality():
         rows = random_orthonormal_rows(20, 4, rng)
         weights = design.solve_relaxed(rows, Criterion.A_OPT)
         sigma_min = float(
-            np.linalg.eigvalsh(design.information_matrix(rows, weights))[0]
+            np.linalg.eigvalsh(rows.T @ (weights.p[:, None] * rows))[0]
         )
         budget = 25
         gen = np.random.default_rng(600 + instance)

@@ -44,6 +44,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown method"):
             tiny_config(methods=["proposed", "m2"])
 
+    def test_empty_methods_rejected(self):
+        with pytest.raises(ValueError, match="need at least one method"):
+            tiny_config(methods=[])
+
     def test_repeated_method_rejected(self):
         with pytest.raises(ValueError, match="method 'm1' is listed twice"):
             tiny_config(methods=["m1", "proposed", "m1"])
@@ -198,6 +202,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="budget_rule"):
             tiny_config(budget_rule=rule)
 
+    def test_bandwidth_min_above_max_rejected(self):
+        with pytest.raises(ValueError, match="bandwidth_min exceeds bandwidth_max"):
+            tiny_config(signal={**TINY["signal"], "bandwidth_min": 4, "bandwidth_max": 3})
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ValueError, match="unknown preset 'g3-f1-desk'; choose from"):
+            bench.preset_config("g3-f1-desk")
+
     def test_budget_rule_checked_at_bandwidth_max(self):
         # 1e307 * 3 is a budget, 1e307 * 30 overflows
         signal = {**TINY["signal"], "bandwidth_max": 30}
@@ -334,6 +346,33 @@ class TestRunScenario:
             (k, snr, trial, method) for k in (3, 4) for snr in (10.0, 20.0)
             for trial in range(2) for method in ("proposed", "m1", "m3")]
         assert all((r.solver_gap is None) == (r.method == "m1") for r in records)
+
+    def test_baseline_errors_match_their_expectation(self):
+        # m1 and m3 keep one allocation for every trial; with coefficients of
+        # mean mu and std s, E[error_l2^2] = K (mu^2 + s^2) tr(G^-1) /
+        # (N 10^(snr/10)) for G = V_S^T V_S. Each mean of squared errors over
+        # 400 trials lies within 4 standard errors of it
+        cfg = tiny_config(trials=400, methods=["m1", "m3"],
+                          signal={**TINY["signal"], "snr_db_grid": [0, 10]})
+        records = bench.run_scenario(cfg, measure_time=False)
+        basis = spectral.eigendecompose(graphs.laplacian(bench.build_graph(cfg)))
+        rows = spectral.design_rows(basis, 3)
+        budget = records[0].budget
+        assert budget == 12
+        allocations = {
+            "m1": baselines.greedy_sigma_min(rows, budget),
+            "m3": baselines.top_m_selection(design.solve_relaxed(rows, "a"), budget),
+        }
+        power = 3 * (cfg.signal["coeff_mean"] ** 2 + cfg.signal["coeff_std"] ** 2)
+        for method, alloc in allocations.items():
+            V_S = rows[alloc.indices]
+            trace = np.trace(np.linalg.inv(V_S.T @ V_S))
+            for snr in (0.0, 10.0):
+                sq = np.array([r.error_l2 for r in records
+                               if r.method == method and r.snr_db == snr]) ** 2
+                assert len(sq) == 400
+                expected = power * trace / (basis.n * 10 ** (snr / 10))
+                assert abs(sq.mean() - expected) <= 4 * sq.std(ddof=1) / np.sqrt(len(sq))
 
     def test_deterministic_csv_bytes(self, tmp_path):
         paths = []

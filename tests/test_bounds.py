@@ -30,6 +30,10 @@ class TestInvertibilityBound:
         with pytest.raises(ValueError):
             design.paper_invertibility_estimate(0.0, 10, 5)
 
+    def test_rejects_sigma_whose_square_underflows(self):
+        with pytest.raises(ValueError, match="sigma_min 1e-170 squares to 0"):
+            design.paper_invertibility_estimate(1e-170, 10, 10)
+
     def test_rejects_n_beyond_double_range(self):
         # n * log1p(-v) would raise OverflowError
         with pytest.raises(ValueError, match="n 1000.* is beyond double precision"):
@@ -105,13 +109,13 @@ class TestInvertibilityCertificate:
         rows = random_orthonormal_rows(n, min(k, n), rng)
         weights = (DesignWeights(rng.dirichlet(np.ones(n))) if source == "simplex"
                    else design.solve_relaxed(rows, design.Criterion(source)))
-        lam = np.linalg.eigvalsh(design.information_matrix(rows, weights))[0]
+        lam = np.linalg.eigvalsh(rows.T @ (weights.p[:, None] * rows))[0]
         least = math.ceil(1 / lam)
         for budget in (least, least + 1, least + int(rng.integers(2, 3 * least + 3))):
             for _ in range(20):
                 m = design.quantize_raw(weights, budget, rng)
                 assert m.sum() == budget
-                A = design.information_matrix(rows, DesignWeights(m / budget))
+                A = rows.T @ ((m / budget)[:, None] * rows)
                 w = np.linalg.eigvalsh(A)
                 assert not spectral._rank_deficient(w)
                 shift = np.abs(m / budget - weights.p).max()

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +100,20 @@ class TestBound:
         assert code == 1 and out == ""
         assert err.startswith("error: n 1000") and err.count("\n") == 1
         assert "double precision" in err
+
+
+def test_module_runs_as_a_script():
+    # `python -m gsample.cli` exits with main's return code
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "gsample.cli", "bound", "--sigma-min", "0.1",
+            "--n", "10", "--eta", "0.9"]
+    ok = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert ok.returncode == 0 and "M = 7" in ok.stdout
+    refused = subprocess.run(argv + ["--budget", "0"], capture_output=True, text=True, env=env)
+    assert refused.returncode == 1 and refused.stdout == ""
+    assert refused.stderr == "error: budget must be >= 1, got 0\n"
 
 
 class TestGraphAndDesign:

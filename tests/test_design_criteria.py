@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal_rows
+from conftest import random_orthonormal_rows, score
 from gsample import design, spectral
 from gsample.design import Criterion, DesignWeights, SampleAllocation
 from gsample.exceptions import SingularInformationMatrix
@@ -21,7 +21,6 @@ def pipeline(basis, c):
 
 # every entry point that takes a criterion, on a basis and its K = 5 design rows
 CRITERION_USES = {
-    "criterion_value": lambda basis, rows, c: design.criterion_value(rows.T @ rows, c),
     "duality_gap": lambda basis, rows, c: design.duality_gap(rows, uniform(len(rows)), c),
     "solve_relaxed": lambda basis, rows, c: design.solve_relaxed(rows, c).p,
     "design_pipeline": lambda basis, rows, c: pipeline(basis, c),
@@ -105,64 +104,71 @@ class TestValidation:
 
 
 class TestInformationMatrix:
+    """A(p) = sum_i p_i u_i u_i^T, as `design._evaluate` forms and factors it."""
+
     def test_uniform_weights_give_scaled_identity(self, rng):
         rows = random_orthonormal_rows(8, 3, rng)
-        A = design.information_matrix(rows, uniform(8))
-        assert np.allclose(A, np.eye(3) / 8, atol=1e-12)
+        for crit in Criterion:
+            w, _ = design._evaluate(rows, uniform(8), crit)
+            assert np.allclose(w, np.full(3, 1 / 8), atol=1e-12)
 
     def test_point_mass_gives_rank_one(self, rng):
         rows = random_orthonormal_rows(6, 2, rng)
         p = np.zeros(6)
         p[4] = 1.0
-        A = design.information_matrix(rows, DesignWeights(p))
-        assert np.allclose(A, np.outer(rows[4], rows[4]), atol=1e-12)
-        assert np.linalg.matrix_rank(A) <= 1
+        for crit in Criterion:
+            with pytest.raises(SingularInformationMatrix, match="sigma_min"):
+                design._evaluate(rows, DesignWeights(p), crit)
 
     def test_matches_naive_summation(self, rng):
         rows = rng.standard_normal((5, 2))
         p = rng.dirichlet(np.ones(5))
-        A = design.information_matrix(rows, DesignWeights(p))
         expected = sum(
             p[i] * np.outer(rows[i], rows[i]) for i in range(5)
         )
-        assert np.allclose(A, expected, atol=1e-14)
+        for crit in Criterion:
+            w, _ = design._evaluate(rows, DesignWeights(p), crit)
+            assert np.allclose(w, np.linalg.eigvalsh(expected), atol=1e-14)
 
     def test_dimension_mismatch(self, rng):
         rows = random_orthonormal_rows(6, 2, rng)
-        with pytest.raises(ValueError):
-            design.information_matrix(rows, uniform(5))
+        for crit in Criterion:
+            with pytest.raises(ValueError, match="6 rows but 5 weights"):
+                design.duality_gap(rows, uniform(5), crit)
 
 
 class TestCriterionValue:
+    """`_scalarized(_eigenvalues(A), c)`: how the library scores a matrix."""
+
     def test_identity_matrix(self):
         A = np.eye(4)
-        assert design.criterion_value(A, Criterion.D_OPT) == pytest.approx(0.0)
-        assert design.criterion_value(A, Criterion.E_OPT) == pytest.approx(1.0)
-        assert design.criterion_value(A, Criterion.A_OPT) == pytest.approx(4.0)
+        assert score(A, Criterion.D_OPT) == pytest.approx(0.0)
+        assert score(A, Criterion.E_OPT) == pytest.approx(1.0)
+        assert score(A, Criterion.A_OPT) == pytest.approx(4.0)
 
     def test_diagonal_matrix(self):
         A = np.diag([2.0, 0.5])
-        assert design.criterion_value(A, Criterion.D_OPT) == pytest.approx(0.0)
-        assert design.criterion_value(A, Criterion.E_OPT) == pytest.approx(2.0)
-        assert design.criterion_value(A, Criterion.A_OPT) == pytest.approx(2.5)
+        assert score(A, Criterion.D_OPT) == pytest.approx(0.0)
+        assert score(A, Criterion.E_OPT) == pytest.approx(2.0)
+        assert score(A, Criterion.A_OPT) == pytest.approx(2.5)
 
     def test_matches_eigenvalue_oracle(self, rng):
         B = rng.standard_normal((3, 3))
         A = B @ B.T + 0.5 * np.eye(3)
         lam = np.linalg.eigvalsh(A)
-        assert design.criterion_value(A, Criterion.D_OPT) == pytest.approx(
+        assert score(A, Criterion.D_OPT) == pytest.approx(
             -np.sum(np.log(lam)), rel=1e-12
         )
-        assert design.criterion_value(A, Criterion.E_OPT) == pytest.approx(
+        assert score(A, Criterion.E_OPT) == pytest.approx(
             1.0 / lam.min(), rel=1e-12
         )
-        assert design.criterion_value(A, Criterion.A_OPT) == pytest.approx(
+        assert score(A, Criterion.A_OPT) == pytest.approx(
             np.sum(1.0 / lam), rel=1e-12
         )
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularInformationMatrix):
-            design.criterion_value(np.diag([1.0, 0.0]), Criterion.A_OPT)
+            design._eigenvalues(np.diag([1.0, 0.0]))
 
     @pytest.mark.parametrize("crit", list(Criterion))
     @pytest.mark.parametrize("A", [
@@ -174,12 +180,12 @@ class TestCriterionValue:
     ])
     def test_non_finite_or_non_square_matrix_rejected(self, A, crit):
         with pytest.raises(ValueError, match="must be finite, square and non-empty"):
-            design.criterion_value(A, crit)
+            score(A, crit)
 
 
 def gradient(rows, weights, crit):
     """`design._gradient` at the design `weights`, from A(p)^-1."""
-    return design._gradient(rows, np.linalg.inv(design.information_matrix(rows, weights)), crit)
+    return design._gradient(rows, np.linalg.inv(rows.T @ (weights.p[:, None] * rows)), crit)
 
 
 class TestCriterionGradient:
@@ -211,10 +217,7 @@ class TestCriterionGradient:
                 # unnormalized perturbation: evaluate the criterion off-simplex
                 A_up = rows.T @ (up[:, None] * rows)
                 A_dn = rows.T @ (dn[:, None] * rows)
-                fd = (
-                    design.criterion_value(A_up, crit)
-                    - design.criterion_value(A_dn, crit)
-                ) / (2 * h)
+                fd = (score(A_up, crit) - score(A_dn, crit)) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -228,15 +231,7 @@ class TestConvexityAndInvariance:
             p, q = p / p.sum(), q / q.sum()
             lam = rng.uniform()
             mid = lam * p + (1 - lam) * q
-            val = design.criterion_value(
-                design.information_matrix(rows, DesignWeights(mid)), crit
-            )
-            vp = design.criterion_value(
-                design.information_matrix(rows, DesignWeights(p)), crit
-            )
-            vq = design.criterion_value(
-                design.information_matrix(rows, DesignWeights(q)), crit
-            )
+            val, vp, vq = (score(rows.T @ (x[:, None] * rows), crit) for x in (mid, p, q))
             assert val <= lam * vp + (1 - lam) * vq + 1e-9
 
     def test_criterion_invariant_under_right_rotation(self, rng):
@@ -245,6 +240,6 @@ class TestConvexityAndInvariance:
         p = DesignWeights(rng.dirichlet(np.ones(12)) * 0.9 + 0.1 / 12)
         p = DesignWeights(p.p / p.p.sum())
         for crit in Criterion:
-            a = design.criterion_value(design.information_matrix(rows, p), crit)
-            b = design.criterion_value(design.information_matrix(rows @ q, p), crit)
+            a = design._scalarized(design._evaluate(rows, p, crit)[0], crit)
+            b = design._scalarized(design._evaluate(rows @ q, p, crit)[0], crit)
             assert a == pytest.approx(b, rel=1e-9)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import sampling
+from conftest import sampling, score
 from gsample import design, estimation, graphs, spectral
 from gsample.design import Criterion, SampleAllocation
 from gsample.exceptions import RankDeficientSampling
@@ -166,6 +166,11 @@ class TestBlueEstimate:
         assert est.coeff_estimate[0] == pytest.approx(8.0, abs=1e-10)
         assert np.allclose(est.signal_estimate, 4.0, atol=1e-10)
 
+    def test_observation_of_another_length_rejected(self, basis):
+        seq = sampling([0, 1, 2], basis.n)
+        with pytest.raises(ValueError, match="observation length does not match sequence"):
+            estimation.blue_estimate(basis, 3, seq, np.zeros(2))
+
     def test_noiseless_recovery(self, basis, rng):
         k = 4
         f = spectral.synthesize_bandlimited(basis, rng.standard_normal(k))
@@ -262,7 +267,7 @@ class TestErrorCovariance:
         alloc = SampleAllocation(m=np.array([3] + [0] * (basis.n - 1)), budget=3)
         G = sampled_gram(basis, 1, alloc)
         # the constant first eigenvector gives the 1x1 Gram 3 / N
-        value = {c: design.criterion_value(G, c) for c in Criterion}
+        value = {c: score(G, c) for c in Criterion}
         assert value[Criterion.A_OPT] == pytest.approx(basis.n / 3, rel=1e-9)
         assert value[Criterion.E_OPT] == pytest.approx(basis.n / 3, rel=1e-9)
         assert value[Criterion.D_OPT] == pytest.approx(np.log(basis.n / 3), rel=1e-9)
@@ -273,13 +278,13 @@ class TestErrorCovariance:
             eigenvalues=np.array([0.0, 2.0]), eigenvectors=np.eye(2)
         )
         seq = sampling([0, 1], 2)
-        tr = design.criterion_value(sampled_gram(basis, 2, seq), Criterion.A_OPT)
+        tr = score(sampled_gram(basis, 2, seq), Criterion.A_OPT)
         assert tr == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_monte_carlo(self, basis, rng):
         k = 3
         seq = sampling(rng.choice(basis.n, size=10, replace=True), basis.n)
-        tr = design.criterion_value(sampled_gram(basis, k, seq), Criterion.A_OPT)
+        tr = score(sampled_gram(basis, k, seq), Criterion.A_OPT)
         V_mk = basis.eigenvectors[:, :k][seq.indices]
         pinv = np.linalg.pinv(V_mk)
         z = rng.standard_normal((20_000, seq.budget))
@@ -291,8 +296,8 @@ class TestErrorCovariance:
         m[rng.choice(basis.n, size=5, replace=False)] = 1
         seq1 = SampleAllocation(m=m, budget=5)
         seq3 = SampleAllocation(m=3 * m, budget=15)
-        tr1 = design.criterion_value(sampled_gram(basis, 3, seq1), Criterion.A_OPT)
-        tr3 = design.criterion_value(sampled_gram(basis, 3, seq3), Criterion.A_OPT)
+        tr1 = score(sampled_gram(basis, 3, seq1), Criterion.A_OPT)
+        tr3 = score(sampled_gram(basis, 3, seq3), Criterion.A_OPT)
         assert tr3 == pytest.approx(tr1 / 3, rel=1e-9)
 
 

@@ -64,6 +64,16 @@ class TestRandomGeometric:
         assert a.n == b.n
         assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "ijw")
 
+    def test_single_node_rejected(self):
+        with pytest.raises(ValueError, match="need at least 2 nodes, got 1"):
+            graphs.random_geometric(1, 0.5, 0.25, seed=0)
+
+    def test_disconnected_after_every_attempt(self):
+        # radius 0.01 leaves some of 20 points isolated in every attempt
+        with pytest.raises(GraphConnectivityError, match=r"random_geometric\(n=20, "
+                           r"radius=0.01\) not connected after 100 attempts"):
+            graphs.random_geometric(20, 0.01, 0.005, seed=0)
+
     def test_kernel_width_none_is_half_radius(self):
         a = graphs.random_geometric(40, 0.5, None, seed=4)
         b = graphs.random_geometric(40, 0.5, 0.25, seed=4)

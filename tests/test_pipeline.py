@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal_rows
+from conftest import random_orthonormal_rows, score
 from gsample import design, estimation, graphs, spectral
 from gsample.design import Criterion, DesignWeights, SampleAllocation
 
@@ -59,17 +59,12 @@ class TestDesignPipeline:
         rows = random_orthonormal_rows(6, 2, rng)
         assert sum(1 for _ in integer_designs(6, 3)) == 56
         weights = design.solve_relaxed(rows, Criterion.A_OPT)
-        relaxed = design.criterion_value(
-            design.information_matrix(rows, weights), Criterion.A_OPT
-        )
+        relaxed = score(rows.T @ (weights.p[:, None] * rows), Criterion.A_OPT)
         gap = design.duality_gap(rows, weights, Criterion.A_OPT)
         comb = combinatorial_optimum(rows, 3, Criterion.A_OPT)
         alloc, _ = design.allocate_from_weights(
             rows, weights, 3, design.quantize_raw(weights, 3, 5))
-        quantized = design.criterion_value(
-            design.information_matrix(rows, DesignWeights(alloc.m / alloc.budget)),
-            Criterion.A_OPT,
-        )
+        quantized = score(rows.T @ ((alloc.m / alloc.budget)[:, None] * rows), Criterion.A_OPT)
         assert relaxed - gap <= comb + 1e-8
         assert comb <= quantized + 1e-8
 
@@ -103,15 +98,15 @@ def ci_basis():
 
 def reference_evaluation(rows, weights, crit):
     """Objective, sigma_min and duality gap at `weights`, each from its own
-    information_matrix -> eigvalsh and inv -> _gradient."""
-    w = np.linalg.eigvalsh(design.information_matrix(rows, weights))
+    A(p) -> eigvalsh and A(p) -> inv -> _gradient."""
+    w = np.linalg.eigvalsh(rows.T @ (weights.p[:, None] * rows))
     objective = {Criterion.A_OPT: float(np.sum(1.0 / w)),
                  Criterion.D_OPT: float(-np.sum(np.log(w))),
                  Criterion.E_OPT: float(1.0 / w[0])}[crit]
     if crit is Criterion.E_OPT:
         gap = float(1.0 / w[0]) - 1.0 / design._e_bound(rows)
     else:
-        Ainv = np.linalg.inv(design.information_matrix(rows, weights))
+        Ainv = np.linalg.inv(rows.T @ (weights.p[:, None] * rows))
         g = design._gradient(rows, Ainv, crit)
         gap = float(weights.p @ g - g.min())
     return objective, float(w[0]), gap
@@ -161,6 +156,6 @@ class TestFallback:
         for seed in range(10):
             alloc, shifts = design.allocate_from_weights(
                 rows, weights, 2, design.quantize_raw(weights, 2, seed))
-            A = design.information_matrix(rows, DesignWeights(alloc.m / alloc.budget))
+            A = rows.T @ ((alloc.m / alloc.budget)[:, None] * rows)
             assert np.linalg.eigvalsh(A)[0] > 0
             assert alloc.m.sum() == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthonormal_rows
+from conftest import random_orthonormal_rows, score
 from gsample import design, graphs, spectral
 from gsample.design import Criterion, DesignWeights, SampleAllocation
 from gsample.exceptions import FallbackExhausted
@@ -222,19 +222,19 @@ class TestQuantizedInformationMatrix:
         m[rng.choice(n, size=k, replace=False)] += 1  # K distinct rows: full rank
         budget = int(m.sum())
         alloc = SampleAllocation(m=m, budget=budget)
-        A_hat = design.information_matrix(rows, DesignWeights(m / budget))
+        A_hat = rows.T @ ((m / budget)[:, None] * rows)
         V_S = rows[alloc.indices]
         G = V_S.T @ V_S
         assert np.abs(A_hat * budget - G).max() <= 1e-12 * np.abs(G).max()
         # eigenvalue rounding moves 1/lambda_min by about eps * cond(G)
         rel = 1e-13 * np.linalg.cond(G)
         for crit, expected in [
-            (Criterion.A_OPT, budget * design.criterion_value(G, Criterion.A_OPT)),
-            (Criterion.E_OPT, budget * design.criterion_value(G, Criterion.E_OPT)),
-            (Criterion.D_OPT,
-             design.criterion_value(G, Criterion.D_OPT) + k * np.log(budget)),
+            (Criterion.A_OPT, budget * score(G, Criterion.A_OPT)),
+            (Criterion.E_OPT, budget * score(G, Criterion.E_OPT)),
+            (Criterion.D_OPT, score(G, Criterion.D_OPT) + k * np.log(budget)),
         ]:
-            value = design.criterion_value(A_hat, crit)
+            value = design._scalarized(
+                design._evaluate(rows, DesignWeights(m / budget), crit)[0], crit)
             assert value == pytest.approx(expected, rel=rel, abs=rel)
 
 
