@@ -225,15 +225,109 @@ def trial_inputs(cfg: ScenarioConfig, grid_index: int, bandwidth: int,
     return coeffs, rng_noise.standard_normal(budget)
 
 
+# numpy's SeedSequence (O'Neill 2015): its pool size, hash constants and
+# mixing multipliers; and PCG64's 128-bit LCG multiplier (O'Neill 2014)
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_LOW32, _LOW64 = 2**32 - 1, 2**64 - 1
+
+
+def _words(n: int) -> list[int]:
+    """SeedSequence's uint32 words of an int >= 0, least significant first."""
+    out = [n & _LOW32]
+    while n := n >> 32:
+        out.append(n & _LOW32)
+    return out
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix of a uint32 array, with its hash constant,
+    from `init`, multiplied by `mult` on each call."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _LOW32
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 arrays."""
+    x = _MIX_L * x - _MIX_R * y
+    return x ^ x >> 16
+
+
+def _mulhi(a, b: int):
+    """The high 64 bits of a * b, for a uint64 array a and b < 2**64."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One step of PCG64's LCG, state * _PCG_MULT + inc mod 2**128, on
+    uint64 halves."""
+    c_hi, c_lo = _PCG_MULT >> 64, _PCG_MULT & _LOW64
+    hi, lo = _mulhi(lo, c_lo) + hi * c_lo + lo * c_hi, lo * c_lo + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def _uniforms(prefix: list[int], trials) -> np.ndarray:
+    """`np.random.default_rng([*prefix, t]).random()` for each int t >= 0 in
+    `trials`, bit for bit, in one pass of uint32 and uint64 array arithmetic:
+    SeedSequence's entropy mixing and 4-word state, PCG64's seeding (two LCG
+    steps) and its first output (one more step, XSL-RR), as a double in
+    [0, 1) from its top 53 bits. An int entry contributes its 32-bit words,
+    so trials below and from 2**32 differ in key length and run apart."""
+    trials = np.asarray(trials, dtype=np.uint64)
+    head = [w for n in prefix for w in _words(n)]
+    out = np.empty(trials.shape)
+    for wide in (False, True):
+        if not (sel := (trials >> 32 > 0) == wide).any():
+            continue
+        t = trials[sel]
+        tail = [t & _LOW32, t >> 32] if wide else [t]
+        entropy = ([np.full(t.shape, w, np.uint32) for w in head]
+                   + [word.astype(np.uint32) for word in tail])
+        hash_a, zero = _hasher(_INIT_A, _MULT_A), np.zeros(t.shape, np.uint32)
+        pool = [hash_a(v) for v in (entropy + [zero] * _POOL_WORDS)[:_POOL_WORDS]]
+        for src in range(_POOL_WORDS):
+            for dst in range(_POOL_WORDS):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hash_a(pool[src]))
+        for value in entropy[_POOL_WORDS:]:
+            for dst in range(_POOL_WORDS):
+                pool[dst] = _mix(pool[dst], hash_a(value))
+        hash_b = _hasher(_INIT_B, _MULT_B)
+        w = [hash_b(pool[i % _POOL_WORDS]).astype(np.uint64) for i in range(8)]
+        seed_hi, seed_lo, seq_hi, seq_lo = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
+        inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+        lo = inc_lo + seed_lo
+        hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        out[sel] = (x >> rot | x << (64 - rot & 63)) >> 11
+    return out * 2.0**-53
+
+
 def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRecord]:
     """Run the full Monte Carlo protocol and return one record per grid
     point, trial and method, in that nesting order. Module errors become
     failed records. Each bandwidth's design and baselines are solved right
     before its trials, so a solve that raises ends the run after the
-    earlier bandwidths' trials. Each proposed trial makes one systematic
-    rounding draw, so a bandwidth's trials draw at most support + 1 distinct
-    quotas; trials whose draws are equal share one allocation, so a record
-    that reuses one times no allocation in `wall_ms`."""
+    earlier bandwidths' trials. Each bandwidth's rounding law is computed
+    once, and each proposed trial's draw is the law's interval holding its
+    uniform, all of a grid point's uniforms drawn in one pass before its
+    trials; trials whose draws are equal share one allocation, so a record
+    times neither its draw nor, when it reuses one, an allocation in
+    `wall_ms`."""
     basis = spectral.eigendecompose(graphs.laplacian(build_graph(cfg)))
     criterion = design.Criterion(cfg.criterion)
     sig = cfg.signal
@@ -249,25 +343,28 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
             seqs["m1"] = baselines.greedy_sigma_min(rows, budget)
         if "m3" in cfg.methods:
             seqs["m3"] = baselines.top_m_selection(weights, budget)
-        # the proposed allocations, one per distinct raw draw (keyed by its
-        # bytes); a draw that fails is not kept
+        law = design._draws(weights, budget) if "proposed" in cfg.methods else None
+        # the proposed allocations, one per interval of the law drawn; a draw
+        # that fails is not kept
         allocations = {}
         for snr in sig["snr_db_grid"]:
+            if law is not None:
+                key = [cfg.master_seed, _ROLE_METHOD, cfg.methods.index("proposed"), gi]
+                draws = law.interval(_uniforms(key, np.arange(cfg.trials)))
             for trial in range(cfg.trials):
                 coeffs, z = trial_inputs(cfg, gi, k, budget, trial)
                 f = spectral.synthesize_bandlimited(basis, coeffs)
                 # one noise level per trial; every sequence has `budget` entries
                 noise = estimation.noise_std_for_snr(f, snr) * z
-                for mi, method in enumerate(cfg.methods):
+                for method in cfg.methods:
                     t0 = time.perf_counter() if measure_time else 0.0
                     try:
                         if method == "proposed":
-                            raw = design.quantize_raw(
-                                weights, budget, [cfg.master_seed, _ROLE_METHOD, mi, gi, trial])
-                            seq = allocations.get(key := raw.tobytes())
+                            seq = allocations.get(i := draws[trial])
                             if seq is None:
-                                seq, _ = design.allocate_from_weights(rows, weights, budget, raw)
-                                allocations[key] = seq
+                                seq, _ = design.allocate_from_weights(
+                                    rows, weights, budget, law.quotas(i))
+                                allocations[i] = seq
                         else:
                             seq = seqs[method]
                         y = f[seq.indices] + noise

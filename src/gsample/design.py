@@ -8,6 +8,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,12 +115,12 @@ def _as_rows(rows) -> np.ndarray:
 
 
 def _eigenvalues(A) -> np.ndarray:
-    """Ascending eigenvalues of an information matrix A. ValueError unless A
-    is a non-empty square matrix with finite entries; SingularInformationMatrix
-    when the eigenvalues fail the rank rule."""
+    """Ascending eigenvalues of a K x K information matrix A, K >= 1.
+    ValueError unless its entries are finite; SingularInformationMatrix when
+    the eigenvalues fail the rank rule."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0 or not np.isfinite(A).all():
-        raise ValueError(f"information matrix must be finite, square and non-empty, got {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("information matrix must be finite")
     w = np.linalg.eigvalsh(A)
     if _rank_deficient(w):
         raise SingularInformationMatrix(
@@ -379,18 +380,77 @@ def _systematic(floor: np.ndarray, frac: np.ndarray, budget: int, u: float) -> n
     return m.astype(int)
 
 
+def _steps(c: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """For each running sum c in (0, r) with f = floor(c), the least double u
+    with floor(c + u) > f in floating point: where `_systematic` steps, in
+    (0, 1). For 1 <= f < 2**52, c lies on the grid of doubles below f + 1,
+    and c + u rounds to f + 1 from half that grid's step below it, so the
+    first guess is exact; otherwise it can be an ulp off, and the loop moves
+    it to the point, which the rounding's monotonicity makes unique."""
+    top = f + 1.0
+    t = (top - c) - (top - np.nextafter(top, 0.0)) / 2
+    while True:
+        low = np.floor(c + t) <= f
+        high = np.floor(c + np.nextafter(t, 0.0)) > f
+        if not (low.any() or high.any()):
+            return t
+        t = np.where(low, np.nextafter(t, 1.0), np.where(high, np.nextafter(t, 0.0), t))
+
+
+class _Law(NamedTuple):
+    """A rounding draw's law: U in [cuts[i], cuts[i + 1]) (the last up to 1)
+    draws `quotas(i)`, with probability lengths[i] for U on the 2**-53 grid
+    `Generator.random` draws from, so the lengths are exact and sum to 1."""
+
+    cuts: np.ndarray
+    lengths: np.ndarray
+    floor: np.ndarray  # `_grid_split`'s parts of p * budget
+    frac: np.ndarray
+    budget: int
+
+    def interval(self, u):
+        """The index of the interval holding each u in [0, 1)."""
+        return np.searchsorted(self.cuts, u, side="right") - 1
+
+    def quotas(self, i: int) -> np.ndarray:
+        """The draw on interval i, from `_systematic` at its lower end."""
+        return _systematic(self.floor, self.frac, self.budget, self.cuts[i])
+
+
+def _draws(weights: DesignWeights, budget: int) -> _Law:
+    """The law of `quantize_raw`'s draw: the at most support + 1 intervals of
+    U in [0, 1) on which `_systematic` is constant, where floor(C_j + U)
+    steps, and their lengths; the draws of different intervals differ. A
+    design on the grid has one interval. Computed once per budget and kept,
+    read-only, on `weights`, whose p is read-only too."""
+    budget = _grid_budget(budget)
+    laws = weights.__dict__.setdefault("_laws", {})
+    if (law := laws.get(budget)) is not None:
+        return law
+    floor, frac = _grid_split(weights, budget)
+    c = np.cumsum(frac[np.flatnonzero(frac)])[:-1]  # the last sum always gains r
+    f = np.floor(c)
+    live = f < budget - floor.sum()  # below the clip r, so a step moves the draw
+    cuts = np.unique(np.append(0.0, _steps(c[live], f[live])))
+    grid = np.diff(np.append(np.ceil(cuts * 2.0**53), 2.0**53))
+    laws[budget] = law = _Law(cuts, grid * 2.0**-53, floor, frac, budget)
+    for a in (law.cuts, law.lengths, floor, frac):
+        a.flags.writeable = False
+    return law
+
+
 def quantize_raw(weights: DesignWeights, budget: int, rng) -> np.ndarray:
     """One systematic-sampling draw (Madow 1949): one uniform U from `rng`
     rounds each p_i * budget, in node-index order, up with probability its
     fractional part and down otherwise, and the quotas sum to the budget, so
-    one design's draws take at most support + 1 distinct values. When no
-    p_i * budget has a fractional part the draw is the floor and nothing is
-    random: no generator is built from `rng`, and a passed Generator is not
-    advanced."""
-    floor, frac = _grid_split(weights, budget)
-    if not frac.any():
-        return floor.astype(int)
-    return _systematic(floor, frac, budget, np.random.default_rng(rng).random())
+    one design's draws take at most support + 1 distinct values: the quotas
+    of the interval of `_draws` that holds U. When the draw has one value,
+    as when no p_i * budget has a fractional part, nothing is random: no
+    generator is built from `rng`, and a passed Generator is not advanced."""
+    law = _draws(weights, budget)
+    if len(law.cuts) == 1:
+        return law.quotas(0)
+    return law.quotas(law.interval(np.random.default_rng(rng).random()))
 
 
 def _check_sample_size_inputs(sigma_min: float, n: int) -> int:
@@ -497,6 +557,9 @@ def design_pipeline(
     quantized design gets `allocate_from_weights`'s budget shifts. Every quota
     lies within 1 of p_i * budget, so by Weyl's inequality any budget at or
     above `certified_budget` = ceil(1 / sigma_min) makes every draw invertible.
+    `invertible_probability` is the exact probability that a draw passes the
+    rank rule before any shift: the summed length of the intervals of
+    `_draws` whose quotas do, so 1.0 from `certified_budget` on.
     """
     criterion = Criterion(criterion)
     budget = _grid_budget(budget)
@@ -510,6 +573,9 @@ def design_pipeline(
         rows, weights, budget, quantize_raw(weights, budget, seed))
     w, gap = _evaluate(rows, weights, criterion)
     w_hat = _sampled_eigh(rows, alloc)[1] / budget  # full rank: allocate_from_weights checked it
+    law = _draws(weights, budget)
+    invertible = [not _rank_deficient(_sampled_eigh(
+        rows, SampleAllocation(m=law.quotas(i), budget=budget))[1]) for i in range(len(law.cuts))]
     diagnostics = {
         "relaxed_objective": _scalarized(w, criterion),
         "quantized_objective": _scalarized(w_hat, criterion),
@@ -519,6 +585,7 @@ def design_pipeline(
         "paper_invertibility_estimate": paper_invertibility_estimate(
             float(w[0]), budget, len(weights.p)
         ),
+        "invertible_probability": float(law.lengths[invertible].sum()),
         "fallback_moves": fallback_moves,
     }
     return PipelineResult(weights=weights, allocation=alloc, diagnostics=diagnostics)

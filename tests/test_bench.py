@@ -8,6 +8,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsample import baselines, bench, design, estimation, graphs, spectral
 from gsample.exceptions import GSampleError
@@ -457,32 +459,25 @@ class TestRunScenario:
 
 
 def traced_allocation(monkeypatch):
-    """Patch `design.quantize_raw` and `design.allocate_from_weights` to log
-    each rounding draw and each allocation's draw, as (budget, raw bytes),
-    and each allocation's result; returns the three lists."""
-    quantize_fn, alloc_fn = design.quantize_raw, design.allocate_from_weights
-    draws, allocated, results = [], [], []
-
-    def quantize(weights, budget, rng):
-        raw = quantize_fn(weights, budget, rng)
-        draws.append((budget, raw.tobytes()))
-        return raw
+    """Patch `design.allocate_from_weights` to log each allocation's draw, as
+    (budget, raw bytes), and its result; returns the two lists."""
+    alloc_fn = design.allocate_from_weights
+    allocated, results = [], []
 
     def alloc(rows, weights, budget, raw):
         allocated.append((budget, raw.tobytes()))
         results.append(alloc_fn(rows, weights, budget, raw))
         return results[-1]
 
-    monkeypatch.setattr(design, "quantize_raw", quantize)
     monkeypatch.setattr(design, "allocate_from_weights", alloc)
-    return draws, allocated, results
+    return allocated, results
 
 
 class TestBenchmarkHooks:
     """The benchmark's tracer times and spot-checks BLUE and the allocation by
     patching these module attributes, so `run_scenario` must reach them
     through the modules, once per record and once per distinct rounding draw
-    of a bandwidth."""
+    of a bandwidth, the draws `ungrouped_proposed` makes one trial at a time."""
 
     def test_run_scenario_calls_module_attributes(self, monkeypatch):
         blue_fn = estimation.blue_estimate
@@ -492,12 +487,13 @@ class TestBenchmarkHooks:
             blue_calls.append(list(inspect.signature(blue_fn).bind(*args, **kwargs).arguments))
             return blue_fn(*args, **kwargs)
 
-        monkeypatch.setattr(estimation, "blue_estimate", blue)
-        draws, allocated, _ = traced_allocation(monkeypatch)
         cfg = tiny_config(
             signal={"bandwidth_min": 3, "bandwidth_max": 4, "snr_db_grid": [10.0, 20.0]},
             trials=3,
         )
+        draws = ungrouped_proposed(cfg)[1]
+        monkeypatch.setattr(estimation, "blue_estimate", blue)
+        allocated, _ = traced_allocation(monkeypatch)
         records = bench.run_scenario(cfg, measure_time=False)
         assert all(r.status == "ok" for r in records)
         assert len(blue_calls) == len(records) == 2 * 2 * 3 * 3
@@ -519,14 +515,15 @@ class TestBenchmarkHooks:
                            result))
             return result
 
-        monkeypatch.setattr(design, "solve_relaxed", solve)
-        draws, allocated, results = traced_allocation(monkeypatch)
         gpath, cpath = tmp_path / "graph.edges", tmp_path / "cfg.json"
         graphs.save_edge_list(graphs.random_geometric(40, 0.5, 0.25, seed=1), gpath)
         cpath.write_text(json.dumps(dict(
             TINY, graph={"kind": "file", "path": str(gpath)},
             signal={"bandwidth_min": 3, "bandwidth_max": 4, "snr_db_grid": [10.0]})))
         cfg = bench.load_config(cpath)
+        draws = ungrouped_proposed(cfg)[1]
+        monkeypatch.setattr(design, "solve_relaxed", solve)
+        allocated, results = traced_allocation(monkeypatch)
         g = bench.build_graph(cfg)
         assert isinstance(g, graphs.WeightedGraph) and g.n == 40
         spectral.eigendecompose(graphs.laplacian(g))
@@ -555,19 +552,43 @@ class TestBenchmarkHooks:
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__
 
 
+class TestBulkUniforms:
+    """`bench._uniforms` draws what `np.random.default_rng([*prefix, t]).random()`
+    does for each trial t, bit for bit, in one pass."""
+
+    TRIALS = [0, 1, 2, 199, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7, 2**63 - 1]
+
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 10**30])
+    @pytest.mark.parametrize("tail", [[0, 0], [2, 17], [2**33, 5]])
+    def test_equal_to_default_rng(self, master_seed, tail):
+        prefix = [master_seed, bench._ROLE_METHOD, *tail]
+        expected = [np.random.default_rng([*prefix, t]).random() for t in self.TRIALS]
+        assert bench._uniforms(prefix, self.TRIALS).tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(prefix=st.lists(st.integers(min_value=0, max_value=2**130), max_size=6),
+           trials=st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=8))
+    def test_any_key_length(self, prefix, trials):
+        # keys shorter than SeedSequence's 4-word pool are padded, longer ones
+        # mixed in after it
+        expected = [np.random.default_rng([*prefix, t]).random() for t in trials]
+        assert bench._uniforms(prefix, trials).tolist() == expected
+
+
 GROUPED_SIGNAL = {"bandwidth_min": 3, "bandwidth_max": 4, "snr_db_grid": [10.0, 20.0]}
 
 
 def ungrouped_proposed(cfg):
-    """(K, SNR, trial, error_l2, status) of each proposed record, from a
-    loop that allocates every trial's rounding draw afresh."""
+    """(K, SNR, trial, error_l2, status) of each proposed record, and its
+    rounding draw as (budget, raw bytes), from a loop that draws each trial
+    with `quantize_raw` and allocates it afresh."""
     basis = spectral.eigendecompose(graphs.laplacian(bench.build_graph(cfg)))
     criterion = design.Criterion(cfg.criterion)
     sig = cfg.signal
     bandwidths = range(sig["bandwidth_min"], sig["bandwidth_max"] + 1, sig["bandwidth_step"])
     grid = [(k, snr) for k in bandwidths for snr in sig["snr_db_grid"]]
     mi = cfg.methods.index("proposed")
-    out = []
+    out, draws = [], []
     for gi, (k, snr) in enumerate(grid):
         budget = int(round(cfg.budget_rule * k))
         rows = spectral.design_rows(basis, k)
@@ -577,6 +598,7 @@ def ungrouped_proposed(cfg):
             f = spectral.synthesize_bandlimited(basis, coeffs)
             raw = design.quantize_raw(
                 weights, budget, [cfg.master_seed, bench._ROLE_METHOD, mi, gi, trial])
+            draws.append((budget, raw.tobytes()))
             try:
                 alloc, _ = design.allocate_from_weights(rows, weights, budget, raw)
                 y = f[alloc.indices] + estimation.noise_std_for_snr(f, snr) * z
@@ -585,12 +607,13 @@ def ungrouped_proposed(cfg):
             except GSampleError as exc:
                 err, status = math.nan, f"failed:{type(exc).__name__}"
             out.append((k, snr, trial, err, status))
-    return out
+    return out, draws
 
 
 class TestTrialGrouping:
     """Proposed trials of one bandwidth whose rounding draws are equal share
-    one allocation, and their records are those of one allocation per trial."""
+    one allocation, and their records are those of one `quantize_raw` draw
+    and one allocation per trial."""
 
     @pytest.mark.parametrize("criterion", ["a", "d", "e"])
     def test_records_match_one_allocation_per_trial(self, criterion):
@@ -598,15 +621,16 @@ class TestTrialGrouping:
         records = bench.run_scenario(cfg, measure_time=False)
         proposed = [(r.bandwidth, r.snr_db, r.trial, r.error_l2, r.status)
                     for r in records if r.method == "proposed"]
-        assert proposed == ungrouped_proposed(cfg)
+        assert proposed == ungrouped_proposed(cfg)[0]
         assert all(r.status == "ok" for r in records)
 
     def test_one_allocation_per_distinct_draw(self, monkeypatch):
-        draws, allocated, results = traced_allocation(monkeypatch)
-        repeat, expanded = np.repeat, []
-        monkeypatch.setattr(np, "repeat", lambda *a: expanded.append(1) or repeat(*a))
         cfg = tiny_config(criterion="d", trials=20, methods=["proposed"],
                           signal=GROUPED_SIGNAL)
+        draws = ungrouped_proposed(cfg)[1]
+        allocated, results = traced_allocation(monkeypatch)
+        repeat, expanded = np.repeat, []
+        monkeypatch.setattr(np, "repeat", lambda *a: expanded.append(1) or repeat(*a))
         records = bench.run_scenario(cfg, measure_time=False)
         assert len(draws) == len(records) == 2 * 2 * 20
         assert sorted(allocated) == sorted(set(draws))
@@ -617,22 +641,23 @@ class TestTrialGrouping:
     def test_distinct_draws_at_most_support_plus_one(self, monkeypatch):
         # systematic rounding changes its draw only where U crosses a
         # breakpoint of the support, so A's off-grid design draws few quotas
-        draws, _, _ = traced_allocation(monkeypatch)
+        allocated, _ = traced_allocation(monkeypatch)
         cfg = tiny_config(trials=20, methods=["proposed"], signal=GROUPED_SIGNAL)
         bench.run_scenario(cfg, measure_time=False)
         basis = spectral.eigendecompose(graphs.laplacian(bench.build_graph(cfg)))
         for k in (3, 4):
             weights = design.solve_relaxed(spectral.design_rows(basis, k), "a")
-            seen = {raw for budget, raw in draws if budget == 4 * k}
+            seen = {raw for budget, raw in allocated if budget == 4 * k}
             assert (weights.p * 4 * k % 1 > 1e-9).any()  # off the grid
             assert 1 < len(seen) <= np.count_nonzero(weights.p) + 1
 
     def test_failing_draw_fails_every_trial_that_shares_it(self, monkeypatch):
         # a budget of 2 cannot span K = 4: every draw exhausts its shifts
-        draws, allocated, results = traced_allocation(monkeypatch)
         cfg = tiny_config(budget_rule=0.5, trials=10, methods=["proposed"],
                           signal={"bandwidth_min": 4, "bandwidth_max": 4,
                                   "snr_db_grid": [10.0]})
+        draws = ungrouped_proposed(cfg)[1]
+        allocated, results = traced_allocation(monkeypatch)
         records = bench.run_scenario(cfg, measure_time=False)
         assert all(r.status == "failed:FallbackExhausted" for r in records)
         assert len(set(draws)) < len(draws) == len(records)  # some trials share a draw

@@ -133,7 +133,8 @@ class TestResidualVariance:
         p = rng.dirichlet(np.ones(8))
         draws = 20_000
         gen = np.random.default_rng(1)
-        delta = np.array([design.quantize_raw(DesignWeights(p), budget, gen)
+        weights = DesignWeights(p)
+        delta = np.array([design.quantize_raw(weights, budget, gen)
                           for _ in range(draws)]) / budget - p
         emp = delta.var(axis=0)
         frac = p * budget - np.floor(p * budget)

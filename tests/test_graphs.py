@@ -41,6 +41,16 @@ class TestWattsStrogatz:
         with pytest.raises(ValueError):
             graphs.watts_strogatz(10, 2, 1.5, seed=0)
 
+    def test_retries_exhausted(self, monkeypatch):
+        # no real graph seen fails every attempt (k = 1, beta = 1 at n = 40
+        # to 1,000 was always connected), so the check refuses each one
+        attempts = []
+        monkeypatch.setattr(graphs, "_connected", lambda *a: attempts.append(a) and False)
+        with pytest.raises(GraphConnectivityError, match=r"watts_strogatz\(n=10, k=2, "
+                           r"beta=0.5\) not connected after 100 attempts"):
+            graphs.watts_strogatz(10, 2, 0.5, seed=0)
+        assert len(attempts) == graphs._CONNECTIVITY_RETRIES == 100
+
 
 class TestRandomGeometric:
     def test_large_radius_gives_complete_graph(self):

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_orthonormal_rows, score
 from gsample import design, estimation, graphs, spectral
 from gsample.design import Criterion, DesignWeights, SampleAllocation
+from gsample.exceptions import FallbackExhausted
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +82,44 @@ class TestDesignPipeline:
             "sigma_min",
             "certified_budget",
             "paper_invertibility_estimate",
+            "invertible_probability",
             "fallback_moves",
         ):
             assert key in result.diagnostics
         assert 0.0 <= result.diagnostics["paper_invertibility_estimate"] <= 1.0
+        assert 0.0 <= result.diagnostics["invertible_probability"] <= 1.0
         assert result.diagnostics["certified_budget"] == math.ceil(
             1 / result.diagnostics["sigma_min"])
+
+
+class TestInvertibleProbability:
+    """`invertible_probability` is the exact probability that one rounding
+    draw passes the rank rule before any fallback shift."""
+
+    @pytest.mark.parametrize("k, budget", [(3, 3), (4, 5), (6, 7)])
+    def test_matches_monte_carlo(self, basis, k, budget):
+        result = design.design_pipeline(basis, k, budget, Criterion.A_OPT, seed=0)
+        prob = result.diagnostics["invertible_probability"]
+        assert 0.0 < prob < 1.0
+        rows = spectral.design_rows(basis, k)
+        draws, passed = 2000, 0
+        for seed in range(draws):
+            raw = design.quantize_raw(result.weights, budget, [7, seed])
+            try:
+                passed += design.allocate_from_weights(rows, result.weights, budget, raw)[1] == 0
+            except FallbackExhausted:
+                pass
+        assert abs(passed / draws - prob) <= 4 * math.sqrt(prob * (1 - prob) / draws)
+
+    @pytest.mark.parametrize("crit", list(Criterion))
+    @pytest.mark.parametrize("k", [1, 2, 4, 6])
+    def test_one_from_the_certified_budget(self, basis, crit, k):
+        # every quota is within 1 of p_i * budget, so Weyl's inequality keeps
+        # every draw invertible from ceil(1 / sigma_min) on
+        certified = design.design_pipeline(basis, k, 1000, crit)
+        for budget in (certified.diagnostics["certified_budget"] + extra for extra in (0, 1, 7)):
+            diag = design.design_pipeline(basis, k, budget, crit, seed=0).diagnostics
+            assert diag["invertible_probability"] == 1.0
 
 
 @pytest.fixture(scope="module")

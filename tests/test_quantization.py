@@ -9,6 +9,10 @@ from gsample.design import Criterion, DesignWeights, SampleAllocation
 from gsample.exceptions import FallbackExhausted
 
 
+# the weight kinds `fuzzed_weights` draws
+KINDS = ["dirichlet", "sparse", "grid", "near-grid", "tied"]
+
+
 def quantize(weights, budget, seed):
     """Quotas from `allocate_from_weights` on one-column rows, which no
     allocation makes singular, so no fallback shift applies."""
@@ -89,7 +93,9 @@ class TestProbabilisticQuantize:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        kind=st.sampled_from(["dirichlet", "sparse", "grid", "tied"]),
+        # near-grid weights are snapped to the grid within 1e-9, so their
+        # marginals are off by that much
+        kind=st.sampled_from([k for k in KINDS if k != "near-grid"]),
         n=st.integers(min_value=1, max_value=12),
         budget=st.integers(min_value=1, max_value=60),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -99,21 +105,16 @@ class TestProbabilisticQuantize:
         # [0, 1) into intervals on each of which the draw is one allocation;
         # weighted by length, the allocations are the draw's whole law
         w = DesignWeights(fuzzed_weights(kind, n, budget, np.random.default_rng(seed)))
-        floor, frac = design._grid_split(w, budget)
-        cuts = np.unique(np.concatenate(([0.0, 1.0], -np.cumsum(frac) % 1.0)))
-        mean, draws = np.zeros(n), set()
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            for u in (lo, np.nextafter(hi, 0.0)):  # both ends of [lo, hi)
-                m = design._systematic(floor, frac, budget, u)
-                assert m.sum() == budget
-                assert (np.abs(m - w.p * budget) < 1).all()
-            m = design._systematic(floor, frac, budget, (lo + hi) / 2)
-            mean += (hi - lo) * m
-            draws.add(m.tobytes())
-        assert np.abs(mean - w.p * budget).max() <= 1e-12
-        assert len(draws) <= np.count_nonzero(w.p) + 1
-        if not frac.any():  # on the grid: one allocation
-            assert len(draws) == 1
+        law = design._draws(w, budget)
+        quotas = np.array([law.quotas(i) for i in range(len(law.cuts))])
+        assert (quotas.sum(axis=1) == budget).all()
+        assert (np.abs(quotas - w.p * budget) < 1).all()
+        assert law.lengths.sum() == 1.0 and (law.lengths >= 0).all()
+        assert np.abs(law.lengths @ quotas - w.p * budget).max() <= 1e-12
+        assert len({m.tobytes() for m in quotas}) == len(law.cuts)
+        assert len(law.cuts) <= np.count_nonzero(w.p) + 1
+        if not design._grid_split(w, budget)[1].any():  # on the grid: one allocation
+            assert len(law.cuts) == 1
 
 
 class TestSystematicDraw:
@@ -132,6 +133,34 @@ class TestSystematicDraw:
     def test_hand_worked_draws(self, p, budget, u, expected):
         floor, frac = design._grid_split(DesignWeights(np.array(p)), budget)
         assert design._systematic(floor, frac, budget, u).tolist() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n=st.integers(min_value=1, max_value=12),
+        budget=st.one_of(st.integers(min_value=1, max_value=60),
+                         st.integers(min_value=2**40, max_value=2**53)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_lookup_matches_the_formula_at_every_cut(self, kind, n, budget, seed):
+        # the lookup's cut points are exact, so on both sides of each one,
+        # an ulp away, it agrees with the formula evaluated at that u
+        w = DesignWeights(fuzzed_weights(kind, n, budget, np.random.default_rng(seed)))
+        floor, frac = design._grid_split(w, budget)
+        law = design._draws(w, budget)
+        ends = np.append(law.cuts, 1.0)
+        for u in np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)]):
+            if 0.0 <= u < 1.0:
+                assert np.array_equal(law.quotas(law.interval(u)),
+                                      design._systematic(floor, frac, budget, u))
+
+    def test_quantize_raw_is_the_formula_at_its_uniform(self, rng):
+        w = DesignWeights(rng.dirichlet(np.ones(9)))
+        floor, frac = design._grid_split(w, 25)
+        for seed in range(50):
+            u = np.random.default_rng(seed).random()
+            assert np.array_equal(design.quantize_raw(w, 25, seed),
+                                  design._systematic(floor, frac, 25, u))
 
     def test_whole_nodes_never_move(self):
         # p * 8 = (2.4, 2, 2.6, 1): only nodes 0 and 2 have a fractional part
@@ -190,13 +219,16 @@ class TestAllocateFromWeights:
 
 def fuzzed_weights(kind, n, budget, rng):
     """Weights that stress the rounding: generic, mostly zero, on the grid
-    1/budget, or with repeated values."""
+    1/budget, within 1e-8 of it (so running sums land next to integers), or
+    with repeated values."""
     if kind == "sparse":
         p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.4)
         if p.sum() == 0:
             p[rng.integers(n)] = 1.0
     elif kind == "grid":
         p = rng.multinomial(budget, np.ones(n) / n) + rng.random(n) * (rng.random(n) < 0.5)
+    elif kind == "near-grid":
+        p = rng.multinomial(budget, np.ones(n) / n) + 1e-8 * rng.random(n)
     elif kind == "tied":
         p = rng.integers(1, 3, n).astype(float)
     else:
