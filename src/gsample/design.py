@@ -351,90 +351,71 @@ def _grid_budget(budget) -> int:
     return budget
 
 
-def _grid_split(weights: DesignWeights, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split p * budget into its grid floor and the offset above it, with
-    float noise at grid points snapped so exact multiples stay deterministic."""
-    budget = _grid_budget(budget)
-    x = weights.p * budget
-    floor = np.floor(x)
-    frac = x - floor
-    snap_up = frac > 1.0 - 1e-9
-    floor[snap_up] += 1.0
-    frac[snap_up] = 0.0
-    frac[frac < 1e-9] = 0.0
-    return floor, frac
-
-
-def _systematic(floor: np.ndarray, frac: np.ndarray, budget: int, u: float) -> np.ndarray:
-    """floor + diff(floor([0, C] + u)) for u in [0, 1), C the running sum of
-    the nonzero `frac` clipped at r = budget - sum(floor) and ending at r
-    (where r + u rounds up too): every node gains 0 or 1, the gains sum to r
-    for any u, and a node with no fractional part gains nothing."""
-    on = np.flatnonzero(frac)
-    r = budget - floor.sum()
-    k = np.minimum(np.floor(np.cumsum(frac[on]) + u), r)
-    k[-1:] = r
-    m = floor.copy()
-    m[on] += k  # the diff in place: small integers in floats, so exact
-    m[on[1:]] -= k[:-1]
-    return m.astype(int)
-
-
-def _steps(c: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """For each running sum c in (0, r) with f = floor(c), the least double u
-    with floor(c + u) > f in floating point: where `_systematic` steps, in
-    (0, 1). For 1 <= f < 2**52, c lies on the grid of doubles below f + 1,
-    and c + u rounds to f + 1 from half that grid's step below it, so the
-    first guess is exact; otherwise it can be an ulp off, and the loop moves
-    it to the point, which the rounding's monotonicity makes unique."""
-    top = f + 1.0
-    t = (top - c) - (top - np.nextafter(top, 0.0)) / 2
-    while True:
-        low = np.floor(c + t) <= f
-        high = np.floor(c + np.nextafter(t, 0.0)) > f
-        if not (low.any() or high.any()):
-            return t
-        t = np.where(low, np.nextafter(t, 1.0), np.where(high, np.nextafter(t, 0.0), t))
-
-
 class _Law(NamedTuple):
     """A rounding draw's law: U in [cuts[i], cuts[i + 1]) (the last up to 1)
     draws `quotas(i)`, with probability lengths[i] for U on the 2**-53 grid
-    `Generator.random` draws from, so the lengths are exact and sum to 1."""
+    `Generator.random` draws from; the cuts lie on that grid, so the lengths
+    are exact and sum to 1."""
 
     cuts: np.ndarray
     lengths: np.ndarray
-    floor: np.ndarray  # `_grid_split`'s parts of p * budget
-    frac: np.ndarray
-    budget: int
+    base: np.ndarray  # the draw at U = 0
+    on: np.ndarray  # the nodes with a fractional part, ascending
+    steps: np.ndarray  # t_j of their running sums, 1 where a sum never steps
 
     def interval(self, u):
         """The index of the interval holding each u in [0, 1)."""
         return np.searchsorted(self.cuts, u, side="right") - 1
 
     def quotas(self, i: int) -> np.ndarray:
-        """The draw on interval i, from `_systematic` at its lower end."""
-        return _systematic(self.floor, self.frac, self.budget, self.cuts[i])
+        """The draw on interval i: `base` with every sum whose step t_j is at
+        most cuts[i] one higher, so its node gains a unit that the next node
+        with a fractional part gives back."""
+        m = self.base.copy()
+        m[self.on] += np.diff((self.steps <= self.cuts[i]).astype(int), prepend=0)
+        return m
 
 
 def _draws(weights: DesignWeights, budget: int) -> _Law:
-    """The law of `quantize_raw`'s draw: the at most support + 1 intervals of
-    U in [0, 1) on which `_systematic` is constant, where floor(C_j + U)
-    steps, and their lengths; the draws of different intervals differ. A
-    design on the grid has one interval. Computed once per budget and kept,
-    read-only, on `weights`, whose p is read-only too."""
+    """The law of `quantize_raw`'s draw, computed once per budget and kept,
+    read-only, on `weights`, whose p is read-only too.
+
+    p * budget splits into a floor and a fractional part, a part within 1e-9
+    of 0 or 1 snapped away so grid points stay deterministic. For the running
+    sums C_1, ..., C_L of the nonzero parts in node-index order and r =
+    budget - sum(floor), sum j gains min(floor(C_j) + [U >= t_j], r), the
+    last sum r, with t_j = floor(C_j) + 1 - C_j: exact where floor(C_j) >= 1
+    or C_j >= 1/2 (Sterbenz), the nearest double otherwise, so on the 2**-53
+    grid of U either way. Each node with a part takes its floor plus its
+    sum's gain less the previous sum's. The distinct t_j in (0, 1) below the
+    clip cut [0, 1) into at most support + 1 intervals with distinct draws;
+    a design on the grid has one. ValueError, for every U alike, unless
+    every draw keeps each quota within 1 of p_i * budget: that needs r = 0
+    when L = 0 and otherwise 0 <= r <= floor(C_{L-1}) + 1 (C_0 = 0), which
+    bounds the last node's gain at U = 0.
+    """
     budget = _grid_budget(budget)
     laws = weights.__dict__.setdefault("_laws", {})
     if (law := laws.get(budget)) is not None:
         return law
-    floor, frac = _grid_split(weights, budget)
-    c = np.cumsum(frac[np.flatnonzero(frac)])[:-1]  # the last sum always gains r
-    f = np.floor(c)
-    live = f < budget - floor.sum()  # below the clip r, so a step moves the draw
-    cuts = np.unique(np.append(0.0, _steps(c[live], f[live])))
-    grid = np.diff(np.append(np.ceil(cuts * 2.0**53), 2.0**53))
-    laws[budget] = law = _Law(cuts, grid * 2.0**-53, floor, frac, budget)
-    for a in (law.cuts, law.lengths, floor, frac):
+    x = weights.p * budget
+    frac = x - np.floor(x)
+    base = np.floor(x).astype(int) + (frac > 1.0 - 1e-9)
+    on = np.flatnonzero((frac >= 1e-9) & (frac <= 1.0 - 1e-9))
+    c = np.cumsum(frac[on])
+    low = np.floor(c).astype(int)
+    r = budget - int(base.sum())
+    if not 0 <= r <= (np.append(0, low)[-2] + 1 if on.size else 0):  # C_0 = 0
+        raise ValueError(f"weights summing to {weights.p.sum()!r} are too far from the "
+                         f"simplex to round to budget {budget}")
+    steps = np.where(low < r, low + 1.0 - c, 1.0)
+    steps[-1:] = 1.0  # the last sum gains r whatever U
+    low = np.minimum(low, r)
+    low[-1:] = r
+    base[on] += np.diff(low, prepend=0)
+    cuts = np.unique(np.append(0.0, steps[steps < 1.0]))
+    laws[budget] = law = _Law(cuts, np.diff(np.append(cuts, 1.0)), base, on, steps)
+    for a in law:
         a.flags.writeable = False
     return law
 
@@ -442,11 +423,13 @@ def _draws(weights: DesignWeights, budget: int) -> _Law:
 def quantize_raw(weights: DesignWeights, budget: int, rng) -> np.ndarray:
     """One systematic-sampling draw (Madow 1949): one uniform U from `rng`
     rounds each p_i * budget, in node-index order, up with probability its
-    fractional part and down otherwise, and the quotas sum to the budget, so
-    one design's draws take at most support + 1 distinct values: the quotas
-    of the interval of `_draws` that holds U. When the draw has one value,
-    as when no p_i * budget has a fractional part, nothing is random: no
-    generator is built from `rng`, and a passed Generator is not advanced."""
+    fractional part and down otherwise, and the quotas sum to the budget: the
+    quotas of the interval of `_draws` that holds U, so one design's draws
+    take at most support + 1 distinct values. ValueError, whatever `rng`,
+    for weights too far off the simplex to round to the budget. When the
+    draw has one value, as when no p_i * budget has a fractional part,
+    nothing is random: no generator is built from `rng`, and a passed
+    Generator is not advanced."""
     law = _draws(weights, budget)
     if len(law.cuts) == 1:
         return law.quotas(0)

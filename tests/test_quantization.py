@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,7 +116,7 @@ class TestProbabilisticQuantize:
         assert np.abs(law.lengths @ quotas - w.p * budget).max() <= 1e-12
         assert len({m.tobytes() for m in quotas}) == len(law.cuts)
         assert len(law.cuts) <= np.count_nonzero(w.p) + 1
-        if not design._grid_split(w, budget)[1].any():  # on the grid: one allocation
+        if not law.on.size:  # on the grid: one allocation
             assert len(law.cuts) == 1
 
 
@@ -131,8 +134,8 @@ class TestSystematicDraw:
         ([0.1, 0.2, 0.3, 0.4], 3, 0.75, [1, 0, 1, 1]),
     ])
     def test_hand_worked_draws(self, p, budget, u, expected):
-        floor, frac = design._grid_split(DesignWeights(np.array(p)), budget)
-        assert design._systematic(floor, frac, budget, u).tolist() == expected
+        law = design._draws(DesignWeights(np.array(p)), budget)
+        assert law.quotas(law.interval(u)).tolist() == expected
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -143,24 +146,52 @@ class TestSystematicDraw:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_lookup_matches_the_formula_at_every_cut(self, kind, n, budget, seed):
-        # the lookup's cut points are exact, so on both sides of each one,
-        # an ulp away, it agrees with the formula evaluated at that u
+        # on both sides of each interval end, and at its middle, the lookup
+        # agrees with the floating-point formula wherever U is clear of a
+        # cut; next to one, C_j + U can round up to the integer early
         w = DesignWeights(fuzzed_weights(kind, n, budget, np.random.default_rng(seed)))
-        floor, frac = design._grid_split(w, budget)
-        law = design._draws(w, budget)
+        if (law := checked_law(w, budget)) is None:
+            return
+        gap = clear_gap(w, budget)
         ends = np.append(law.cuts, 1.0)
-        for u in np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)]):
-            if 0.0 <= u < 1.0:
-                assert np.array_equal(law.quotas(law.interval(u)),
-                                      design._systematic(floor, frac, budget, u))
+        mids = (ends[:-1] + ends[1:]) / 2
+        for u in np.concatenate([ends - gap, ends + gap, mids]):
+            if 0.0 <= u < 1.0 and np.abs(ends[1:] - u).min() >= gap:
+                assert np.array_equal(law.quotas(law.interval(u)), formula(w, budget, u))
 
     def test_quantize_raw_is_the_formula_at_its_uniform(self, rng):
         w = DesignWeights(rng.dirichlet(np.ones(9)))
-        floor, frac = design._grid_split(w, 25)
+        ends = np.append(design._draws(w, 25).cuts[1:], 1.0)
         for seed in range(50):
             u = np.random.default_rng(seed).random()
-            assert np.array_equal(design.quantize_raw(w, 25, seed),
-                                  design._systematic(floor, frac, 25, u))
+            assert np.abs(ends - u).min() >= clear_gap(w, 25)
+            assert np.array_equal(design.quantize_raw(w, 25, seed), formula(w, 25, u))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n=st.integers(min_value=1, max_value=12),
+        budget=st.one_of(st.integers(min_value=1, max_value=60),
+                         st.integers(min_value=2**40, max_value=2**53)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_cuts_are_exact(self, kind, n, budget, seed):
+        # each cut is ceil(C_j) - C_j of a float running sum C_j below the
+        # clip, rounded to the nearest double, and that is no rounding at all
+        # where floor(C_j) >= 1 or C_j >= 1/2
+        w = DesignWeights(fuzzed_weights(kind, n, budget, np.random.default_rng(seed)))
+        if (law := checked_law(w, budget)) is None:
+            return
+        floor, frac = split(w, budget)
+        r = budget - floor.sum()
+        expected = {0.0}
+        for c in np.cumsum(frac[frac > 0])[:-1]:  # the last sum always gains r
+            t = math.ceil(c) - Fraction(c)
+            if math.floor(c) < r and 0 < t < 1:
+                expected.add(float(t))
+                if c >= 0.5:
+                    assert Fraction(float(t)) == t
+        assert law.cuts.tolist() == sorted(expected)
 
     def test_whole_nodes_never_move(self):
         # p * 8 = (2.4, 2, 2.6, 1): only nodes 0 and 2 have a fractional part
@@ -174,6 +205,42 @@ class TestSystematicDraw:
         first = design.quantize_raw(w, 7, seed)
         assert np.array_equal(design.quantize_raw(w, 7, seed), first)
         assert np.array_equal(design.quantize_raw(w, 7, np.random.SeedSequence(seed)), first)
+
+
+class TestOffSimplexWeights:
+    """Weights whose p_i * budget miss the budget are refused up front, for
+    every U alike, where some draw would break the contract."""
+
+    @pytest.mark.parametrize("p, budget, broken", [
+        # p_i * budget rounds to integers that sum to the budget minus 1
+        ([0.6666666666666666, 0.3333333333333333], 7_560_851_077_007_530,
+         [5040567384671686, 2520283692335843]),
+        # p sums to 1 - 2.1e-11: U below 1e-10 gives the last node 2 units
+        ([0.335, 0.334999999999, 0.32999999998], 100, [33, 33, 34]),
+    ])
+    def test_regression_refused(self, p, budget, broken):
+        w = DesignWeights(np.array(p))
+        drawn = formula(w, budget, 0.0)
+        assert drawn.tolist() == broken and not keeps_contract(drawn, w, budget)
+        for seed in range(5):
+            with pytest.raises(ValueError, match="too far from the simplex"):
+                design.quantize_raw(w, budget, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n=st.integers(min_value=1, max_value=12),
+        off=st.floats(min_value=-0.999e-10, max_value=0.999e-10),
+        budget=st.one_of(st.integers(min_value=1, max_value=200),
+                         st.integers(min_value=2**30, max_value=2**53)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_refused_or_every_draw_keeps_the_contract(self, kind, n, off, budget, seed):
+        w = DesignWeights(fuzzed_weights(kind, n, budget, np.random.default_rng(seed))
+                          * (1.0 + off))
+        if (law := checked_law(w, budget)) is not None:
+            for i in range(len(law.cuts)):
+                assert keeps_contract(law.quotas(i), w, budget)
 
 
 class TestAllocateFromWeights:
@@ -215,6 +282,56 @@ class TestAllocateFromWeights:
             design.allocate_from_weights(
                 np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 DesignWeights(np.array([0.45, 0.45, 0.1])), 2, np.array([1, 1, 0]))
+
+
+def split(weights, budget):
+    """p * budget as its floor and its fractional part, a part within 1e-9
+    of 0 or 1 snapped away: the reference for `_draws`' split."""
+    x = weights.p * budget
+    floor = np.floor(x)
+    frac = x - floor
+    floor[frac > 1.0 - 1e-9] += 1.0
+    frac[(frac < 1e-9) | (frac > 1.0 - 1e-9)] = 0.0
+    return floor, frac
+
+
+def formula(weights, budget, u):
+    """Systematic sampling in floating point, the reference for the law:
+    floor + diff(min(floor(C_j + u), r)) with the last sum set to r, for the
+    running sums C_j of the nonzero fractional parts and r = budget -
+    sum(floor)."""
+    floor, frac = split(weights, budget)
+    on = np.flatnonzero(frac)
+    r = budget - floor.sum()
+    k = np.minimum(np.floor(np.cumsum(frac[on]) + u), r)
+    k[-1:] = r
+    floor[on] += np.diff(k, prepend=0.0)
+    return floor.astype(int)
+
+
+def clear_gap(weights, budget):
+    """How far U must be from a cut, or from 1, for `formula` to agree with
+    the law: 2**-52, or the spacing of the doubles at floor(C_j) + 1 for the
+    largest running sum C_j if that is coarser, since C_j + U rounds to the
+    integer above it from half a spacing below."""
+    c = np.cumsum(split(weights, budget)[1])
+    return np.spacing(np.floor(c.max()) + 1.0)
+
+
+def keeps_contract(m, weights, budget):
+    """Whether quotas m sum to the budget and lie within 1 of p_i * budget."""
+    return m.sum() == budget and (np.abs(m - weights.p * budget) < 1).all()
+
+
+def checked_law(weights, budget):
+    """`_draws(weights, budget)`, or None where it refuses the pair, which it
+    may do only when `formula` at U = 0 breaks the contract."""
+    try:
+        return design._draws(weights, budget)
+    except ValueError as exc:
+        assert "too far from the simplex" in str(exc)
+        assert not keeps_contract(formula(weights, budget, 0.0), weights, budget)
+        return None
 
 
 def fuzzed_weights(kind, n, budget, rng):
