@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import json
 import math
 import numbers
@@ -135,7 +136,9 @@ class ScenarioConfig:
     def __post_init__(self):
         _checked("config", _SCHEMA["config"],
                  {f.name: getattr(self, f.name) for f in fields(self)})
-        design._positive(self.trials, "trials")
+        # a trial index reaches `_uniforms` as one uint32 word
+        if design._positive(self.trials, "trials") > 2**32:
+            raise ValueError(f"trials must be at most 2**32, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed}")
         if not self.methods:
@@ -280,41 +283,32 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 
 
 def _uniforms(prefix: list[int], trials) -> np.ndarray:
-    """`np.random.default_rng([*prefix, t]).random()` for each int t >= 0 in
-    `trials`, bit for bit, in one pass of uint32 and uint64 array arithmetic:
-    SeedSequence's entropy mixing and 4-word state, PCG64's seeding (two LCG
-    steps) and its first output (one more step, XSL-RR), as a double in
-    [0, 1) from its top 53 bits. An int entry contributes its 32-bit words,
-    so trials below and from 2**32 differ in key length and run apart."""
-    trials = np.asarray(trials, dtype=np.uint64)
-    head = [w for n in prefix for w in _words(n)]
-    out = np.empty(trials.shape)
-    for wide in (False, True):
-        if not (sel := (trials >> 32 > 0) == wide).any():
-            continue
-        t = trials[sel]
-        tail = [t & _LOW32, t >> 32] if wide else [t]
-        entropy = ([np.full(t.shape, w, np.uint32) for w in head]
-                   + [word.astype(np.uint32) for word in tail])
-        hash_a, zero = _hasher(_INIT_A, _MULT_A), np.zeros(t.shape, np.uint32)
-        pool = [hash_a(v) for v in (entropy + [zero] * _POOL_WORDS)[:_POOL_WORDS]]
-        for src in range(_POOL_WORDS):
-            for dst in range(_POOL_WORDS):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hash_a(pool[src]))
-        for value in entropy[_POOL_WORDS:]:
-            for dst in range(_POOL_WORDS):
-                pool[dst] = _mix(pool[dst], hash_a(value))
-        hash_b = _hasher(_INIT_B, _MULT_B)
-        w = [hash_b(pool[i % _POOL_WORDS]).astype(np.uint64) for i in range(8)]
-        seed_hi, seed_lo, seq_hi, seq_lo = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
-        inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-        lo = inc_lo + seed_lo
-        hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58
-        out[sel] = (x >> rot | x << (64 - rot & 63)) >> 11
-    return out * 2.0**-53
+    """`np.random.default_rng([*prefix, t]).random()` for each t in `trials`,
+    ints in [0, 2**32), bit for bit, in one pass of uint32 and uint64 array
+    arithmetic: SeedSequence's entropy mixing and 4-word state, PCG64's
+    seeding (two LCG steps) and its first output (one more step, XSL-RR), as
+    a double in [0, 1) from its top 53 bits. A prefix entry contributes its
+    32-bit words, a trial index one word."""
+    t = np.asarray(trials, dtype=np.uint32)
+    entropy = [np.full(t.shape, w, np.uint32) for n in prefix for w in _words(n)] + [t]
+    hash_a, zero = _hasher(_INIT_A, _MULT_A), np.zeros(t.shape, np.uint32)
+    pool = [hash_a(v) for v in (entropy + [zero] * _POOL_WORDS)[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
+    for value in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hash_a(value))
+    hash_b = _hasher(_INIT_B, _MULT_B)
+    w = [hash_b(pool[i % _POOL_WORDS]).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = inc_lo + seed_lo
+    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    x, rot = hi ^ lo, hi >> 58
+    return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
 
 
 def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRecord]:
@@ -344,9 +338,12 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
         if "m3" in cfg.methods:
             seqs["m3"] = baselines.top_m_selection(weights, budget)
         law = design._draws(weights, budget) if "proposed" in cfg.methods else None
-        # the proposed allocations, one per interval of the law drawn; a draw
+        # the proposed allocation of each interval of the law drawn; a draw
         # that fails is not kept
-        allocations = {}
+        @functools.cache
+        def allocation(i):
+            return design.allocate_from_weights(rows, weights, budget, law.quotas(i))[0]
+
         for snr in sig["snr_db_grid"]:
             if law is not None:
                 key = [cfg.master_seed, _ROLE_METHOD, cfg.methods.index("proposed"), gi]
@@ -359,14 +356,7 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
                 for method in cfg.methods:
                     t0 = time.perf_counter() if measure_time else 0.0
                     try:
-                        if method == "proposed":
-                            seq = allocations.get(i := draws[trial])
-                            if seq is None:
-                                seq, _ = design.allocate_from_weights(
-                                    rows, weights, budget, law.quotas(i))
-                                allocations[i] = seq
-                        else:
-                            seq = seqs[method]
+                        seq = allocation(draws[trial]) if method == "proposed" else seqs[method]
                         y = f[seq.indices] + noise
                         est = estimation.blue_estimate(basis, k, seq, y, f_true=f)
                         err, status = est.error_l2, "ok"

@@ -160,7 +160,7 @@ def random_geometric(n: int, radius: float, kernel_width: float | None,
         kernel_width = radius / 2.0
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    if radius <= 0 or kernel_width <= 0:
+    if not (radius > 0 and kernel_width > 0):  # NaN too
         raise ValueError("radius and kernel_width must be positive")
     for stream in np.random.SeedSequence(seed).spawn(_CONNECTIVITY_RETRIES):
         rng = np.random.default_rng(stream)

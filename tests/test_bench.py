@@ -54,6 +54,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="method 'm1' is listed twice"):
             tiny_config(methods=["m1", "proposed", "m1"])
 
+    @pytest.mark.parametrize("make", [
+        lambda trials: tiny_config(trials=trials),
+        lambda trials: dataclasses.replace(tiny_config(), trials=trials),
+    ])
+    def test_trials_at_most_two_to_the_32(self, make):
+        # every trial index fits the one uint32 word `_uniforms` reads; a
+        # config is checked without running
+        assert make(2**32).trials == 2**32
+        with pytest.raises(ValueError, match=r"^trials must be at most 2\*\*32, got 4294967297$"):
+            make(2**32 + 1)
+
     @pytest.mark.parametrize("graph", [
         *[preset["graph"] for preset in bench.PRESETS.values()],
         {"kind": "watts_strogatz", "n": 40},
@@ -554,9 +565,9 @@ class TestBenchmarkHooks:
 
 class TestBulkUniforms:
     """`bench._uniforms` draws what `np.random.default_rng([*prefix, t]).random()`
-    does for each trial t, bit for bit, in one pass."""
+    does for each trial t below 2**32, bit for bit, in one pass."""
 
-    TRIALS = [0, 1, 2, 199, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7, 2**63 - 1]
+    TRIALS = [0, 1, 2, 199, 2**32 - 2, 2**32 - 1]
 
     @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 10**30])
     @pytest.mark.parametrize("tail", [[0, 0], [2, 17], [2**33, 5]])
@@ -567,7 +578,7 @@ class TestBulkUniforms:
 
     @settings(max_examples=100, deadline=None)
     @given(prefix=st.lists(st.integers(min_value=0, max_value=2**130), max_size=6),
-           trials=st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=8))
+           trials=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=8))
     def test_any_key_length(self, prefix, trials):
         # keys shorter than SeedSequence's 4-word pool are padded, longer ones
         # mixed in after it

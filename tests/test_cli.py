@@ -208,6 +208,18 @@ class TestGraphAndDesign:
         assert code == 1 and out == ""
         assert err == f"error: budget {budget} is above 2**53, too fine a grid to round to\n"
 
+    def test_out_of_memory_fails_cleanly(self, capsys, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(design, "design_pipeline", exhausted)
+        gpath = tmp_path / "g.edges"
+        graphs.save_edge_list(graphs.watts_strogatz(6, 2, 0.0, seed=0), gpath)
+        code, out, err = run(capsys, "design", "--graph", str(gpath), "--bandwidth", "2",
+                             "--budget", "4")
+        assert code == 1 and out == ""
+        assert err == "error: Unable to allocate 7.45 GiB for an array\n"
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_edge_weight_rejected(self, capsys, tmp_path, weight):
         gpath = tmp_path / "g.edges"

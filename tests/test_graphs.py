@@ -78,6 +78,14 @@ class TestRandomGeometric:
         with pytest.raises(ValueError, match="need at least 2 nodes, got 1"):
             graphs.random_geometric(1, 0.5, 0.25, seed=0)
 
+    @pytest.mark.parametrize("radius, kernel_width", [
+        (float("nan"), None), (float("nan"), 0.25), (0.5, float("nan")),
+        (0.0, 0.25), (0.5, -1.0),
+    ])
+    def test_radius_and_width_must_be_positive(self, radius, kernel_width):
+        with pytest.raises(ValueError, match="radius and kernel_width must be positive"):
+            graphs.random_geometric(20, radius, kernel_width, seed=0)
+
     def test_disconnected_after_every_attempt(self):
         # radius 0.01 leaves some of 20 points isolated in every attempt
         with pytest.raises(GraphConnectivityError, match=r"random_geometric\(n=20, "
