@@ -65,14 +65,16 @@ def _positive(value, what: str = "budget") -> int:
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """`values` as a new int array; ValueError unless the dtype is integer or
-    real float and every entry is a finite integer (so strings, bools,
+    """`values` as a new int array; ValueError unless the dtype is integer or real
+    float and every entry is a finite integer in int64's range (so strings, bools,
     complex and object entries are rejected; integral floats are accepted)."""
     a = np.asarray(values)
     if a.dtype.kind not in "iu" and not (
         a.dtype.kind == "f" and (np.isfinite(a) & (a == np.round(a))).all()
     ):
         raise ValueError(f"{what} must be integers, got {a.tolist()}")
+    if a.size and not -2**63 <= a.min().item() <= a.max().item() < 2**63:  # exact in Python
+        raise ValueError(f"{what} must lie in [-2**63, 2**63), got {a.tolist()}")
     return a.astype(int)
 
 
@@ -501,7 +503,7 @@ def allocate_from_weights(
                          "weights, each within 1 of p_i * budget")
     alloc = SampleAllocation(m=m, budget=budget)
     shifts = 0
-    while _rank_deficient(_sampled_eigh(rows, alloc)[1]):
+    while _rank_deficient(_sampled_eigh(rows, alloc)[0]):
         if shifts >= rows.shape[1]:
             raise FallbackExhausted(
                 f"quantized design still singular after {shifts} budget shifts"
@@ -555,10 +557,10 @@ def design_pipeline(
     alloc, fallback_moves = allocate_from_weights(
         rows, weights, budget, quantize_raw(weights, budget, seed))
     w, gap = _evaluate(rows, weights, criterion)
-    w_hat = _sampled_eigh(rows, alloc)[1] / budget  # full rank: allocate_from_weights checked it
+    w_hat = _sampled_eigh(rows, alloc)[0] / budget  # full rank: allocate_from_weights checked it
     law = _draws(weights, budget)
     invertible = [not _rank_deficient(_sampled_eigh(
-        rows, SampleAllocation(m=law.quotas(i), budget=budget))[1]) for i in range(len(law.cuts))]
+        rows, SampleAllocation(m=law.quotas(i), budget=budget))[0]) for i in range(len(law.cuts))]
     diagnostics = {
         "relaxed_objective": _scalarized(w, criterion),
         "quantized_objective": _scalarized(w_hat, criterion),

@@ -68,12 +68,12 @@ def blue_estimate(
     unless the allocation has one quota per node of the basis and a finite sampled
     Gram, and unless `y` is finite with an estimate inside the double range."""
     y = np.asarray(y, dtype=float)
-    if y.shape != seq.indices.shape:
+    if y.shape != (seq.budget,):
         raise ValueError("observation length does not match sequence")
-    # least squares through the normal equations; the allocation keeps the
-    # factorization of its Gram, and the rank test runs every call
+    # least squares through the normal equations over the sampled nodes; the
+    # allocation keeps the factorization of its Gram, and the rank test runs every call
     V_K = _band(basis, bandwidth)
-    V_mk, w, Q = _sampled_eigh(V_K, seq)
+    w, P, starts = _sampled_eigh(V_K, seq)
     if _rank_deficient(w):
         raise RankDeficientSampling(f"sampled rows have numerical rank below {bandwidth}")
     # a finite estimate keeps its bits; one that overflows is solved again on
@@ -81,12 +81,12 @@ def blue_estimate(
     # means finite coefficients, and |signal_i| <= |c|: a finite c.c (|c| below
     # 1.3e154) rules out overflow without the elementwise test
     with np.errstate(all="ignore"):
-        coeffs = Q @ ((Q.T @ (V_mk.T @ y)) / w)
+        coeffs = P @ np.add.reduceat(y, starts)
         signal = V_K @ coeffs
         if not math.isfinite(coeffs.dot(coeffs)) and not np.isfinite(signal).all():
             scale = np.abs(y).max()  # not finite unless y is
             if np.isfinite(scale):
-                coeffs = scale * (Q @ ((Q.T @ (V_mk.T @ (y / scale))) / w))
+                coeffs = scale * (P @ np.add.reduceat(y / scale, starts))
                 signal = V_K @ coeffs
             if not np.isfinite(signal).all():
                 raise ValueError("observations must be finite and give an estimate "

@@ -93,24 +93,27 @@ def design_rows(basis: SpectralBasis, k: int) -> np.ndarray:
 
 
 def _sampled_eigh(V_K: np.ndarray, alloc):
-    """V_S = V_K[alloc.indices] and the eigh (w, Q) of V_S^T V_S, all read-only and kept on
-    `alloc` while a later V_S has the same bits (not -0.0 for 0.0), so an allocation's rank
-    check and BLUE on it factor it once. ValueError, not kept and with no warning first,
-    unless `alloc` has one quota per row of V_K and the Gram is finite."""
+    """For the rows U = V_K[S] of the nodes S that `alloc` samples, the ascending eigenvalues w of
+    G = U^T diag(m_S) U, P = G^-1 U^T and where each node's run starts in `alloc.indices`, so
+    P @ np.add.reduceat(y, starts) is least squares on y observed there; read-only and kept on
+    `alloc` while a later U has the same bits (not -0.0 for 0.0). ValueError, not kept and with
+    no warning first, unless `alloc` has one quota per row of V_K and the Gram is finite."""
     if len(alloc.m) != len(V_K):
         raise ValueError(f"basis has {len(V_K)} nodes but the allocation {len(alloc.m)} quotas")
-    V_S = V_K[alloc.indices]
-    kept = alloc.__dict__.get("_eigh")
-    if kept is not None and kept[0].tobytes() == V_S.tobytes():
+    S, kept_U, kept = alloc.__dict__.get("_eigh") or (np.flatnonzero(alloc.m), None, None)
+    U = V_K[S]
+    if kept is not None and kept_U.tobytes() == U.tobytes():
         return kept
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
-        G = V_S.T @ V_S
-    if not np.isfinite(G).all():
-        raise ValueError("sampled Gram is not finite: non-finite or overflowing rows")
-    w, Q = np.linalg.eigh(G)
-    V_S.flags.writeable = w.flags.writeable = Q.flags.writeable = False
-    alloc.__dict__["_eigh"] = kept = (V_S, w, Q)
-    return kept
+    with np.errstate(all="ignore"):  # non-finite G is refused below, singular G by the rank rule
+        G = U.T @ (alloc.m[S, None] * U)
+        if not np.isfinite(G).all():
+            raise ValueError("sampled Gram is not finite: non-finite or overflowing rows")
+        w, Q = np.linalg.eigh(G)
+        P = Q @ ((Q.T @ U.T) / w[:, None])
+    starts = (np.cumsum(alloc.m) - alloc.m)[S]
+    w.flags.writeable = P.flags.writeable = starts.flags.writeable = False
+    alloc.__dict__["_eigh"] = S, U, (w, P, starts)
+    return alloc.__dict__["_eigh"][2]
 
 
 def _rank_deficient(w: np.ndarray):

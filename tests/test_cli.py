@@ -299,6 +299,15 @@ class TestGraphAndDesign:
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: signal has 0 values but the allocation 6 quotas"]
 
+    @pytest.mark.parametrize("quota", [2**63, -(2.0**63) - 2**11, 1e20],
+                             ids=["2**63", "-2**63-2**11", "1e20"])
+    def test_quotas_beyond_int64_fail_cleanly(self, capsys, tmp_path, quota):
+        args = estimate_args(tmp_path, {**DESIGN, "m": [quota, 1, 0, 0, 0, 0]})
+        code, out, err = run(capsys, *args)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "quotas must lie in [-2**63, 2**63)" in err
+
     def test_integral_float_design_accepted(self, capsys, tmp_path):
         design_json = {"m": [1.0, 1, 1, 0, 0, 0], "budget": 3.0, "bandwidth": 2.0}
         code, out, _ = run(capsys, *estimate_args(tmp_path, design_json))

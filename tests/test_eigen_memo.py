@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import sampling
+from conftest import random_orthonormal_rows, sampling
 from gsample import bench, design, estimation, graphs, spectral
 from gsample.design import DesignWeights, SampleAllocation
 from gsample.exceptions import FallbackExhausted, RankDeficientSampling
@@ -26,9 +26,14 @@ def repeated_sequence(n, k, rng):
     return sampling(np.concatenate([distinct, rng.choice(distinct, size=2 * k)]), n)
 
 
-def sampled_gram(basis, k, seq):
-    V = basis.eigenvectors[:, :k][seq.indices]
-    return V.T @ V
+def support_form(V_K, seq):
+    """`_sampled_eigh`'s (w, P, starts) written out: the eigh (w, Q) of the Gram
+    G = U^T diag(m_S) U over the rows U of the sampled nodes S, P = G^-1 U^T
+    formed through Q, and where each node's run starts in `seq.indices`."""
+    S = np.flatnonzero(seq.m)
+    U = V_K[S]
+    w, Q = np.linalg.eigh(U.T @ (seq.m[S, None] * U))
+    return w, Q @ ((Q.T @ U.T) / w[:, None]), (np.cumsum(seq.m) - seq.m)[S]
 
 
 class TestBitwiseEqual:
@@ -40,26 +45,28 @@ class TestBitwiseEqual:
         cold = spectral._sampled_eigh(V_K, seq)
         warm = spectral._sampled_eigh(V_K.copy(), seq)
         other = spectral._sampled_eigh(V_K, sampling(seq.indices, basis.n))
-        w, Q = np.linalg.eigh(sampled_gram(basis, k, seq))
+        expected = support_form(V_K, seq)
         assert warm is cold
-        for V_S, w_S, Q_S in (cold, other):
-            assert np.array_equal(w_S, w) and np.array_equal(Q_S, Q)
-            assert np.array_equal(V_S, V_K[seq.indices])
+        for got in (cold, other):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+        # each sampled node's run in the sequence begins at its start
+        assert np.array_equal(cold[2], np.searchsorted(seq.indices, np.flatnonzero(seq.m)))
 
     def test_mutated_input_is_a_new_key(self, rng):
         V = rng.standard_normal((4, 3))
         alloc = sampling(np.arange(4), 4)
-        before = spectral._sampled_eigh(V, alloc)[1].copy()
+        before = spectral._sampled_eigh(V, alloc)[0].copy()
         V *= 2.0
-        after = spectral._sampled_eigh(V, alloc)[1]
-        assert np.array_equal(after, np.linalg.eigh(V.T @ V)[0])
+        after = spectral._sampled_eigh(V, alloc)[0]
+        assert np.array_equal(after, support_form(V, alloc)[0])
         assert not np.array_equal(after, before)
         # a sampled 0.0 turned -0.0 leaves every value equal but not every bit
         V[2, 1] = 0.0
-        spectral._sampled_eigh(V, alloc)
+        zero = spectral._sampled_eigh(V, alloc)
         V[2, 1] = -0.0
-        V_S = spectral._sampled_eigh(V, alloc)[0]
-        assert V_S.tobytes() == V[alloc.indices].tobytes()
+        negative_zero = spectral._sampled_eigh(V, alloc)
+        assert negative_zero is not zero
+        assert spectral._sampled_eigh(V, alloc) is negative_zero
 
     @pytest.mark.parametrize("m", [[1, 1, 0, 0, 0], [1, 1, 0]], ids=["5-quotas", "3-quotas"])
     def test_allocation_for_another_node_count_rejected(self, rng, m):
@@ -76,6 +83,54 @@ class TestBitwiseEqual:
         for _ in range(5):
             estimation.blue_estimate(basis, k, seq, rng.standard_normal(seq.budget))
         assert len(calls) == 1
+
+
+class TestSupportForm:
+    """An allocation's Gram is its moment matrix sum_i m_i u_i u_i^T over the
+    nodes it samples, and BLUE sums each node's observations: neither expands
+    the M-entry sampling sequence."""
+
+    # E is left out: rounding its uniform design on 30 nodes moves lambda_min
+    # by about N / M, 3e-5 relative at this budget
+    @pytest.mark.parametrize("criterion", ["a", "d"])
+    def test_large_budget_design_never_expands_its_sequence(self, basis, criterion):
+        result = design.design_pipeline(basis, 15, 10**6, criterion, seed=0)
+        assert "indices" not in result.allocation.__dict__
+        assert sum(result.allocation.m) == 10**6
+        d = result.diagnostics
+        rel = abs(d["quantized_objective"] - d["relaxed_objective"]) / abs(d["relaxed_objective"])
+        assert rel <= 1e-6
+        assert d["invertible_probability"] == 1.0 and d["fallback_moves"] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4),
+           m=st.lists(st.integers(0, 10**6), min_size=4, max_size=8))
+    def test_eigenvalues_are_the_moment_matrix_ones(self, seed, k, m):
+        m = np.array(m)
+        assume(m.sum() >= 1)
+        V = random_orthonormal_rows(len(m), k, np.random.default_rng(seed))
+        w = spectral._sampled_eigh(V, SampleAllocation(m, int(m.sum())))[0]
+        expected = np.linalg.eigvalsh(sum(m_i * np.outer(u, u) for m_i, u in zip(m, V)))
+        assert np.abs(w - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4),
+           m=st.lists(st.integers(0, 5), min_size=4, max_size=8))
+    def test_blue_matches_lstsq_on_the_sequence(self, seed, k, m):
+        m = np.array(m)
+        assume(m.sum() >= 1)
+        rng = np.random.default_rng(seed)
+        V = random_orthonormal_rows(len(m), k, rng)
+        seq = SampleAllocation(m, int(m.sum()))
+        V_S = V[seq.indices]
+        # the normal equations square the condition number lstsq sees
+        assume(np.linalg.matrix_rank(V_S) == k and np.linalg.cond(V_S) < 1e3)
+        y = rng.standard_normal(seq.budget)
+        basis = spectral.SpectralBasis(np.arange(float(len(m))), V)
+        est = estimation.blue_estimate(basis, k, seq, y)
+        expected = np.linalg.lstsq(V_S, y, rcond=None)[0]
+        scale = max(1.0, np.abs(expected).max())
+        assert np.abs(est.coeff_estimate - expected).max() <= 1e-8 * scale
 
 
 class TestBlue:
@@ -187,19 +242,18 @@ class TestMemoSafety:
             with pytest.raises(ValueError, match="sampled Gram is not finite"):
                 spectral._sampled_eigh(V, alloc)
         V[1] = [0.0, 1.0, 0.0]
-        _, w, Q = spectral._sampled_eigh(V, alloc)
-        assert np.array_equal(w, np.ones(3)) and np.array_equal(np.abs(Q), np.eye(3))
+        w, P, starts = spectral._sampled_eigh(V, alloc)
+        assert np.array_equal(w, np.ones(3)) and np.array_equal(P, np.eye(3))
+        assert starts.tolist() == [0, 1, 2]
 
     def test_results_are_read_only(self, basis, rng):
         k = 4
         seq = repeated_sequence(basis.n, k, rng)
         V_K = basis.eigenvectors[:, :k]
-        _, w, Q = spectral._sampled_eigh(V_K, seq)
-        for a in (w, Q):
+        for a in spectral._sampled_eigh(V_K, seq):
             with pytest.raises(ValueError):
-                a[0] = 0.0
-        G = sampled_gram(basis, k, seq)
-        assert np.array_equal(spectral._sampled_eigh(V_K, seq)[1], np.linalg.eigh(G)[0])
+                a[0] = 0
+        assert np.array_equal(spectral._sampled_eigh(V_K, seq)[0], support_form(V_K, seq)[0])
 
     def test_nothing_outlives_a_run(self, monkeypatch):
         # a factorization kept past its allocation would spare the second run

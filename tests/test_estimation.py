@@ -32,6 +32,20 @@ class TestSamplingSequence:
         with pytest.raises(ValueError, match="quotas must be integers"):
             SampleAllocation(indices, 2)
 
+    @pytest.mark.parametrize("m", [
+        [2**63, 1], [2.0**63, 0.0], [-(2.0**63) - 2**11, 1], [1e20, 1],
+        np.array([2**63, 1], dtype=np.uint64),
+    ], ids=["2**63", "2.0**63", "-2**63-2**11", "1e20", "uint64"])
+    def test_quotas_beyond_int64_refused_without_a_warning(self, m):
+        # the cast to int64 wrapped them, with a RuntimeWarning, to quotas
+        # refused as negative
+        with pytest.raises(ValueError, match=r"quotas must lie in \[-2\*\*63, 2\*\*63\)"):
+            SampleAllocation(m, 1)
+
+    def test_int64_minimum_is_in_range(self):
+        with pytest.raises(ValueError, match="quotas must be nonnegative"):
+            SampleAllocation([-(2.0**63), 1], 1)
+
     def test_integral_floats_accepted(self):
         seq = SampleAllocation([0.0, 1.0, 2.0], 3)
         assert seq.indices.dtype.kind == "i"
@@ -55,7 +69,8 @@ class TestSamplingSequence:
         assert len(calls) == 1
 
     def test_proposed_trial_expands_once(self, basis, monkeypatch):
-        # allocation's rank check, the observation and BLUE read one sequence
+        # only the observation expands the sequence: the allocation's rank
+        # check and BLUE work on the nodes it samples
         k = 4
         rows = spectral.design_rows(basis, k)
         weights = design.DesignWeights(np.full(basis.n, 1.0 / basis.n))
@@ -63,6 +78,7 @@ class TestSamplingSequence:
         monkeypatch.setattr(np, "repeat", lambda *a: calls.append(1) or repeat(*a))
         seq, _ = design.allocate_from_weights(
             rows, weights, 3 * k, design.quantize_raw(weights, 3 * k, 0))
+        assert "indices" not in seq.__dict__
         f = spectral.synthesize_bandlimited(basis, np.ones(k))
         sigma = estimation.noise_std_for_snr(f, 10.0)
         y = f[seq.indices] + sigma * np.random.default_rng(1).standard_normal(seq.budget)
@@ -219,12 +235,12 @@ class TestBlueEstimate:
     @pytest.mark.parametrize("value", [
         pytest.param(3e307, id="rescaled"), pytest.param(1e200, id="square-overflows")])
     def test_overflowing_estimate_rescaled(self, value):
-        # a 30-node ring sampled 4 times per node: the constant 3e307 signal's
+        # a 30-node ring sampled 8 times per node: the constant 3e307 signal's
         # one coefficient, 3e307 * sqrt(30) = 1.6e308, fits in a double, but
-        # the normal equations' V_S^T y (6.6e308) does not. At 1e200 nothing
+        # each node's sum of observations (2.4e308) does not. At 1e200 nothing
         # overflows but the coefficient's square
         basis = spectral.eigendecompose(graphs.laplacian(graphs.watts_strogatz(30, 2, 0.0, 0)))
-        seq = SampleAllocation(np.full(30, 4), 120)
+        seq = SampleAllocation(np.full(30, 8), 240)
         f = np.full(30, value)
         y = f[seq.indices]
         scale = np.abs(y).max()
