@@ -116,19 +116,19 @@ def _as_rows(rows) -> np.ndarray:
     return rows
 
 
-def _eigenvalues(A) -> np.ndarray:
-    """Ascending eigenvalues of a K x K information matrix A, K >= 1.
-    ValueError unless its entries are finite; SingularInformationMatrix when
-    the eigenvalues fail the rank rule."""
+def _eigenvalues(A) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues w and orthonormal eigenvectors Q of a K x K
+    information matrix A, K >= 1, from one `eigh`. ValueError unless its
+    entries are finite; SingularInformationMatrix when w fails the rank rule."""
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
         raise ValueError("information matrix must be finite")
-    w = np.linalg.eigvalsh(A)
+    w, Q = np.linalg.eigh(A)
     if _rank_deficient(w):
         raise SingularInformationMatrix(
             f"sigma_min={w[0]:.3e} below threshold for norm {w[-1]:.3e}"
         )
-    return w
+    return w, Q
 
 
 def _scalarized(w: np.ndarray, criterion: Criterion) -> float:
@@ -157,17 +157,16 @@ def _e_bound(rows: np.ndarray) -> float:
 
 
 def _evaluate(rows, weights: DesignWeights, criterion: Criterion) -> tuple[np.ndarray, float]:
-    """The ascending eigenvalues of A(p) = sum_i p_i u_i u_i^T for the finite
-    design rows u_i, checked by `_eigenvalues`, and `duality_gap` at p, from
-    one A(p): the library's one evaluation of a relaxed design."""
+    """The ascending eigenvalues w of A(p) = sum_i p_i u_i u_i^T for the finite
+    design rows u_i, and `duality_gap` at p with A^-1 = Q diag(1/w) Q^T, from
+    one `_eigenvalues` of A(p): the library's one evaluation of a relaxed design."""
     p = weights.p
     if rows.shape[0] != p.shape[0]:
         raise ValueError(f"{rows.shape[0]} rows but {p.shape[0]} weights")
-    A = rows.T @ (p[:, None] * rows)
-    w = _eigenvalues(A)
+    w, Q = _eigenvalues(rows.T @ (p[:, None] * rows))
     if criterion is Criterion.E_OPT:
         return w, _scalarized(w, criterion) - 1.0 / _e_bound(rows)
-    g = _gradient(rows, np.linalg.inv(A), criterion)
+    g = _gradient(rows, (Q / w) @ Q.T, criterion)
     return w, float(p @ g - g.min())
 
 
@@ -272,13 +271,13 @@ def _solve_fw(rows, criterion):
     Starts from uniform weight on the K rows `_volume_rows` picks, the
     core-set start for D-optimal design (Kumar & Yildirim 2005). Each
     iteration factors A(p) = L L^T once: the stop bound's objective comes
-    from L, the gradient g from A^-1, and both Newton tries share A^-1 and
-    L^-1. It stops once the duality gap is at most _SOLVER_RTOL * max(1,
-    |objective|), and otherwise takes a `_newton_step` on the support plus
-    the Frank-Wolfe vertex argmin g (lowest index on ties), or, when that
-    does not move, on the support alone. ValueError, naming the gap and its
-    bound, when A is not positive definite, neither step moves or
-    _FW_MAX_ITER iterations pass.
+    from L, the gradient g from A^-1 = L^-T L^-1, and both Newton tries
+    share A^-1 and L^-1. It stops once the duality gap is at most
+    _SOLVER_RTOL * max(1, |objective|), and otherwise takes a `_newton_step`
+    on the support plus the Frank-Wolfe vertex argmin g (lowest index on
+    ties), or, when that does not move, on the support alone. ValueError,
+    naming the gap and its bound, when A is not positive definite, neither
+    step moves or _FW_MAX_ITER iterations pass.
     """
     n, k = rows.shape
     p = np.zeros(n)
@@ -293,7 +292,7 @@ def _solve_fw(rows, criterion):
             stop = "information matrix not positive definite"
             break
         Linv = np.linalg.inv(L)
-        Ainv = np.linalg.inv(A)
+        Ainv = Linv.T @ Linv
         g = _gradient(rows, Ainv, criterion)
         gap = p @ g - g.min()
         f = -2.0 * np.log(np.diag(L)).sum() if criterion is Criterion.D_OPT else (Linv**2).sum()
@@ -430,12 +429,13 @@ def quantize_raw(weights: DesignWeights, budget: int, rng) -> np.ndarray:
     take at most support + 1 distinct values. ValueError, whatever `rng`,
     for weights too far off the simplex to round to the budget. When the
     draw has one value, as when no p_i * budget has a fractional part,
-    nothing is random: no generator is built from `rng`, and a passed
-    Generator is not advanced."""
+    nothing is random: `rng` is still checked, but no uniform is drawn
+    from it, and a passed Generator is not advanced."""
     law = _draws(weights, budget)
+    rng = np.random.default_rng(rng)
     if len(law.cuts) == 1:
         return law.quotas(0)
-    return law.quotas(law.interval(np.random.default_rng(rng).random()))
+    return law.quotas(law.interval(rng.random()))
 
 
 def _check_sample_size_inputs(sigma_min: float, n: int) -> int:

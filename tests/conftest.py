@@ -15,7 +15,7 @@ def sampling(nodes, n):
 def score(A, crit):
     """The criterion `crit` of the information matrix A, as the library
     scores it: `design._eigenvalues`' checks, then `design._scalarized`."""
-    return design._scalarized(design._eigenvalues(A), Criterion(crit))
+    return design._scalarized(design._eigenvalues(A)[0], Criterion(crit))
 
 
 def random_orthonormal_rows(n, k, rng):

@@ -208,6 +208,17 @@ class TestGraphAndDesign:
         assert code == 1 and out == ""
         assert err == f"error: budget {budget} is above 2**53, too fine a grid to round to\n"
 
+    @pytest.mark.parametrize("crit", ["a", "d"])
+    def test_negative_seed_refused_on_and_off_the_rounding_grid(self, capsys, tmp_path, crit):
+        # on this graph D at K = 15, M = 60 sits on the rounding grid and A does
+        # not; the seed is refused either way, though only A draws a uniform
+        gpath = tmp_path / "g.edges"
+        graphs.save_edge_list(graphs.random_geometric(200, 0.6, 0.3, seed=0), gpath)
+        code, out, err = run(capsys, "design", "--graph", str(gpath), "--bandwidth", "15",
+                             "--budget", "60", "--criterion", crit, "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: expected non-negative integer\n"
+
     def test_out_of_memory_fails_cleanly(self, capsys, tmp_path, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.45 GiB for an array")

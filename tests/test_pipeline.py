@@ -130,24 +130,41 @@ def ci_basis():
 
 
 def reference_evaluation(rows, weights, crit):
-    """Objective, sigma_min and duality gap at `weights`, each from its own
-    A(p) -> eigvalsh and A(p) -> inv -> _gradient."""
-    w = np.linalg.eigvalsh(rows.T @ (weights.p[:, None] * rows))
+    """Objective, sigma_min and duality gap at `weights`, from one
+    A(p) -> eigh, whose Q diag(1/w) Q^T is the A^-1 `_gradient` takes."""
+    w, Q = np.linalg.eigh(rows.T @ (weights.p[:, None] * rows))
     objective = {Criterion.A_OPT: float(np.sum(1.0 / w)),
                  Criterion.D_OPT: float(-np.sum(np.log(w))),
                  Criterion.E_OPT: float(1.0 / w[0])}[crit]
     if crit is Criterion.E_OPT:
         gap = float(1.0 / w[0]) - 1.0 / design._e_bound(rows)
     else:
-        Ainv = np.linalg.inv(rows.T @ (weights.p[:, None] * rows))
-        g = design._gradient(rows, Ainv, crit)
+        g = design._gradient(rows, (Q / w) @ Q.T, crit)
         gap = float(weights.p @ g - g.min())
     return objective, float(w[0]), gap
 
 
+def counting(monkeypatch, *names):
+    """Wrap each `np.linalg` function in `names` to log its arguments; returns
+    the dict of name -> list of argument tuples."""
+    calls = {name: [] for name in names}
+    for name in names:
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, _fn=fn, _log=calls[name]: _log.append(args) or _fn(*args))
+    return calls
+
+
+def badly_scaled_rows(seed):
+    """Random orthonormal rows with their columns scaled across four decades."""
+    rng = np.random.default_rng(seed)
+    return random_orthonormal_rows(30, 5, rng) * np.logspace(-2, 2, 5)
+
+
 class TestOneEvaluation:
     """`duality_gap`, `solve_relaxed`'s uniform check and `design_pipeline`'s
-    diagnostics read one evaluation of A(p); its values keep their bits."""
+    diagnostics read one evaluation of A(p), from one `eigh`; its values keep
+    their bits."""
 
     @pytest.mark.parametrize("crit", list(Criterion))
     def test_duality_gap_matches_reference_bit_for_bit(self, ci_basis, crit):
@@ -167,13 +184,45 @@ class TestOneEvaluation:
 
     @pytest.mark.parametrize("crit", list(Criterion))
     def test_each_design_factored_once(self, ci_basis, crit, monkeypatch):
-        # one eigvalsh for solve_relaxed's uniform check and one for the
-        # pipeline's relaxed design; the A/D solver itself factors by Cholesky
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(1) or eigvalsh(A))
+        # one eigh for solve_relaxed's uniform check and one for the pipeline's
+        # relaxed design, and no eigvalsh or inv in either; the A/D solver
+        # itself factors by Cholesky
+        calls = counting(monkeypatch, "eigh", "eigvalsh", "inv")
+        per_evaluation = []
+        evaluate = design._evaluate
+
+        def counted(*args):
+            before = {name: len(log) for name, log in calls.items()}
+            result = evaluate(*args)
+            per_evaluation.append({name: len(log) - before[name] for name, log in calls.items()})
+            return result
+
+        monkeypatch.setattr(design, "_evaluate", counted)
         design.design_pipeline(ci_basis, 15, 60, crit, seed=0)
-        assert len(calls) == 2
+        assert per_evaluation == [{"eigh": 1, "eigvalsh": 0, "inv": 0}] * 2
+        assert calls["eigvalsh"] == []
+
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    @pytest.mark.parametrize("source", ["ci", "badly-scaled-0", "badly-scaled-1"])
+    def test_solver_inverts_only_cholesky_factors(self, ci_basis, source, crit, monkeypatch):
+        # A^-1 = L^-T L^-1 comes from the iterate's Cholesky factor L, so every
+        # matrix the solve inverts is that lower-triangular L, never A itself
+        rows = (spectral.design_rows(ci_basis, 15) if source == "ci"
+                else badly_scaled_rows(int(source[-1])))
+        calls = counting(monkeypatch, "inv")
+        design.solve_relaxed(rows, crit)
+        assert calls["inv"]
+        for (M,) in calls["inv"]:
+            assert np.array_equal(M, np.tril(M))
+
+    @pytest.mark.parametrize("crit", list(Criterion))
+    def test_duality_gap_takes_one_eigh_and_no_inv(self, ci_basis, crit, monkeypatch):
+        rows = spectral.design_rows(ci_basis, 15)
+        weights = design.solve_relaxed(rows, crit)
+        calls = counting(monkeypatch, "eigh", "eigvalsh", "inv")
+        design.duality_gap(rows, weights, crit)
+        assert {name: len(log) for name, log in calls.items()} == \
+            {"eigh": 1, "eigvalsh": 0, "inv": 0}
 
 
 class TestFallback:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,15 @@ class TestProbabilisticQuantize:
         assert gen.bit_generator.state == state
         design.quantize_raw(w, 10, gen)  # off the grid: one uniform
         assert gen.bit_generator.state != state
+
+    @pytest.mark.parametrize("seed", [-1, [1, -2], 1.5, "abc"], ids=["-1", "list", "1.5", "abc"])
+    def test_bad_seed_refused_on_and_off_the_grid(self, seed):
+        # whether a seed is valid does not depend on whether the draw is random
+        w = DesignWeights(np.array([0.25, 0.75]))
+        with pytest.raises((ValueError, TypeError)) as off_grid:
+            design.quantize_raw(w, 10, seed)
+        with pytest.raises(off_grid.type, match=f"^{re.escape(str(off_grid.value))}$"):
+            design.quantize_raw(w, 4, seed)
 
     @pytest.mark.parametrize("seed", [0, 7, [3, 1, 4]])
     def test_allocation_is_the_draw(self, seed, rng):

@@ -252,8 +252,10 @@ def pairwise_only(rows, crit):
 
 
 def factors(A):
-    """The `_newton_step` inputs A^-1 and L^-1, for the Cholesky factor L of A."""
-    return np.linalg.inv(A), np.linalg.inv(np.linalg.cholesky(A))
+    """The `_newton_step` inputs A^-1 = L^-T L^-1 and L^-1, for the Cholesky
+    factor L of A, as `_solve_fw` forms them."""
+    Linv = np.linalg.inv(np.linalg.cholesky(A))
+    return Linv.T @ Linv, Linv
 
 
 def check_newton_step(seed):
@@ -593,6 +595,25 @@ class TestDualityGap:
             p /= p.sum()
             for crit in Criterion:
                 assert design.duality_gap(rows, DesignWeights(p), crit) >= -1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), extra=st.integers(0, 24),
+           decades=st.floats(0.0, 4.0))
+    def test_matches_the_eigen_projection_gap(self, seed, k, extra, decades):
+        # the Frank-Wolfe gap with g_i = -sum_j (u_i . q_j)^2 / w_j^(1 or 2)
+        # from A(p) = Q diag(w) Q^T, as an independent recheck computes it,
+        # on random weights and rows whose columns span `decades` decades
+        rng = np.random.default_rng(seed)
+        rows = random_orthonormal_rows(k + extra, k, rng) * np.logspace(0, decades, k)
+        p = rng.dirichlet(np.ones(k + extra))
+        w, Q = np.linalg.eigh(rows.T @ (p[:, None] * rows))
+        assume(not spectral._rank_deficient(w))
+        proj = (rows @ Q) ** 2
+        for crit, power in ((Criterion.D_OPT, 1), (Criterion.A_OPT, 2)):
+            g = -(proj / w**power).sum(axis=1)
+            f = -np.log(w).sum() if crit is Criterion.D_OPT else (1.0 / w).sum()
+            gap = design.duality_gap(rows, DesignWeights(p), crit)
+            assert abs(gap - (p @ g - g.min())) <= 1e-9 * max(1.0, abs(f))
 
 
 def graph_rows(kind, n, k, seed):
