@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -229,13 +230,14 @@ def trial_inputs(cfg: ScenarioConfig, grid_index: int, bandwidth: int,
 
 
 # numpy's SeedSequence (O'Neill 2015): its pool size, hash constants and
-# mixing multipliers; and PCG64's 128-bit LCG multiplier (O'Neill 2014)
+# mixing multipliers
 _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_LOW32, _LOW64 = 2**32 - 1, 2**64 - 1
+_LOW32 = 2**32 - 1
+# trials per `_uniforms` pass, so seeding holds one chunk's arrays at a time
+_SEED_CHUNK = 4096
 
 
 def _words(n: int) -> list[int]:
@@ -266,29 +268,12 @@ def _mix(x, y):
     return x ^ x >> 16
 
 
-def _mulhi(a, b: int):
-    """The high 64 bits of a * b, for a uint64 array a and b < 2**64."""
-    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One step of PCG64's LCG, state * _PCG_MULT + inc mod 2**128, on
-    uint64 halves."""
-    c_hi, c_lo = _PCG_MULT >> 64, _PCG_MULT & _LOW64
-    hi, lo = _mulhi(lo, c_lo) + hi * c_lo + lo * c_hi, lo * c_lo + inc_lo
-    return hi + inc_hi + (lo < inc_lo), lo
-
-
 def _uniforms(prefix: list[int], trials) -> np.ndarray:
     """`np.random.default_rng([*prefix, t]).random()` for each t in `trials`,
-    ints in [0, 2**32), bit for bit, in one pass of uint32 and uint64 array
-    arithmetic: SeedSequence's entropy mixing and 4-word state, PCG64's
-    seeding (two LCG steps) and its first output (one more step, XSL-RR), as
-    a double in [0, 1) from its top 53 bits. A prefix entry contributes its
-    32-bit words, a trial index one word."""
+    ints in [0, 2**32), bit for bit. One pass of array arithmetic runs
+    SeedSequence's hash and PCG64's state + increment (O'Neill 2014); a PCG64
+    set to each trial's sum takes the seeding's second step, then draws. A
+    prefix entry contributes its 32-bit words, a trial index one word."""
     t = np.asarray(trials, dtype=np.uint32)
     entropy = [np.full(t.shape, w, np.uint32) for n in prefix for w in _words(n)] + [t]
     hash_a, zero = _hasher(_INIT_A, _MULT_A), np.zeros(t.shape, np.uint32)
@@ -305,10 +290,24 @@ def _uniforms(prefix: list[int], trials) -> np.ndarray:
     seed_hi, seed_lo, seq_hi, seq_lo = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
     lo = inc_lo + seed_lo
-    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    x, rot = hi ^ lo, hi >> 58
-    return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
+    hi = inc_hi + seed_hi + (lo < inc_lo)
+    gen = np.random.Generator(bits := np.random.PCG64(0))
+    out = np.empty(t.shape)
+    for i, (h, l, ih, il) in enumerate(zip(*(a.tolist() for a in (hi, lo, inc_hi, inc_lo)))):
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": h << 64 | l, "inc": ih << 64 | il}}
+        bits.random_raw()
+        out[i] = gen.random()
+    return out
+
+
+def _trial_draws(law, key: list[int], trials: int):
+    """The interval of `law` holding `_uniforms(key, [t])`, as an int, for each
+    t in range(trials), `_SEED_CHUNK` at a time; a law of one interval draws none."""
+    if len(law.cuts) == 1:
+        return itertools.repeat(0, trials)
+    return (i for start in range(0, trials, _SEED_CHUNK) for i in law.interval(
+        _uniforms(key, np.arange(start, min(start + _SEED_CHUNK, trials)))).tolist())
 
 
 def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRecord]:
@@ -318,10 +317,10 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
     before its trials, so a solve that raises ends the run after the
     earlier bandwidths' trials. Each bandwidth's rounding law is computed
     once, and each proposed trial's draw is the law's interval holding its
-    uniform, all of a grid point's uniforms drawn in one pass before its
-    trials; trials whose draws are equal share one allocation, so a record
-    times neither its draw nor, when it reuses one, an allocation in
-    `wall_ms`."""
+    uniform, a chunk of trials' uniforms drawn in one pass before the first
+    of them, and none for a law of one interval; trials whose draws are
+    equal share one allocation, so a record times neither its draw nor, when
+    it reuses one, an allocation in `wall_ms`."""
     basis = spectral.eigendecompose(graphs.laplacian(build_graph(cfg)))
     criterion = design.Criterion(cfg.criterion)
     sig = cfg.signal
@@ -345,10 +344,9 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
             return design.allocate_from_weights(rows, weights, budget, law.quotas(i))[0]
 
         for snr in sig["snr_db_grid"]:
-            if law is not None:
-                key = [cfg.master_seed, _ROLE_METHOD, cfg.methods.index("proposed"), gi]
-                draws = law.interval(_uniforms(key, np.arange(cfg.trials)))
-            for trial in range(cfg.trials):
+            draws = itertools.repeat(None) if law is None else _trial_draws(
+                law, [cfg.master_seed, _ROLE_METHOD, cfg.methods.index("proposed"), gi], cfg.trials)
+            for trial, draw in zip(range(cfg.trials), draws):
                 coeffs, z = trial_inputs(cfg, gi, k, budget, trial)
                 f = spectral.synthesize_bandlimited(basis, coeffs)
                 # one noise level per trial; every sequence has `budget` entries
@@ -356,7 +354,7 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
                 for method in cfg.methods:
                     t0 = time.perf_counter() if measure_time else 0.0
                     try:
-                        seq = allocation(draws[trial]) if method == "proposed" else seqs[method]
+                        seq = allocation(draw) if method == "proposed" else seqs[method]
                         y = f[seq.indices] + noise
                         est = estimation.blue_estimate(basis, k, seq, y, f_true=f)
                         err, status = est.error_l2, "ok"

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -673,6 +674,65 @@ class TestTrialGrouping:
         assert all(r.status == "failed:FallbackExhausted" for r in records)
         assert len(set(draws)) < len(draws) == len(records)  # some trials share a draw
         assert allocated == draws and results == []  # a failure is not kept
+
+
+def count_uniform_passes(monkeypatch):
+    """Patch `bench._uniforms` to log the trials of each pass; returns the log."""
+    uniforms_fn, passes = bench._uniforms, []
+
+    def uniforms(prefix, trials):
+        passes.append(len(trials))
+        return uniforms_fn(prefix, trials)
+
+    monkeypatch.setattr(bench, "_uniforms", uniforms)
+    return passes
+
+
+class TestChunkedSeeding:
+    """A grid point's proposed uniforms are drawn `_SEED_CHUNK` trials per
+    pass, and a design whose rounding law has one interval draws none."""
+
+    def test_grid_design_draws_no_uniform(self, monkeypatch):
+        # criterion D on the g2 desk graph puts K = 15, M = 60 on the rounding grid
+        cfg = bench.preset_config(
+            "g2-f1-desk", criterion="d", methods=["proposed"], trials=5,
+            signal={"bandwidth_min": 15, "bandwidth_max": 15, "snr_db_grid": [10.0]})
+        basis = spectral.eigendecompose(graphs.laplacian(bench.build_graph(cfg)))
+        weights = design.solve_relaxed(spectral.design_rows(basis, 15), "d")
+        assert len(design._draws(weights, 60).cuts) == 1
+        expected = ungrouped_proposed(cfg)[0]
+        passes = count_uniform_passes(monkeypatch)
+        records = bench.run_scenario(cfg, measure_time=False)
+        assert passes == []
+        assert [(r.bandwidth, r.snr_db, r.trial, r.error_l2, r.status)
+                for r in records] == expected
+
+    def test_records_cross_a_chunk_boundary(self, monkeypatch):
+        cfg = tiny_config(methods=["proposed"], trials=bench._SEED_CHUNK + 3)
+        expected = ungrouped_proposed(cfg)[0]
+        passes = count_uniform_passes(monkeypatch)
+        records = bench.run_scenario(cfg, measure_time=False)
+        assert passes == [bench._SEED_CHUNK, 3]
+        assert [(r.bandwidth, r.snr_db, r.trial, r.error_l2, r.status)
+                for r in records] == expected
+
+    def test_seeding_memory_bounded_by_one_chunk(self):
+        cfg = tiny_config()
+        basis = spectral.eigendecompose(graphs.laplacian(bench.build_graph(cfg)))
+        law = design._draws(design.solve_relaxed(spectral.design_rows(basis, 3), "a"), 12)
+        assert len(law.cuts) > 1
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                for _ in bench._trial_draws(law, [0, bench._ROLE_METHOD, 0, 0], trials):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(bench._SEED_CHUNK)
+        assert peak(3 * bench._SEED_CHUNK) <= 1.5 * one
 
 
 class TestSummarize:
