@@ -268,12 +268,10 @@ def _mix(x, y):
     return x ^ x >> 16
 
 
-def _uniforms(prefix: list[int], trials) -> np.ndarray:
-    """`np.random.default_rng([*prefix, t]).random()` for each t in `trials`,
-    ints in [0, 2**32), bit for bit. One pass of array arithmetic runs
-    SeedSequence's hash and PCG64's state + increment (O'Neill 2014); a PCG64
-    set to each trial's sum takes the seeding's second step, then draws. A
-    prefix entry contributes its 32-bit words, a trial index one word."""
+def _seed_words(prefix: list[int], trials) -> np.ndarray:
+    """`SeedSequence([*prefix, t]).generate_state(4, np.uint64)` for each t
+    in `trials`, ints in [0, 2**32), as rows, from one pass of array
+    arithmetic. A prefix entry gives its 32-bit words, a trial index one."""
     t = np.asarray(trials, dtype=np.uint32)
     entropy = [np.full(t.shape, w, np.uint32) for n in prefix for w in _words(n)] + [t]
     hash_a, zero = _hasher(_INIT_A, _MULT_A), np.zeros(t.shape, np.uint32)
@@ -286,19 +284,26 @@ def _uniforms(prefix: list[int], trials) -> np.ndarray:
         for dst in range(_POOL_WORDS):
             pool[dst] = _mix(pool[dst], hash_a(value))
     hash_b = _hasher(_INIT_B, _MULT_B)
-    w = [hash_b(pool[i % _POOL_WORDS]).astype(np.uint64) for i in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    lo = inc_lo + seed_lo
-    hi = inc_hi + seed_hi + (lo < inc_lo)
-    gen = np.random.Generator(bits := np.random.PCG64(0))
-    out = np.empty(t.shape)
-    for i, (h, l, ih, il) in enumerate(zip(*(a.tolist() for a in (hi, lo, inc_hi, inc_lo)))):
-        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                      "state": {"state": h << 64 | l, "inc": ih << 64 | il}}
-        bits.random_raw()
-        out[i] = gen.random()
-    return out
+    w = np.stack([hash_b(pool[i % _POOL_WORDS]) for i in range(8)], axis=1)
+    return w.astype("<u4").view("<u8").astype(np.uint64)  # as SeedSequence does
+
+
+@dataclass
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """One row of `_seed_words`, the state `np.random.PCG64` asks for."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _uniforms(prefix: list[int], trials) -> np.ndarray:
+    """`np.random.default_rng([*prefix, t]).random()` for each t in `trials`,
+    ints in [0, 2**32), bit for bit: NumPy's PCG64 (O'Neill 2014) seeds
+    itself from each trial's `_seed_words` (O'Neill 2015) and draws."""
+    return np.fromiter((np.random.Generator(np.random.PCG64(_HashedSeed(s))).random()
+                        for s in _seed_words(prefix, trials)), float)
 
 
 def _trial_draws(law, key: list[int], trials: int):

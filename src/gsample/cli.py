@@ -47,7 +47,7 @@ def _read_design(path):
         raise ValueError(f"design {path}: m must be a list of numbers")
     for key in ("budget", "bandwidth"):
         value = payload[key]
-        if not (type(value) in (int, float) and float(value).is_integer()):
+        if not (type(value) is int or (type(value) is float and value.is_integer())):
             raise ValueError(f"design {path}: {key} must be an integer, got {value!r}")
     alloc = design.SampleAllocation(m=payload["m"], budget=int(payload["budget"]))
     return alloc, int(payload["bandwidth"])

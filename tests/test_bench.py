@@ -577,6 +577,18 @@ class TestBulkUniforms:
         expected = [np.random.default_rng([*prefix, t]).random() for t in self.TRIALS]
         assert bench._uniforms(prefix, self.TRIALS).tolist() == expected
 
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 10**30])
+    @pytest.mark.parametrize("tail", [[0, 0], [2, 17], [2**33, 5]])
+    def test_seeded_stream_equals_default_rng(self, master_seed, tail):
+        # a PCG64 seeded from a trial's hashed words is default_rng's whole
+        # stream, not only its first uniform
+        prefix = [master_seed, bench._ROLE_METHOD, *tail]
+        for words, t in zip(bench._seed_words(prefix, self.TRIALS), self.TRIALS):
+            gen = np.random.Generator(np.random.PCG64(bench._HashedSeed(words)))
+            expected = np.random.default_rng([*prefix, t])
+            assert gen.bit_generator.state == expected.bit_generator.state
+            assert gen.standard_normal(3).tolist() == expected.standard_normal(3).tolist()
+
     @settings(max_examples=100, deadline=None)
     @given(prefix=st.lists(st.integers(min_value=0, max_value=2**130), max_size=6),
            trials=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=8))

@@ -319,6 +319,13 @@ class TestGraphAndDesign:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "quotas must lie in [-2**63, 2**63)" in err
 
+    @pytest.mark.parametrize("key", ["budget", "bandwidth"])
+    def test_design_integer_beyond_float_range_fails_cleanly(self, capsys, tmp_path, key):
+        # an int is checked as an int, never converted to a float
+        code, out, err = run(capsys, *estimate_args(tmp_path, {**DESIGN, key: 10**400}))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_integral_float_design_accepted(self, capsys, tmp_path):
         design_json = {"m": [1.0, 1, 1, 0, 0, 0], "budget": 3.0, "bandwidth": 2.0}
         code, out, _ = run(capsys, *estimate_args(tmp_path, design_json))
