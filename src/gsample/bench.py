@@ -349,8 +349,8 @@ def run_scenario(cfg: ScenarioConfig, measure_time: bool = True) -> list[TrialRe
             return design.allocate_from_weights(rows, weights, budget, law.quotas(i))[0]
 
         for snr in sig["snr_db_grid"]:
-            draws = itertools.repeat(None) if law is None else _trial_draws(
-                law, [cfg.master_seed, _ROLE_METHOD, cfg.methods.index("proposed"), gi], cfg.trials)
+            draws = itertools.repeat(None) if law is None else _trial_draws(law, [
+                cfg.master_seed, _ROLE_METHOD, KNOWN_METHODS.index("proposed"), gi], cfg.trials)
             for trial, draw in zip(range(cfg.trials), draws):
                 coeffs, z = trial_inputs(cfg, gi, k, budget, trial)
                 f = spectral.synthesize_bandlimited(basis, coeffs)

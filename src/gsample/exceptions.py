@@ -5,8 +5,8 @@ class GSampleError(Exception):
     """Base class for all library errors."""
 
 
-class GraphConnectivityError(GSampleError):
-    """A generated graph failed to come out connected within the retry budget."""
+class GraphConnectivityError(GSampleError, ValueError):
+    """A graph is not connected, or a generator drew none that was."""
 
 
 class EdgeListFormatError(GSampleError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import re
 import warnings
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ class WeightedGraph:
             k = order[1:][repeat].min()  # the first repeated edge in input order
             raise _EdgeFault(f"duplicate edge ({lo[k]},{hi[k]})", k)
         if not _connected(self.n, lo, hi):
-            raise ValueError("graph is not connected")
+            raise GraphConnectivityError("graph is not connected")
         for name, arr in (("i", lo), ("j", hi), ("w", w)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -110,11 +111,18 @@ def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+def _seeded_retry(n: int, draw, seed, name: str) -> WeightedGraph:
+    """WeightedGraph(n, *draw(rng)) on the first substream of `seed` whose draw is connected."""
+    for stream in np.random.SeedSequence(seed).spawn(_CONNECTIVITY_RETRIES):
+        with contextlib.suppress(GraphConnectivityError):  # disconnected: draw again
+            return WeightedGraph(n, *draw(np.random.default_rng(stream)))
+    raise GraphConnectivityError(f"{name} not connected after {_CONNECTIVITY_RETRIES} attempts")
+
+
 def watts_strogatz(n: int, k: int, beta: float, seed) -> WeightedGraph:
     """Small-world graph: ring lattice with 2k neighbors, each edge's far
-    endpoint rewired with probability beta. All weights 1.
-
-    Regenerates with a fresh RNG substream until connected (up to 100 tries).
+    endpoint rewired with probability beta. All weights 1. Regenerates with
+    a fresh RNG substream until connected (up to 100 tries).
     """
     if k < 1 or n <= 2 * k:
         raise ValueError(f"require n > 2k >= 2, got n={n}, k={k}")
@@ -123,8 +131,8 @@ def watts_strogatz(n: int, k: int, beta: float, seed) -> WeightedGraph:
     # lattice edges (near u, far v) in rewiring order: offset-major, then node
     near = np.tile(np.arange(n), k)
     far = (near + np.repeat(np.arange(1, k + 1), n)) % n
-    for stream in np.random.SeedSequence(seed).spawn(_CONNECTIVITY_RETRIES):
-        rng = np.random.default_rng(stream)
+
+    def draw(rng):
         # n x n bytes; the diagonal is set so no node is its own candidate
         adj = np.eye(n, dtype=bool)
         adj[near, far] = adj[far, near] = True
@@ -142,12 +150,8 @@ def watts_strogatz(n: int, k: int, beta: float, seed) -> WeightedGraph:
             adj[u, w] = adj[w, u] = True
         # the upper triangle row by row: the edges (i < j) in sorted order
         ii, jj = np.nonzero(np.triu(adj, 1))
-        if _connected(n, ii, jj):
-            return WeightedGraph(n, ii, jj, np.ones(ii.size))
-    raise GraphConnectivityError(
-        f"watts_strogatz(n={n}, k={k}, beta={beta}) not connected "
-        f"after {_CONNECTIVITY_RETRIES} attempts"
-    )
+        return ii, jj, np.ones(ii.size)
+    return _seeded_retry(n, draw, seed, f"watts_strogatz(n={n}, k={k}, beta={beta})")
 
 
 def random_geometric(n: int, radius: float, kernel_width: float | None,
@@ -162,20 +166,17 @@ def random_geometric(n: int, radius: float, kernel_width: float | None,
         raise ValueError(f"need at least 2 nodes, got {n}")
     if not (radius > 0 and kernel_width > 0):  # NaN too
         raise ValueError("radius and kernel_width must be positive")
-    for stream in np.random.SeedSequence(seed).spawn(_CONNECTIVITY_RETRIES):
-        rng = np.random.default_rng(stream)
+
+    def draw(rng):
         pts = rng.random((n, 2))
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
         ii, jj = np.where(np.triu(dist <= radius, k=1))
-        if not _connected(n, ii, jj):
-            continue
         w = np.exp(-dist[ii, jj] ** 2 / (2.0 * kernel_width**2))
-        return WeightedGraph(n, ii, jj, w)
-    raise GraphConnectivityError(
-        f"random_geometric(n={n}, radius={radius}) not connected "
-        f"after {_CONNECTIVITY_RETRIES} attempts"
-    )
+        if not w.all():  # exp underflows beyond about 38.6 kernel widths
+            raise ValueError(f"kernel_width={kernel_width} zeroes a weight within radius={radius}")
+        return ii, jj, w
+    return _seeded_retry(n, draw, seed, f"random_geometric(n={n}, radius={radius})")
 
 
 def save_edge_list(g: WeightedGraph, path) -> None:

@@ -388,6 +388,20 @@ class TestRunScenario:
                 expected = power * trace / (basis.n * 10 ** (snr / 10))
                 assert abs(sq.mean() - expected) <= 4 * sq.std(ddof=1) / np.sqrt(len(sq))
 
+    def test_proposed_draws_do_not_depend_on_method_order(self):
+        # a proposed trial's rounding draw is keyed by the method itself, not
+        # by where `methods` lists it; A at K = 3 is off the rounding grid
+        def proposed(methods):
+            cfg = tiny_config(trials=5, methods=methods,
+                              signal={**TINY["signal"], "snr_db_grid": [10.0]})
+            return [r for r in bench.run_scenario(cfg, measure_time=False)
+                    if r.method == "proposed"]
+
+        expected = proposed(["proposed"])
+        assert len(expected) == 5 and all(r.status == "ok" for r in expected)
+        for methods in (["m3", "proposed"], ["m1", "m3", "proposed"], ["m1", "proposed", "m3"]):
+            assert proposed(methods) == expected
+
     def test_deterministic_csv_bytes(self, tmp_path):
         paths = []
         for run in range(2):
@@ -611,7 +625,7 @@ def ungrouped_proposed(cfg):
     sig = cfg.signal
     bandwidths = range(sig["bandwidth_min"], sig["bandwidth_max"] + 1, sig["bandwidth_step"])
     grid = [(k, snr) for k in bandwidths for snr in sig["snr_db_grid"]]
-    mi = cfg.methods.index("proposed")
+    mi = bench.KNOWN_METHODS.index("proposed")
     out, draws = [], []
     for gi, (k, snr) in enumerate(grid):
         budget = int(round(cfg.budget_rule * k))

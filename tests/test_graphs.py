@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsample import graphs
-from gsample.exceptions import EdgeListFormatError, GraphConnectivityError
+from gsample.exceptions import EdgeListFormatError, GraphConnectivityError, GSampleError
 
 
 def degrees(g):
@@ -92,10 +92,31 @@ class TestRandomGeometric:
                            r"radius=0.01\) not connected after 100 attempts"):
             graphs.random_geometric(20, 0.01, 0.005, seed=0)
 
+    def test_kernel_width_that_zeroes_a_weight_refused(self):
+        # exp(-d^2 / (2 * 0.01^2)) underflows for pairs beyond about 0.386
+        # apart, and radius 0.6 joins such pairs
+        with pytest.raises(ValueError, match=r"kernel_width=0.01 zeroes a weight "
+                           r"within radius=0.6"):
+            graphs.random_geometric(200, 0.6, 0.01, seed=0)
+
     def test_kernel_width_none_is_half_radius(self):
         a = graphs.random_geometric(40, 0.5, None, seed=4)
         b = graphs.random_geometric(40, 0.5, 0.25, seed=4)
         assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "ijw")
+
+
+@pytest.mark.parametrize("generate", [
+    lambda: graphs.watts_strogatz(50, 3, 0.3, seed=9),
+    lambda: graphs.random_geometric(40, 0.5, 0.25, seed=4),
+], ids=["watts_strogatz", "random_geometric"])
+def test_generated_graph_checked_once(monkeypatch, generate):
+    # WeightedGraph alone judges connectivity: a draw connected on the first
+    # substream is checked once
+    calls = []
+    connected = graphs._connected
+    monkeypatch.setattr(graphs, "_connected", lambda *a: calls.append(a) or connected(*a))
+    generate()
+    assert len(calls) == 1
 
 
 class TestLaplacian:
@@ -143,6 +164,11 @@ class TestGraphValidation:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="connected"):
             graphs.WeightedGraph(4, [0, 2], [1, 3], [1.0, 1.0])
+
+    def test_disconnected_is_a_connectivity_error(self):
+        with pytest.raises(GraphConnectivityError, match="graph is not connected") as info:
+            graphs.WeightedGraph(4, [0, 2], [1, 3], [1.0, 1.0])
+        assert isinstance(info.value, ValueError) and isinstance(info.value, GSampleError)
 
     def test_canonicalizes_edge_order(self):
         g = graphs.WeightedGraph(3, [2, 1], [1, 0], [2.0, 1.0])

@@ -403,6 +403,22 @@ class TestNewtonSolver:
             assert score(rows.T @ (p[:, None] * rows), crit) <= f
 
     @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
+    def test_no_step_length_passes(self, crit, monkeypatch):
+        # the solver's first step, from the pivoted start plus argmin g, with
+        # a change that no step length makes small enough: all 60 halvings fail
+        rows = random_orthonormal_rows(20, 4, np.random.default_rng(0))
+        p = np.zeros(20)
+        p[design._volume_rows(rows)] = 0.25
+        Ainv, Linv = factors(rows.T @ (p[:, None] * rows))
+        S = np.union1d(np.nonzero(p)[0], np.argmin(design._gradient(rows, Ainv, crit)))
+        tries = []
+        monkeypatch.setattr(design, "_fw_change", lambda *args: tries.append(args) or math.inf)
+        q = p.copy()
+        assert not design._newton_step(rows, q, S, Ainv, Linv, crit)
+        assert len(tries) == 60
+        assert np.array_equal(q, p)
+
+    @pytest.mark.parametrize("crit", [Criterion.A_OPT, Criterion.D_OPT])
     def test_singular_kkt_leaves_p_unchanged(self, crit):
         # two equal rows on the support give two equal KKT rows
         rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
