@@ -82,6 +82,9 @@ def _cmd_estimate(args):
     with warnings.catch_warnings():  # an empty file fails the length check below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         f = np.loadtxt(args.signal, ndmin=1)
+    if f.ndim != 1:
+        raise ValueError("signal must be one row or one column of values, "
+                         f"got a {f.shape[0]} x {f.shape[1]} table")
     if not np.isfinite(f).all():
         raise ValueError("signal values must be finite")
     if f.shape != alloc.m.shape:

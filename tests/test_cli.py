@@ -290,17 +290,19 @@ class TestGraphAndDesign:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "finite" in err
 
-    @pytest.mark.parametrize("text, size", [("1 1 1 1 1", 5), ("1 1 1 1 1 1 1", 7),
-                                            ("1 1\n1 1\n1 1\n", 6)],
-                             ids=["5-values", "7-values", "two-columns"])
-    def test_signal_for_another_node_count_rejected(self, capsys, tmp_path, text, size):
-        # one value per node: a 3 x 2 table of six values is refused too
+    @pytest.mark.parametrize("text, message", [
+        ("1 1 1 1 1", "signal has 5 values but the allocation 6 quotas"),
+        ("1 1 1 1 1 1 1", "signal has 7 values but the allocation 6 quotas"),
+        ("1 1\n1 1\n1 1\n", "signal must be one row or one column of values, "
+                             "got a 3 x 2 table")],
+        ids=["5-values", "7-values", "two-columns"])
+    def test_signal_for_another_node_count_rejected(self, capsys, tmp_path, text, message):
+        # one value per node: a 3 x 2 table of six values is refused by its shape
         args = estimate_args(tmp_path, DESIGN)
         (tmp_path / "signal.txt").write_text(text)
         code, out, err = run(capsys, *args, "--snr-db", "10")
         assert code == 1 and out == ""
-        assert err.splitlines() == [
-            f"error: signal has {size} values but the allocation 6 quotas"]
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_empty_signal_fails_cleanly(self, capsys, tmp_path):
         # NumPy warns that the file holds no data; the length check reports it

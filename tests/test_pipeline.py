@@ -121,6 +121,26 @@ class TestInvertibleProbability:
             diag = design.design_pipeline(basis, k, budget, crit, seed=0).diagnostics
             assert diag["invertible_probability"] == 1.0
 
+    @pytest.mark.parametrize("crit", list(Criterion))
+    @pytest.mark.parametrize("budget", [15, 16, 17, 20, 25, 60])
+    def test_sums_the_lengths_of_unshifted_draws(self, ci_basis, crit, budget):
+        # exactly the summed length of the law's intervals whose draw
+        # `allocate_from_weights` takes with no shift; a draw that ends in
+        # FallbackExhausted was shifted
+        result = design.design_pipeline(ci_basis, 15, budget, crit, seed=0)
+        rows = spectral.design_rows(ci_basis, 15)
+        law = design._draws(result.weights, budget)
+
+        def unshifted(i):
+            try:
+                return design.allocate_from_weights(
+                    rows, result.weights, budget, law.quotas(i))[1] == 0
+            except FallbackExhausted:
+                return False
+
+        mask = np.array([unshifted(i) for i in range(len(law.cuts))])
+        assert result.diagnostics["invertible_probability"] == float(law.lengths[mask].sum())
+
 
 @pytest.fixture(scope="module")
 def ci_basis():
